@@ -17,30 +17,30 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import correct as correct_mod
 from . import evaluate as evaluate_mod
-from .embed import EmbedError, EmbedderConfig, LocalHashConfig, RemoteHttpConfig, embedder_fingerprint
+from . import transport
+from .embed import EmbedError, EmbedderConfig, LocalHashConfig, RemoteHttpConfig
 from .ingest import (
     CLASSIFICATION,
     REGRESSION,
-    DatasetBundle,
     IngestError,
-    PredictionSet,
     Split,
+    TaskSpec,
     load_molecules,
     load_predictions,
 )
 from .knowledge import (
-    Jump,
     KnowledgeError,
     METADATA_FILE,
+    STRATEGY_NAMES,
     Random,
-    TopK,
     build_database,
     load_database,
     save_database,
@@ -69,181 +69,167 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
-class AppConfig:
-    task: str = "classification"
-    dataset: Optional[str] = None
-    valid_predictions: Optional[str] = None
-    test_predictions: Optional[str] = None
-    database_dir: Optional[str] = None
-    output_dir: str = "."
-    k: int = 10
-    strategy: str = "topk"
-    seed: int = 0
-    self_correction: bool = True
-    regression_trigger_fraction: float = 0.20
-    token_budget: int = 3000
-    jobs: int = 1
-    include_description: bool = False
-    embedder_backend: str = "localhash"
-    embedder_dim: int = 256
-    embedder_ngram: int = 3
-    embedder_endpoint: Optional[str] = None
-    embedder_model: Optional[str] = None
-    embedder_key_env: Optional[str] = None
-    llm_backend: str = "echo"
-    llm_endpoint: Optional[str] = None
-    llm_model: Optional[str] = None
-    llm_key_env: Optional[str] = None
-    llm_temperature: float = 0.0
-    noisy_p: float = 0.5
-    noisy_seed: int = 0
-    scripted_responses: Optional[str] = None
-    audit_log: bool = False
-
-
 _BOOL_TOKENS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
-def parse_config_file(path: Path) -> Dict[str, str]:
-    values: Dict[str, str] = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+def _flag(text: str) -> bool:
+    if text.lower() not in _BOOL_TOKENS:
+        raise ValueError(f"expected a boolean, got {text!r}")
+    return _BOOL_TOKENS[text.lower()]
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
+# every config key, with the converter that reads its value
+_KEYS: Dict[str, Callable[[str], object]] = {
+    **dict.fromkeys(
+        ("task", "dataset", "valid_predictions", "test_predictions", "database_dir",
+         "output_dir", "strategy", "embedder_backend", "embedder_endpoint", "embedder_model",
+         "embedder_key_env", "llm_backend", "llm_endpoint", "llm_model", "llm_key_env",
+         "scripted_responses"),
+        str,
+    ),
+    **dict.fromkeys(
+        ("k", "seed", "token_budget", "jobs", "embedder_dim", "embedder_ngram", "noisy_seed"), int
+    ),
+    **dict.fromkeys(("regression_trigger_fraction", "llm_temperature", "noisy_p"), _finite),
+    **dict.fromkeys(("self_correction", "include_description", "audit_log"), _flag),
+}
+
+_RUN_KEYS = ("k", "self_correction", "regression_trigger_fraction", "token_budget", "seed",
+             "include_description", "jobs")
+
+
+class Config(dict):
+    """The config keys the user set, converted. An unset key keeps the default
+    of the object that uses it; a command that needs it raises ConfigError."""
+
+    def __missing__(self, key):
+        raise ConfigError(f"config key {key!r} is required for this command")
+
+
+def read_config(path: Optional[str], overrides: Dict[str, object]) -> Config:
+    """Read a ``key=value`` file (``#`` starts a comment), then apply the
+    flag overrides that were given."""
+    config = Config()
+    lines = Path(path).read_text(encoding="utf-8").splitlines() if path else []
+    for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
-    return values
+        key, text = (part.strip() for part in line.split("=", 1))
+        if key not in _KEYS:
+            raise ConfigError(f"unknown config key {key!r}")
+        try:
+            config[key] = _KEYS[key](text)
+        except ValueError as exc:
+            raise ConfigError(f"config key {key!r}: {exc}") from None
+    config.update((key, value) for key, value in overrides.items() if value is not None)
+    return config
 
 
-def build_app_config(config_path: Optional[str], overrides: Dict[str, object]) -> AppConfig:
-    cfg = AppConfig()
-    known = {f.name for f in fields(AppConfig)}
-    if config_path:
-        raw = parse_config_file(Path(config_path))
-        for key, value in raw.items():
-            if key not in known:
-                raise ConfigError(f"unknown config key {key!r}")
-            current = getattr(cfg, key)
-            if isinstance(current, bool):
-                token = value.lower()
-                if token not in _BOOL_TOKENS:
-                    raise ConfigError(f"config key {key!r}: expected a boolean, got {value!r}")
-                setattr(cfg, key, _BOOL_TOKENS[token])
-            elif isinstance(current, int):
-                setattr(cfg, key, int(value))
-            elif isinstance(current, float):
-                setattr(cfg, key, float(value))
-            else:
-                setattr(cfg, key, value)
-    for key, value in overrides.items():
-        if value is not None:
-            setattr(cfg, key, value)
-    return cfg
+@dataclass(frozen=True)
+class Runtime:
+    """The run objects every command starts from, built once from a Config."""
+
+    config: Config
+    task: TaskSpec
+    embedder: EmbedderConfig
+    llm: LlmBackendConfig
+    run: correct_mod.RunConfig
 
 
-def app_task(cfg: AppConfig):
-    if cfg.task in ("classification", "binary_classification"):
-        return CLASSIFICATION
-    if cfg.task == "regression":
-        return REGRESSION
-    raise ConfigError(f"unknown task {cfg.task!r}")
+def _build(cls, config: Config, **keys: str):
+    """``cls(param=config[key], ...)`` over the keys the user set; a value
+    ``cls`` rejects is a ConfigError naming those keys."""
+    given = {param: key for param, key in keys.items() if key in config}
+    try:
+        return cls(**{param: config[key] for param, key in given.items()})
+    except (LlmError, EmbedError, correct_mod.CorrectionError) as exc:
+        raise ConfigError(f"config key(s) {', '.join(given.values())}: {exc}") from None
 
 
-def app_embedder(cfg: AppConfig) -> EmbedderConfig:
-    if cfg.embedder_backend == "localhash":
-        return LocalHashConfig(dim=cfg.embedder_dim, ngram=cfg.embedder_ngram)
-    if cfg.embedder_backend == "remote":
-        if not cfg.embedder_endpoint or not cfg.embedder_model:
+def _embedder(config: Config) -> EmbedderConfig:
+    backend = config.get("embedder_backend", "localhash")
+    if backend == "localhash":
+        return _build(LocalHashConfig, config, dim="embedder_dim", ngram="embedder_ngram")
+    if backend == "remote":
+        if not config.get("embedder_endpoint") or not config.get("embedder_model"):
             raise ConfigError("remote embedder needs embedder_endpoint and embedder_model")
-        return RemoteHttpConfig(
-            endpoint=cfg.embedder_endpoint,
-            model=cfg.embedder_model,
-            key_env=cfg.embedder_key_env,
+        return _build(
+            RemoteHttpConfig, config,
+            endpoint="embedder_endpoint", model="embedder_model", key_env="embedder_key_env",
         )
-    raise ConfigError(f"unknown embedder backend {cfg.embedder_backend!r}")
+    raise ConfigError(f"unknown embedder backend {backend!r}")
 
 
-def app_llm(cfg: AppConfig) -> LlmBackendConfig:
-    name = cfg.llm_backend
+def _llm(config: Config) -> LlmBackendConfig:
+    name = config.get("llm_backend", "echo")
     if name == "echo":
         return MockEcho()
     if name == "perfect":
         return MockPerfectOracle()
     if name == "noisy":
-        return MockNoisyOracle(p=cfg.noisy_p, seed=cfg.noisy_seed)
+        return _build(MockNoisyOracle, config, p="noisy_p", seed="noisy_seed")
     if name == "scripted":
-        if not cfg.scripted_responses:
+        if not config.get("scripted_responses"):
             raise ConfigError("scripted backend needs scripted_responses (a JSON file)")
-        responses = json.loads(Path(cfg.scripted_responses).read_text(encoding="utf-8"))
-        return MockScripted(responses=responses)
+        text = Path(config["scripted_responses"]).read_text(encoding="utf-8")
+        try:
+            return MockScripted(responses=json.loads(text))
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config key 'scripted_responses': {exc}") from None
     if name == "remote":
-        if not cfg.llm_endpoint or not cfg.llm_model:
+        if not config.get("llm_endpoint") or not config.get("llm_model"):
             raise ConfigError("remote backend needs llm_endpoint and llm_model")
-        return RemoteChatConfig(
-            endpoint=cfg.llm_endpoint,
-            model=cfg.llm_model,
-            key_env=cfg.llm_key_env,
-            temperature=cfg.llm_temperature,
+        return _build(
+            RemoteChatConfig, config, endpoint="llm_endpoint", model="llm_model",
+            key_env="llm_key_env", temperature="llm_temperature",
         )
     raise ConfigError(f"unknown llm backend {name!r}")
 
 
-def app_run_config(cfg: AppConfig) -> correct_mod.RunConfig:
-    strategies = {
-        "topk": TopK(),
-        "jump": Jump(),
-        "random": Random(seed=cfg.seed),
-    }
-    if cfg.strategy not in strategies:
-        raise ConfigError(f"unknown strategy {cfg.strategy!r}")
-    return correct_mod.RunConfig(
-        k=cfg.k,
-        strategy=strategies[cfg.strategy],
-        self_correction=cfg.self_correction,
-        regression_trigger_fraction=cfg.regression_trigger_fraction,
-        token_budget=cfg.token_budget,
-        seed=cfg.seed,
-        include_description=cfg.include_description,
-        jobs=cfg.jobs,
-    )
+def build_runtime(config: Config) -> Runtime:
+    """Build and validate the task, embedder, LLM backend and run config,
+    so a config fault stops every command before it starts."""
+    tasks = {"classification": CLASSIFICATION, "binary_classification": CLASSIFICATION,
+             "regression": REGRESSION}
+    task = config.get("task", "classification")
+    if task not in tasks:
+        raise ConfigError(f"unknown task {task!r}")
+    run = _build(correct_mod.RunConfig, config, **{key: key for key in _RUN_KEYS})
+    if "strategy" in config:
+        cls = STRATEGY_NAMES.get(config["strategy"])
+        if cls is None:
+            raise ConfigError(f"unknown strategy {config['strategy']!r}")
+        run = replace(run, strategy=Random(seed=run.seed) if cls is Random else cls())
+    return Runtime(config, tasks[task], _embedder(config), _llm(config), run)
 
 
-def _require(cfg: AppConfig, *names: str) -> None:
-    for name in names:
-        if getattr(cfg, name) is None:
-            raise ConfigError(f"config key {name!r} is required for this command")
+def _output_dir(rt: Runtime) -> Path:
+    out_dir = Path(rt.config.get("output_dir", "."))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
 
 
-def _load_bundle(cfg: AppConfig) -> DatasetBundle:
-    _require(cfg, "dataset")
-    return load_molecules(cfg.dataset, app_task(cfg))
-
-
-def _split_predictions(cfg: AppConfig, bundle: DatasetBundle, split: Split) -> PredictionSet:
-    key = {Split.VALID: "valid_predictions", Split.TEST: "test_predictions"}[split]
-    _require(cfg, key)
-    return load_predictions(getattr(cfg, key), bundle, split)
-
-
-def cmd_build_db(cfg: AppConfig) -> int:
-    _require(cfg, "database_dir")
-    bundle = _load_bundle(cfg)
-    val_preds = _split_predictions(cfg, bundle, Split.VALID)
-    embedder = app_embedder(cfg)
-    fingerprint = embedder_fingerprint(embedder, cfg.include_description)
-    db_dir = Path(cfg.database_dir)
+def cmd_build_db(rt: Runtime) -> int:
+    db_dir = Path(rt.config["database_dir"])
+    bundle = load_molecules(rt.config["dataset"], rt.task)
+    val_preds = load_predictions(rt.config["valid_predictions"], bundle, Split.VALID)
     existing_meta = db_dir / METADATA_FILE
     if existing_meta.exists():
         header = json.loads(existing_meta.read_text(encoding="utf-8").splitlines()[0])
-        if header.get("fingerprint") != fingerprint:
-            raise ConfigError(
-                f"database at {db_dir} was built with {header.get('fingerprint')!r}, "
-                f"configured embedder is {fingerprint!r}"
-            )
-    db = build_database(bundle, val_preds, embedder, cfg.include_description)
+        correct_mod.check_fingerprint(
+            header.get("fingerprint"), rt.embedder, rt.run.include_description
+        )
+    db = build_database(bundle, val_preds, rt.embedder, rt.run.include_description)
     save_database(db, db_dir)
     counts = {
         "train": sum(1 for e in db.entries if e.primary_prediction is None),
@@ -257,36 +243,23 @@ def cmd_build_db(cfg: AppConfig) -> int:
     return EXIT_OK
 
 
-def cmd_correct(cfg: AppConfig, split: Split) -> int:
-    if split is Split.TRAIN:
-        raise ConfigError("correct runs on the valid or test split")
-    _require(cfg, "database_dir")
-    bundle = _load_bundle(cfg)
+def cmd_correct(rt: Runtime, split: Split) -> int:
+    bundle = load_molecules(rt.config["dataset"], rt.task)
     if not bundle.split_records(split):
         raise ConfigError(f"split {split.value} is empty")
-    preds = _split_predictions(cfg, bundle, split)
-    db = load_database(cfg.database_dir)
-    embedder = app_embedder(cfg)
-    run_cfg = app_run_config(cfg)
-    expected = embedder_fingerprint(embedder, cfg.include_description)
-    if db.fingerprint != expected:
-        raise ConfigError(
-            f"database fingerprint {db.fingerprint!r} does not match "
-            f"configured embedder {expected!r}"
-        )
-    llm = app_llm(cfg)
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    preds = load_predictions(rt.config[f"{split.value}_predictions"], bundle, split)
+    db = load_database(rt.config["database_dir"])
+    out_dir = _output_dir(rt)
     audit = None
-    if cfg.audit_log:
+    if rt.config.get("audit_log"):
         audit_path = out_dir / f"audit_{split.value}.jsonl"
         audit_path.write_text("", encoding="utf-8")
         audit = AuditLog(audit_path)
     outcomes = correct_mod.correct_split(
-        split, bundle, preds, db, run_cfg, embedder, llm, audit=audit
+        split, bundle, preds, db, rt.run, rt.embedder, rt.llm, audit=audit
     )
     correct_mod.write_outcomes(outcomes, out_dir / f"outcomes_{split.value}.jsonl")
-    summary = correct_mod.run_summary(outcomes, run_cfg, embedder, llm)
+    summary = correct_mod.run_summary(outcomes, rt.run, rt.embedder, rt.llm)
     (out_dir / f"summary_{split.value}.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
@@ -294,7 +267,7 @@ def cmd_correct(cfg: AppConfig, split: Split) -> int:
         rec.label is not None for rec in bundle.records if rec.split is split
     )
     if labeled:
-        report = evaluate_mod.evaluate_run(bundle, split, outcomes, run_cfg, embedder, llm)
+        report = evaluate_mod.evaluate_run(bundle, split, outcomes, rt.run, rt.embedder, rt.llm)
         (out_dir / f"report_{split.value}.json").write_text(
             report.to_json() + "\n", encoding="utf-8"
         )
@@ -317,11 +290,9 @@ _PROMPT_KINDS = {
 }
 
 
-def cmd_predict(cfg: AppConfig, kind_name: str, split: Split, shots: int) -> int:
-    kind = _PROMPT_KINDS.get(kind_name)
-    if kind is None:
-        raise ConfigError(f"unknown prompt kind {kind_name!r}")
-    bundle = _load_bundle(cfg)
+def cmd_predict(rt: Runtime, kind_name: str, split: Split, shots: int) -> int:
+    kind = _PROMPT_KINDS[kind_name]
+    bundle = load_molecules(rt.config["dataset"], rt.task)
     task = bundle.task
     records = bundle.split_records(split)
     if not records:
@@ -341,9 +312,7 @@ def cmd_predict(cfg: AppConfig, kind_name: str, split: Split, shots: int) -> int
                 f"--shots must be between 1 and the train size ({len(train)})"
             )
         examples = [(rec, rec.label) for rec in train[:shots]]
-    llm = app_llm(cfg)
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(rt)
 
     rows = []
     answers = []
@@ -351,7 +320,7 @@ def cmd_predict(cfg: AppConfig, kind_name: str, split: Split, shots: int) -> int
     for rec in records:
         prompt = build_predictor_prompt(kind, rec, task, examples=examples, shots=shots if examples else None)
         try:
-            exchange = complete(llm, prompt, QueryMeta(id=rec.id, true_label=rec.label), task)
+            exchange = complete(rt.llm, prompt, QueryMeta(id=rec.id, true_label=rec.label), task)
             answer = parse_response(exchange.response_text, task)
         except (LlmError, ParseError) as exc:
             answers.append(ParseError(str(exc)))
@@ -395,45 +364,35 @@ def cmd_predict(cfg: AppConfig, kind_name: str, split: Split, shots: int) -> int
 _AXES = ("k", "strategy", "self-correction", "embedder")
 
 
-def cmd_ablate(cfg: AppConfig, axis_name: str, split: Split, k_values: str, dims: str) -> int:
-    _require(cfg, "database_dir")
-    bundle = _load_bundle(cfg)
-    val_preds = _split_predictions(cfg, bundle, Split.VALID)
-    split_preds = _split_predictions(cfg, bundle, split)
-    embedder = app_embedder(cfg)
-    run_cfg = app_run_config(cfg)
-    llm = app_llm(cfg)
+def cmd_ablate(
+    rt: Runtime, axis_name: str, split: Split, k_values: Tuple[int, ...], dims: Tuple[int, ...]
+) -> int:
+    db_dir = rt.config["database_dir"]
+    bundle = load_molecules(rt.config["dataset"], rt.task)
+    val_preds = load_predictions(rt.config["valid_predictions"], bundle, Split.VALID)
+    split_preds = load_predictions(rt.config[f"{split.value}_predictions"], bundle, split)
     if axis_name == "k":
-        values = tuple(int(v) for v in k_values.split(",") if v.strip())
-        if not values:
+        if not k_values:
             raise ConfigError("--k-values is required for the k axis")
-        axis = evaluate_mod.KSweep(values=values)
+        axis = evaluate_mod.KSweep(values=k_values)
     elif axis_name == "strategy":
         axis = evaluate_mod.StrategySweep()
     elif axis_name == "self-correction":
         axis = evaluate_mod.SelfCorrectionToggle()
-    elif axis_name == "embedder":
-        dim_values = tuple(int(v) for v in dims.split(",") if v.strip())
-        if not dim_values:
-            raise ConfigError("--dims is required for the embedder axis")
-        axis = evaluate_mod.EmbedderSweep(
-            configs=tuple(LocalHashConfig(dim=d, ngram=cfg.embedder_ngram) for d in dim_values)
-        )
     else:
-        raise ConfigError(f"unknown axis {axis_name!r}; expected one of {_AXES}")
+        if not dims:
+            raise ConfigError("--dims is required for the embedder axis")
+        base = _build(LocalHashConfig, rt.config, ngram="embedder_ngram")
+        axis = evaluate_mod.EmbedderSweep(configs=tuple(replace(base, dim=d) for d in dims))
 
     db = None
-    db_meta = Path(cfg.database_dir) / METADATA_FILE
-    if db_meta.exists() and axis_name != "embedder":
-        db = load_database(cfg.database_dir)
-        if db.fingerprint != embedder_fingerprint(embedder, cfg.include_description):
-            raise ConfigError("existing database does not match the configured embedder")
+    if (Path(db_dir) / METADATA_FILE).exists() and axis_name != "embedder":
+        db = load_database(db_dir)
 
     reports = evaluate_mod.run_ablation(
-        axis, bundle, val_preds, split, split_preds, run_cfg, embedder, llm, db=db
+        axis, bundle, val_preds, split, split_preds, rt.run, rt.embedder, rt.llm, db=db
     )
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(rt)
     tables = []
     for i, report in enumerate(reports):
         (out_dir / f"ablation_{axis_name}_{i}.json").write_text(
@@ -445,6 +404,10 @@ def cmd_ablate(cfg: AppConfig, axis_name: str, split: Split, k_values: str, dims
     (out_dir / f"ablation_{axis_name}.txt").write_text(combined, encoding="utf-8")
     print(combined, end="")
     return EXIT_OK
+
+
+def _int_list(text: str) -> Tuple[int, ...]:
+    return tuple(int(v) for v in text.split(",") if v.strip())
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -480,8 +443,8 @@ def make_parser() -> argparse.ArgumentParser:
     add_common(p_ablate)
     p_ablate.add_argument("--split", choices=["valid", "test"], default="test")
     p_ablate.add_argument("--axis", choices=_AXES, required=True)
-    p_ablate.add_argument("--k-values", default="")
-    p_ablate.add_argument("--dims", default="")
+    p_ablate.add_argument("--k-values", type=_int_list, default="")
+    p_ablate.add_argument("--dims", type=_int_list, default="")
     return parser
 
 
@@ -493,26 +456,24 @@ def main(argv: Optional[List[str]] = None) -> int:
         "seed": args.seed,
         "llm_backend": args.backend,
         "jobs": args.jobs,
+        "self_correction": False if args.no_self_correction else None,
     }
-    if args.no_self_correction:
-        overrides["self_correction"] = False
     try:
-        cfg = build_app_config(args.config, overrides)
+        rt = build_runtime(read_config(args.config, overrides))
         if args.command == "build-db":
-            return cmd_build_db(cfg)
+            return cmd_build_db(rt)
         if args.command == "correct":
-            return cmd_correct(cfg, Split(args.split))
+            return cmd_correct(rt, Split(args.split))
         if args.command == "predict":
-            return cmd_predict(cfg, args.prompt, Split(args.split), args.shots)
-        if args.command == "ablate":
-            return cmd_ablate(cfg, args.axis, Split(args.split), args.k_values, args.dims)
-        raise ConfigError(f"unknown command {args.command!r}")
+            return cmd_predict(rt, args.prompt, Split(args.split), args.shots)
+        return cmd_ablate(rt, args.axis, Split(args.split), args.k_values, args.dims)
     except (
         ConfigError,
         IngestError,
         KnowledgeError,
         PromptError,
         EmbedError,
+        transport.TransportError,
         correct_mod.CorrectionError,
         evaluate_mod.EvalError,
         FileNotFoundError,

@@ -102,6 +102,18 @@ def _final_value(task: TaskSpec, answer: ParsedAnswer) -> Tuple[float, Optional[
     return answer.prediction, None
 
 
+def check_fingerprint(
+    fingerprint: str, embedder: EmbedderConfig, include_description: bool
+) -> None:
+    """Raise FingerprintMismatch unless the configured embedder made ``fingerprint``."""
+    expected = embedder_fingerprint(embedder, include_description)
+    if fingerprint != expected:
+        raise FingerprintMismatch(
+            f"database fingerprint {fingerprint!r} does not match "
+            f"configured embedder {expected!r}"
+        )
+
+
 def correct_one(
     record: MoleculeRecord,
     primary: float,
@@ -113,12 +125,7 @@ def correct_one(
 ) -> CorrectionOutcome:
     """Run the full correction pipeline for a single query."""
     task = db.task
-    expected = embedder_fingerprint(embedder, cfg.include_description)
-    if db.fingerprint != expected:
-        raise FingerprintMismatch(
-            f"database fingerprint {db.fingerprint!r} does not match "
-            f"configured embedder {expected!r}"
-        )
+    check_fingerprint(db.fingerprint, embedder, cfg.include_description)
     query_vec = embed_molecule(embedder, record, cfg.include_description)
     exclude = record.id if record.split is Split.VALID else None
     ctx = retrieve(db, query_vec, cfg.k, cfg.strategy, exclude_id=exclude)

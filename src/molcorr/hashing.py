@@ -34,10 +34,6 @@ class SplitMix64:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
         return z ^ (z >> 31)
 
-    def next_float(self) -> float:
-        """Uniform in [0, 1)."""
-        return self.next_uint64() / 2.0**64
-
 
 def splitmix64_once(seed: int) -> int:
     """First splitmix64 output for a seed (one-shot decisions keyed by id)."""

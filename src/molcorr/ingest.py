@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 
 class IngestError(ValueError):
@@ -235,8 +235,8 @@ def load_predictions(
     """Load a JSON-lines prediction file covering one split exactly.
 
     Every id of the split must appear exactly once; ids outside the split
-    are rejected. Classification predictions must be probabilities in
-    [0, 1].
+    are rejected. Predictions must be finite, and classification
+    predictions must be probabilities in [0, 1].
     """
     path = Path(path)
     wanted = {r.id for r in bundle.records if r.split is split}
@@ -252,6 +252,8 @@ def load_predictions(
                 value = float(obj["prediction"])
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise IngestError(f"{path}:{lineno}: malformed prediction line") from exc
+            if not math.isfinite(value):
+                raise IngestError(f"{path}:{lineno}: prediction {value} is not finite")
             if mol_id not in wanted:
                 raise UnknownPredictionId(
                     f"{path}:{lineno}: id {mol_id!r} is not in the {split.value} split"
@@ -271,14 +273,3 @@ def load_predictions(
             f"e.g. {shown}"
         )
     return PredictionSet(split=split, entries=entries)
-
-
-def predictions_for(
-    bundle: DatasetBundle, predictions: PredictionSet, split: Split
-) -> Sequence[Tuple[MoleculeRecord, float]]:
-    """Pair split records with their predictions, in dataset order."""
-    return [
-        (rec, predictions.entries[rec.id])
-        for rec in bundle.records
-        if rec.split is split
-    ]

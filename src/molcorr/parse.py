@@ -7,7 +7,8 @@ line is required, and classification predictions must be 0 or 1 within
 1e-9. When strict parsing fails, a salvage pass takes the first
 standalone decimal in the text (for classification, the first standalone
 0 or 1) and marks the answer non-strict. Only when both passes fail does
-parsing raise.
+parsing raise. A number that overflows to infinity (``1e999``) counts as
+no number in either pass.
 
 The consistency statistic is the fraction of responses that parsed
 strictly, errors included in the denominator.
@@ -15,6 +16,7 @@ strictly, errors included in the denominator.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -91,6 +93,8 @@ def _strict_parse(text: str, task: TaskSpec) -> Optional[ParsedAnswer]:
         if not number:
             return None
         value = float(number.group(0))
+        if not math.isfinite(value):  # an overflowing number such as 1e999
+            return None
         if field == "prediction":
             predictions.append(value)
         else:
@@ -118,8 +122,10 @@ def _strict_parse(text: str, task: TaskSpec) -> Optional[ParsedAnswer]:
 def _salvage_parse(text: str, task: TaskSpec) -> ParsedAnswer:
     found_any = False
     for match in _STANDALONE_NUMBER.finditer(text):
-        found_any = True
         value = float(match.group(0))
+        if not math.isfinite(value):
+            continue
+        found_any = True
         if task.is_classification:
             label = _as_class_label(value)
             if label is None:

@@ -1,6 +1,9 @@
 import json
 from pathlib import Path
 
+import pytest
+
+from molcorr import transport
 from molcorr.cli import EXIT_CONFIG, EXIT_OK, main
 from molcorr.ingest import CLASSIFICATION, REGRESSION, Split
 from conftest import make_bundle, make_predictions, write_dataset_csv, write_predictions_jsonl
@@ -148,6 +151,29 @@ class TestCorrect:
         assert (tmp_path / "out" / "outcomes_test.jsonl").exists()
         assert "metrics skipped" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "command",
+        [["correct", "--split", "test"], ["ablate", "--axis", "k", "--k-values", "1"]],
+    )
+    def test_fingerprint_mismatch_with_db(self, tmp_path, capsys, command):
+        _, cfg = write_workspace(tmp_path)
+        assert main(["build-db", "--config", cfg]) == EXIT_OK
+        text = Path(cfg).read_text().replace("embedder_dim=32", "embedder_dim=64")
+        Path(cfg).write_text(text)
+        assert main([*command, "--config", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "localhash:dim=32:ngram=3:desc=0" in err
+        assert "localhash:dim=64:ngram=3:desc=0" in err
+
+    def test_non_finite_prediction(self, tmp_path, capsys):
+        _, cfg = write_workspace(tmp_path)
+        assert main(["build-db", "--config", cfg]) == EXIT_OK
+        lines = (tmp_path / "test.jsonl").read_text().splitlines()
+        lines[0] = json.dumps({"id": json.loads(lines[0])["id"], "prediction": float("nan")})
+        (tmp_path / "test.jsonl").write_text("\n".join(lines) + "\n")
+        assert main(["correct", "--config", cfg, "--split", "test"]) == EXIT_CONFIG
+        assert "not finite" in capsys.readouterr().err
+
     def test_audit_log_written(self, tmp_path):
         _, cfg = write_workspace(tmp_path, audit_log="true")
         main(["build-db", "--config", cfg])
@@ -278,3 +304,34 @@ class TestConfigHandling:
         main(["correct", "--config", cfg, "--split", "test", "--backend", "perfect"])
         summary = json.loads((tmp_path / "out" / "summary_test.json").read_text())
         assert summary["config"]["backend"] == "perfect"
+
+    @pytest.mark.parametrize(
+        "extra, named",
+        [
+            ({"k": "ten"}, "'k'"),
+            ({"llm_backend": "scripted", "scripted_responses": "{scripted}"}, "scripted_responses"),
+            ({"llm_backend": "noisy", "noisy_p": "2"}, "noisy_p"),
+            (
+                {"llm_backend": "remote", "llm_endpoint": "http://127.0.0.1:9/v1/chat",
+                 "llm_model": "m", "llm_key_env": "MOLCORR_TEST_UNSET_KEY"},
+                "MOLCORR_TEST_UNSET_KEY",
+            ),
+        ],
+        ids=["non-integer", "malformed-scripted-json", "noisy-p-out-of-range", "unset-api-key"],
+    )
+    def test_config_fault_exits_2(self, tmp_path, capsys, monkeypatch, extra, named):
+        def no_request(*args, **kwargs):
+            raise AssertionError("a config fault must not reach the network")
+
+        monkeypatch.delenv("MOLCORR_TEST_UNSET_KEY", raising=False)
+        monkeypatch.setattr(transport, "post_json", no_request)
+        scripted = tmp_path / "scripted.json"
+        scripted.write_text('{"m00020": "Prediction: 1.0",')
+        extra = {key: value.format(scripted=scripted) for key, value in extra.items()}
+        _, cfg = write_workspace(tmp_path, **extra)
+        main(["build-db", "--config", cfg])
+        assert main(["correct", "--config", cfg, "--split", "test"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert named in err
+        assert "Traceback" not in err
+        assert err.startswith("error: ")

@@ -4,6 +4,7 @@ from molcorr.ingest import (
     CLASSIFICATION,
     REGRESSION,
     DuplicateId,
+    IngestError,
     DuplicatePrediction,
     EmptySmiles,
     InvalidLabel,
@@ -184,3 +185,13 @@ class TestLoadPredictions:
         path.write_text('{"id": "%s", "prediction": 1.2}\n' % valid_id)
         with pytest.raises(OutOfRangeProbability):
             load_predictions(path, bundle, Split.VALID)
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", '"nan"', "1e999"])
+    def test_non_finite_prediction(self, tmp_path, regression_bundle, value):
+        preds = make_predictions(regression_bundle, Split.VALID)
+        path = tmp_path / "p.jsonl"
+        with path.open("w") as fh:
+            for i, (mol_id, v) in enumerate(preds.entries.items()):
+                fh.write('{"id": "%s", "prediction": %s}\n' % (mol_id, value if i == 1 else v))
+        with pytest.raises(IngestError, match=r"p\.jsonl:2: .*not finite"):
+            load_predictions(path, regression_bundle, Split.VALID)

@@ -84,6 +84,13 @@ class TestErrors:
         with pytest.raises(ParseError):
             parse_response("", REGRESSION)
 
+    def test_overflowing_number_is_no_number(self):
+        # 1e999 reads as inf: strict parsing rejects it and salvage skips it
+        with pytest.raises(NoPredictionFound):
+            parse_response("Prediction: 1e999", REGRESSION)
+        answer = parse_response("Prediction: 1e999\nor rather 2.5", REGRESSION)
+        assert answer == ParsedAnswer(prediction=2.5, strict=False)
+
 
 class TestConsistency:
     def test_seven_of_ten(self):

@@ -28,7 +28,7 @@ import struct
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -191,6 +191,18 @@ class KnowledgeDatabase:
     def _norms(self) -> np.ndarray:
         return np.linalg.norm(self._matrix, axis=1)
 
+    @cached_property
+    def _id_ranks(self) -> np.ndarray:
+        """Each entry's position in ascending-id order (the tie-break key)."""
+        order = sorted(range(len(self.entries)), key=lambda i: self.entries[i].id)
+        ranks = np.empty(len(order), dtype=np.int64)
+        ranks[order] = np.arange(len(order))
+        return ranks
+
+    @cached_property
+    def _index_of(self) -> Dict[str, int]:
+        return {e.id: i for i, e in enumerate(self.entries)}
+
 
 @dataclass(frozen=True)
 class ScoredEntry:
@@ -263,8 +275,9 @@ def build_database(
 
 def _ranked_pool(
     db: KnowledgeDatabase, query_vec: np.ndarray, exclude_id: Optional[str]
-) -> List[ScoredEntry]:
-    """All candidate entries ranked by similarity desc, id asc on ties."""
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Entry indices ranked by similarity desc, id asc on ties, and the
+    similarity of every entry."""
     q = np.asarray(query_vec, dtype=np.float64)
     if q.shape != (db.dim,):
         raise RetrievalDimMismatch(
@@ -277,13 +290,11 @@ def _ranked_pool(
         with np.errstate(invalid="ignore", divide="ignore"):
             sims = (db._matrix @ q) / (db._norms * qn)
         sims = np.where(db._norms == 0.0, 0.0, sims)
-    candidates = [
-        ScoredEntry(entry=e, similarity=float(sims[i]))
-        for i, e in enumerate(db.entries)
-        if e.id != exclude_id
-    ]
-    candidates.sort(key=lambda s: (-s.similarity, s.entry.id))
-    return candidates
+    order = np.lexsort((db._id_ranks, -sims))
+    excluded = db._index_of.get(exclude_id)
+    if excluded is not None:
+        order = order[order != excluded]
+    return order, sims
 
 
 def retrieve(
@@ -300,13 +311,13 @@ def retrieve(
     """
     if k < 1:
         raise KnowledgeError(f"k must be >= 1, got {k}")
-    pool = _ranked_pool(db, query_vec, exclude_id)
-    n = len(pool)
+    order, sims = _ranked_pool(db, query_vec, exclude_id)
+    n = len(order)
     if n == 0:
         raise EmptyPool("retrieval pool is empty")
     if k >= n:
-        return RetrievedContext(items=tuple(pool))
-    if isinstance(strategy, TopK):
+        ranks = range(n)
+    elif isinstance(strategy, TopK):
         ranks = range(k)
     elif isinstance(strategy, Jump):
         ranks = [0] if k == 1 else [i * (n - 1) // (k - 1) for i in range(k)]
@@ -317,7 +328,12 @@ def retrieve(
             j = i + rng.next_uint64() % (n - i)
             indices[i], indices[j] = indices[j], indices[i]
         ranks = sorted(indices[:k])
-    return RetrievedContext(items=tuple(pool[r] for r in ranks))
+    return RetrievedContext(
+        items=tuple(
+            ScoredEntry(entry=db.entries[i], similarity=float(sims[i]))
+            for i in (order[r] for r in ranks)
+        )
+    )
 
 
 def save_database(db: KnowledgeDatabase, directory: Union[str, Path]) -> None:

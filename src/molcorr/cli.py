@@ -44,6 +44,7 @@ from .knowledge import (
     build_database,
     load_database,
     save_database,
+    stored_fingerprint,
 )
 from .llmclient import (
     AuditLog,
@@ -223,11 +224,9 @@ def cmd_build_db(rt: Runtime) -> int:
     db_dir = Path(rt.config["database_dir"])
     bundle = load_molecules(rt.config["dataset"], rt.task)
     val_preds = load_predictions(rt.config["valid_predictions"], bundle, Split.VALID)
-    existing_meta = db_dir / METADATA_FILE
-    if existing_meta.exists():
-        header = json.loads(existing_meta.read_text(encoding="utf-8").splitlines()[0])
+    if (db_dir / METADATA_FILE).exists():
         correct_mod.check_fingerprint(
-            header.get("fingerprint"), rt.embedder, rt.run.include_description
+            stored_fingerprint(db_dir), rt.embedder, rt.run.include_description
         )
     db = build_database(bundle, val_preds, rt.embedder, rt.run.include_description)
     save_database(db, db_dir)
@@ -281,17 +280,7 @@ def cmd_correct(rt: Runtime, split: Split) -> int:
     return EXIT_OK
 
 
-_PROMPT_KINDS = {
-    "ip": PromptKind.IP,
-    "ipd": PromptKind.IPD,
-    "ie": PromptKind.IE,
-    "ied": PromptKind.IED,
-    "fs": PromptKind.FEW_SHOT,
-}
-
-
-def cmd_predict(rt: Runtime, kind_name: str, split: Split, shots: int) -> int:
-    kind = _PROMPT_KINDS[kind_name]
+def cmd_predict(rt: Runtime, kind: PromptKind, split: Split, shots: int) -> int:
     bundle = load_molecules(rt.config["dataset"], rt.task)
     task = bundle.task
     records = bundle.split_records(split)
@@ -301,7 +290,7 @@ def cmd_predict(rt: Runtime, kind_name: str, split: Split, shots: int) -> int:
         missing = [r.id for r in records if not r.description]
         if missing:
             raise MissingDescription(
-                f"{kind_name} prompts need descriptions; {len(missing)} record(s) "
+                f"{kind.value} prompts need descriptions; {len(missing)} record(s) "
                 f"lack one, e.g. {missing[:3]}"
             )
     examples = None
@@ -331,13 +320,13 @@ def cmd_predict(rt: Runtime, kind_name: str, split: Split, shots: int) -> int:
         value = answer.probability if (task.is_classification and answer.probability is not None) else answer.prediction
         rows.append({"id": rec.id, "prediction": value, "strict": answer.strict})
 
-    stem = f"predict_{kind_name}{shots if kind is PromptKind.FEW_SHOT else ''}_{split.value}"
+    stem = f"predict_{kind.value}{shots if kind is PromptKind.FEW_SHOT else ''}_{split.value}"
     with (out_dir / f"{stem}.jsonl").open("w", encoding="utf-8") as fh:
         for row in rows:
             fh.write(json.dumps(row, separators=(",", ":")) + "\n")
     stats = consistency_rate(answers)
     result = {
-        "prompt": kind_name,
+        "prompt": kind.value,
         "split": split.value,
         "queries": len(records),
         "failures": failures,
@@ -352,9 +341,9 @@ def cmd_predict(rt: Runtime, kind_name: str, split: Split, shots: int) -> int:
         ]
         metric = evaluate_mod.score(task, [s for s, _ in scored], [t for _, t in scored])
         result["metric"] = {"name": metric.metric.value, "value": metric.value, "n": metric.n}
-        print(f"{kind_name} on {split.value}: {metric.metric.value} = {metric.value:.4f}")
+        print(f"{kind.value} on {split.value}: {metric.metric.value} = {metric.value:.4f}")
     else:
-        print(f"{kind_name} on {split.value}: {len(records)} queries, no metric")
+        print(f"{kind.value} on {split.value}: {len(records)} queries, no metric")
     (out_dir / f"{stem}.json").write_text(
         json.dumps(result, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
@@ -436,7 +425,8 @@ def make_parser() -> argparse.ArgumentParser:
     p_predict = sub.add_parser("predict", help="query the LLM as a direct predictor")
     add_common(p_predict)
     p_predict.add_argument("--split", choices=["train", "valid", "test"], default="test")
-    p_predict.add_argument("--prompt", choices=sorted(_PROMPT_KINDS), default="ip")
+    predictor_kinds = sorted(set(PromptKind) - {PromptKind.CORRECTOR, PromptKind.SELF_CORRECTION})
+    p_predict.add_argument("--prompt", choices=[k.value for k in predictor_kinds], default="ip")
     p_predict.add_argument("--shots", type=int, default=3)
 
     p_ablate = sub.add_parser("ablate", help="sweep one configuration axis")
@@ -465,7 +455,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "correct":
             return cmd_correct(rt, Split(args.split))
         if args.command == "predict":
-            return cmd_predict(rt, args.prompt, Split(args.split), args.shots)
+            return cmd_predict(rt, PromptKind(args.prompt), Split(args.split), args.shots)
         return cmd_ablate(rt, args.axis, Split(args.split), args.k_values, args.dims)
     except (
         ConfigError,

@@ -56,17 +56,16 @@ class RemoteHttpConfig:
     """Remote embedding service speaking the common batch-embedding shape.
 
     Request body is ``{"model": ..., "input": [...]}``; the response must
-    contain an ordered array of numeric arrays at ``response_path``. The
-    API key is read from the environment variable named by ``key_env``.
+    hold one finite, non-empty numeric array per input, in input order, at
+    ``data[*].embedding``. The API key is read from the environment
+    variable named by ``key_env``.
     """
 
     endpoint: str
     model: str
     key_env: Optional[str] = None
-    response_path: str = "data[*].embedding"
     batch_size: int = 128
     max_in_flight: int = 4
-    timeout: float = 60.0
 
     @property
     def fingerprint(self) -> str:
@@ -99,21 +98,20 @@ def _local_hash_vector(cfg: LocalHashConfig, text: str) -> np.ndarray:
 def _remote_batch(cfg: RemoteHttpConfig, texts: Sequence[str]) -> List[np.ndarray]:
     api_key = transport.resolve_api_key(cfg.key_env)
     body = {"model": cfg.model, "input": list(texts)}
-    payload, _ = transport.post_json(
-        cfg.endpoint, body, api_key=api_key, timeout=cfg.timeout
-    )
+    payload, _ = transport.post_json(cfg.endpoint, body, api_key=api_key)
     try:
-        rows = transport.extract_path(payload, cfg.response_path)
-    except (KeyError, IndexError, TypeError) as exc:
-        raise EmbedError(
-            f"embedding response missing {cfg.response_path!r}"
-        ) from exc
-    if not isinstance(rows, list) or len(rows) != len(texts):
-        raise EmbedError(
-            f"embedding response has {len(rows) if isinstance(rows, list) else '?'} "
-            f"rows for {len(texts)} inputs"
-        )
-    return [np.asarray(row, dtype=np.float64) for row in rows]
+        rows = [item["embedding"] for item in payload["data"]]
+    except (KeyError, TypeError) as exc:
+        raise EmbedError("embedding response missing 'data[*].embedding'") from exc
+    try:
+        matrix = np.asarray(rows, dtype=np.float64)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise EmbedError(f"embedding response is not numeric: {exc}") from exc
+    if matrix.ndim != 2 or matrix.shape[0] != len(texts) or matrix.shape[1] == 0:
+        raise EmbedError(f"embedding response has shape {matrix.shape} for {len(texts)} inputs")
+    if not np.isfinite(matrix).all():
+        raise EmbedError("embedding response holds a non-finite value")
+    return list(matrix)
 
 
 def embed_texts(cfg: EmbedderConfig, texts: Sequence[str]) -> List[np.ndarray]:

@@ -22,7 +22,7 @@ import numpy as np
 from .correct import CorrectionOutcome, RunConfig, correct_split, run_summary
 from .embed import EmbedderConfig
 from .ingest import DatasetBundle, Metric, PredictionSet, Split, TaskSpec
-from .knowledge import Jump, KnowledgeDatabase, Random, TopK, build_database
+from .knowledge import Jump, KnowledgeDatabase, Random, TopK, build_database, strategy_name
 from .llmclient import LlmBackendConfig
 
 
@@ -241,7 +241,7 @@ def run_ablation(
         for strat in (TopK(), Jump(), Random(seed=cfg.seed)):
             points.append(
                 (
-                    {"axis": "strategy", "value": type(strat).__name__.lower()},
+                    {"axis": "strategy", "value": strategy_name(strat)},
                     replace(cfg, strategy=strat),
                     embedder,
                 )

@@ -95,11 +95,7 @@ STRATEGY_NAMES = {"topk": TopK, "jump": Jump, "random": Random}
 
 
 def strategy_name(strategy: RetrievalStrategy) -> str:
-    if isinstance(strategy, TopK):
-        return "topk"
-    if isinstance(strategy, Jump):
-        return "jump"
-    return "random"
+    return next(name for name, cls in STRATEGY_NAMES.items() if type(strategy) is cls)
 
 
 class KnowledgeEntry:
@@ -370,19 +366,37 @@ def save_database(db: KnowledgeDatabase, directory: Union[str, Path]) -> None:
             fh.write(matrix.tobytes(order="C"))
 
 
+def _read_header(meta_path: Path, line: str) -> Tuple[TaskSpec, str, int, int]:
+    """Task, fingerprint, dim and entry count from the metadata header line."""
+    try:
+        header = json.loads(line)
+        return (
+            TaskSpec(TaskKind(header["task"])),
+            header["fingerprint"],
+            int(header["dim"]),
+            int(header["entries"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise PersistenceError(
+            f"{meta_path}:1: corrupt metadata ({type(exc).__name__}: {exc})"
+        ) from exc
+
+
+def stored_fingerprint(directory: Union[str, Path]) -> str:
+    """The fingerprint of a saved database, read from its header line only."""
+    meta_path = Path(directory) / METADATA_FILE
+    with meta_path.open(encoding="utf-8") as fh:
+        return _read_header(meta_path, fh.readline())[1]
+
+
 def load_database(directory: Union[str, Path]) -> KnowledgeDatabase:
     """Load a saved database; save -> load round-trips bit for bit."""
     directory = Path(directory)
     meta_path = directory / METADATA_FILE
     sidecar_path = directory / SIDECAR_FILE
     lines = meta_path.read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise PersistenceError(f"{meta_path}: empty metadata file")
-    header = json.loads(lines[0])
-    task = TaskSpec(TaskKind(header["task"]))
-    dim = int(header["dim"])
-    count = int(header["entries"])
-    records = [json.loads(line) for line in lines[1:] if line.strip()]
+    task, fingerprint, dim, count = _read_header(meta_path, lines[0] if lines else "")
+    records = [(lineno, line) for lineno, line in enumerate(lines[1:], 2) if line.strip()]
     if len(records) != count:
         raise CountMismatch(
             f"{meta_path}: header says {count} entries, found {len(records)}"
@@ -408,23 +422,29 @@ def load_database(directory: Union[str, Path]) -> KnowledgeDatabase:
         raise TruncatedEmbeddings(
             f"{sidecar_path}: expected {expected} payload bytes, got {len(payload)}"
         )
-    matrix = np.frombuffer(payload, dtype="<f4").reshape(count, dim) if count else None
+    matrix = np.frombuffer(payload, dtype="<f4").reshape(count, dim)
 
     entries = []
-    for i, rec in enumerate(records):
-        entries.append(
-            KnowledgeEntry(
-                id=rec["id"],
-                smiles=rec["smiles"],
-                description=rec["description"],
-                label=float(rec["label"]),
-                primary_prediction=(
-                    float(rec["primary_prediction"])
-                    if rec["primary_prediction"] is not None
-                    else None
-                ),
-                source=Split(rec["source"]),
-                embedding=matrix[i],
+    for (lineno, line), vector in zip(records, matrix):
+        try:
+            rec = json.loads(line)
+            entries.append(
+                KnowledgeEntry(
+                    id=rec["id"],
+                    smiles=rec["smiles"],
+                    description=rec["description"],
+                    label=float(rec["label"]),
+                    primary_prediction=(
+                        float(rec["primary_prediction"])
+                        if rec["primary_prediction"] is not None
+                        else None
+                    ),
+                    source=Split(rec["source"]),
+                    embedding=vector,
+                )
             )
-        )
-    return KnowledgeDatabase(task=task, fingerprint=header["fingerprint"], entries=tuple(entries))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise PersistenceError(
+                f"{meta_path}:{lineno}: corrupt metadata ({type(exc).__name__}: {exc})"
+            ) from exc
+    return KnowledgeDatabase(task=task, fingerprint=fingerprint, entries=tuple(entries))

@@ -11,9 +11,9 @@ The mocks make the whole pipeline runnable and testable offline:
 
 Every mock renders its answer in the strict response grammar. Remote
 calls share the transport retry policy (5 attempts, 0.5 s base
-exponential backoff) and a per-config semaphore bounding in-flight
-requests. API keys stay in the environment and never appear in
-exchanges, logs or errors.
+exponential backoff), and at most 4 of them are in flight at once. API
+keys stay in the environment and never appear in exchanges, logs or
+errors.
 """
 
 from __future__ import annotations
@@ -48,16 +48,14 @@ class RemoteChatConfig:
     """Common chat-completion wire shape.
 
     Request: ``{"model", "messages": [{"role": "user", "content"}],
-    "temperature"}``; the response text is read from ``response_path``.
+    "temperature"}``; the response text is read from
+    ``choices[0].message.content``.
     """
 
     endpoint: str
     model: str
     key_env: Optional[str] = None
     temperature: float = 0.0
-    response_path: str = "choices[0].message.content"
-    timeout: float = 60.0
-    max_in_flight: int = 4
 
 
 @dataclass(frozen=True)
@@ -117,17 +115,8 @@ class LlmExchange:
     attempts: int
 
 
-_semaphores: Dict[RemoteChatConfig, threading.Semaphore] = {}
-_semaphores_lock = threading.Lock()
-
-
-def _semaphore_for(cfg: RemoteChatConfig) -> threading.Semaphore:
-    with _semaphores_lock:
-        sem = _semaphores.get(cfg)
-        if sem is None:
-            sem = threading.Semaphore(max(1, cfg.max_in_flight))
-            _semaphores[cfg] = sem
-        return sem
+# bounds the remote chat requests in flight across every worker thread
+_in_flight = threading.Semaphore(4)
 
 
 def _echo_text(task: TaskSpec, meta: QueryMeta) -> str:
@@ -164,16 +153,14 @@ def _remote_complete(cfg: RemoteChatConfig, prompt: PromptBundle) -> tuple[str, 
         "messages": [{"role": "user", "content": prompt.text}],
         "temperature": cfg.temperature,
     }
-    with _semaphore_for(cfg):
-        payload, attempts = transport.post_json(
-            cfg.endpoint, body, api_key=api_key, timeout=cfg.timeout
-        )
+    with _in_flight:
+        payload, attempts = transport.post_json(cfg.endpoint, body, api_key=api_key)
     try:
-        text = transport.extract_path(payload, cfg.response_path)
+        text = payload["choices"][0]["message"]["content"]
     except (KeyError, IndexError, TypeError) as exc:
-        raise LlmError(f"chat response missing {cfg.response_path!r}") from exc
+        raise LlmError("chat response missing 'choices[0].message.content'") from exc
     if not isinstance(text, str):
-        raise LlmError(f"chat response at {cfg.response_path!r} is not text")
+        raise LlmError("chat response at 'choices[0].message.content' is not text")
     return text, attempts
 
 

@@ -9,7 +9,6 @@ echoed into errors or logs.
 from __future__ import annotations
 
 import os
-import re
 import time
 from typing import Any, Callable, Optional
 
@@ -18,6 +17,7 @@ import requests
 MAX_ATTEMPTS = 5
 BACKOFF_BASE_SECONDS = 0.5
 BACKOFF_FACTOR = 2.0
+REQUEST_TIMEOUT_SECONDS = 60.0
 
 
 class TransportError(RuntimeError):
@@ -52,7 +52,6 @@ def post_json(
     body: dict,
     *,
     api_key: Optional[str] = None,
-    timeout: float = 60.0,
     sleep: Optional[Callable[[float], None]] = None,
     post: Optional[Callable[..., Any]] = None,
 ) -> tuple[dict, int]:
@@ -73,7 +72,7 @@ def post_json(
     last_status: Optional[int] = None
     for attempt in range(1, MAX_ATTEMPTS + 1):
         try:
-            resp = post(url, json=body, headers=headers, timeout=timeout)
+            resp = post(url, json=body, headers=headers, timeout=REQUEST_TIMEOUT_SECONDS)
             status = getattr(resp, "status_code", 0)
             if status == 429 or status >= 500:
                 last_error = f"status {status}"
@@ -100,53 +99,3 @@ def post_json(
         attempts=MAX_ATTEMPTS,
         status=last_status,
     )
-
-
-_PATH_TOKEN = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)|\[(\d+|\*)\]")
-
-
-def parse_path(path: str):
-    """Parse a dotted path like ``data[*].embedding`` into steps.
-
-    Steps are field names, integer indices, or ``"*"`` for "each element".
-    """
-    steps = []
-    for part in path.split("."):
-        pos = 0
-        for match in _PATH_TOKEN.finditer(part):
-            if match.start() != pos:
-                raise ValueError(f"bad path segment {part!r} in {path!r}")
-            pos = match.end()
-            name, idx = match.groups()
-            if name is not None:
-                steps.append(name)
-            elif idx == "*":
-                steps.append("*")
-            else:
-                steps.append(int(idx))
-        if pos != len(part):
-            raise ValueError(f"bad path segment {part!r} in {path!r}")
-    return steps
-
-
-def extract_path(obj: Any, path: str) -> Any:
-    """Pull a value out of a decoded JSON body by dotted path.
-
-    A ``[*]`` step maps the remaining path over a list. Raises KeyError /
-    IndexError / TypeError on shape mismatches.
-    """
-    steps = parse_path(path)
-
-    def walk(node: Any, remaining) -> Any:
-        if not remaining:
-            return node
-        step, rest = remaining[0], remaining[1:]
-        if step == "*":
-            if not isinstance(node, list):
-                raise TypeError(f"expected a list at [*] in {path!r}")
-            return [walk(item, rest) for item in node]
-        if isinstance(step, int):
-            return walk(node[step], rest)
-        return walk(node[step], rest)
-
-    return walk(obj, steps)

@@ -64,6 +64,23 @@ class TestBuildDb:
         assert "dim=64" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "command",
+        [["build-db"], ["correct", "--split", "test"], ["ablate", "--axis", "k", "--k-values", "1"]],
+    )
+    def test_corrupt_metadata_exits_2(self, tmp_path, capsys, command):
+        _, cfg = write_workspace(tmp_path)
+        assert main(["build-db", "--config", cfg]) == EXIT_OK
+        meta = tmp_path / "db" / "metadata.jsonl"
+        lines = meta.read_text().splitlines()
+        meta.write_text("\n".join(["{not json"] + lines[1:]) + "\n")
+        capsys.readouterr()
+        assert main([*command, "--config", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "metadata.jsonl" in err
+        assert "Traceback" not in err
+
+
 class TestCorrect:
     def test_echo_identity_run(self, tmp_path, capsys):
         _, cfg = write_workspace(tmp_path)

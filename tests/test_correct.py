@@ -15,7 +15,18 @@ from molcorr.correct import (
 from molcorr.embed import LocalHashConfig
 from molcorr.ingest import CLASSIFICATION, REGRESSION, Split
 from molcorr.knowledge import build_database
-from molcorr.llmclient import MockEcho, MockNoisyOracle, MockPerfectOracle, MockScripted
+from molcorr import transport
+from molcorr.llmclient import (
+    LlmError,
+    MockEcho,
+    MockNoisyOracle,
+    MockPerfectOracle,
+    MockScripted,
+    QueryMeta,
+    RemoteChatConfig,
+    complete,
+)
+from molcorr.prompt import PromptBundle, PromptKind
 from conftest import make_bundle, make_predictions
 
 EMB = LocalHashConfig(dim=32)
@@ -90,6 +101,30 @@ class TestCorrectOne:
         assert out.fallback_used
         assert out.final == primary
         assert out.initial is None
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {},
+            [],
+            {"choices": []},
+            {"choices": [{"message": {}}]},
+            {"choices": [{"message": {"content": 5}}]},
+        ],
+        ids=["empty-object", "list", "no-choices", "no-content", "non-text-content"],
+    )
+    def test_malformed_chat_reply_falls_back(self, monkeypatch, payload):
+        monkeypatch.setattr(transport, "post_json", lambda *args, **kwargs: (payload, 1))
+        llm = RemoteChatConfig(endpoint="http://127.0.0.1:9/v1/chat", model="m")
+        prompt = PromptBundle(kind=PromptKind.CORRECTOR, text="p", token_estimate=1)
+        with pytest.raises(LlmError):
+            complete(llm, prompt, QueryMeta(id="a"), REGRESSION)
+        bundle, _, test_preds, db = setup_pipeline()
+        rec = bundle.split_records(Split.TEST)[0]
+        primary = test_preds.entries[rec.id]
+        out = correct_one(rec, primary, db, CFG, EMB, llm)
+        assert out.fallback_used
+        assert out.final == primary
 
     def test_unmapped_scripted_id_falls_back(self):
         bundle, _, test_preds, db = setup_pipeline()

@@ -248,3 +248,25 @@ class TestRemoteBackend:
         remote = RemoteHttpConfig(endpoint=stub_embed_server, model="stub")
         vec = embed_texts(remote, ["CCO"])[0]
         assert vec.tolist() == oracle_vector("CCO", 32, 3)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [["x", 1.0]],
+            [[[1.0], 2.0]],
+            [[None, 1.0]],
+            [[float("nan"), 1.0]],
+            [3.0],
+            [[]],
+            [[1.0, 2.0], [3.0, 4.0]],
+        ],
+        ids=["string", "ragged", "null", "nan", "scalar", "empty-row", "extra-row"],
+    )
+    def test_malformed_reply_is_embed_error(self, monkeypatch, rows):
+        import molcorr.transport as transport
+
+        payload = {"data": [{"embedding": row} for row in rows]}
+        monkeypatch.setattr(transport, "post_json", lambda *args, **kwargs: (payload, 1))
+        remote = RemoteHttpConfig(endpoint="http://127.0.0.1:9/v1/embeddings", model="stub")
+        with pytest.raises(EmbedError):
+            embed_texts(remote, ["CCO"])

@@ -13,6 +13,7 @@ from molcorr.knowledge import (
     KnowledgeError,
     MagicMismatch,
     METADATA_FILE,
+    PersistenceError,
     Random,
     RetrievalDimMismatch,
     SIDECAR_FILE,
@@ -22,6 +23,7 @@ from molcorr.knowledge import (
     load_database,
     retrieve,
     save_database,
+    stored_fingerprint,
 )
 from conftest import make_bundle, make_predictions
 
@@ -306,6 +308,29 @@ class TestPersistence:
         meta.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(CountMismatch):
             load_database(tmp_path / "db")
+
+    @pytest.mark.parametrize(
+        "lineno, corrupt",
+        [
+            (1, lambda line: "{not json"),
+            (1, lambda line: line.replace('"fingerprint"', '"fingerprint_"')),
+            (3, lambda line: "{broken"),
+        ],
+        ids=["header-not-json", "header-without-fingerprint", "entry-not-json"],
+    )
+    def test_corrupt_metadata_names_file_and_line(self, tmp_path, lineno, corrupt):
+        bundle, _, db = build_db(n_train=3, n_valid=2)
+        save_database(db, tmp_path / "db")
+        assert stored_fingerprint(tmp_path / "db") == db.fingerprint
+        meta = tmp_path / "db" / METADATA_FILE
+        lines = meta.read_text().splitlines()
+        lines[lineno - 1] = corrupt(lines[lineno - 1])
+        meta.write_text("\n".join(lines) + "\n")
+        with pytest.raises(PersistenceError, match=f"{METADATA_FILE}:{lineno}: "):
+            load_database(tmp_path / "db")
+        if lineno == 1:
+            with pytest.raises(PersistenceError, match=f"{METADATA_FILE}:1: "):
+                stored_fingerprint(tmp_path / "db")
 
     def test_retrieval_is_read_only(self, tmp_path):
         bundle, _, db = build_db(n_train=10, n_valid=5)

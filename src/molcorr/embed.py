@@ -9,6 +9,11 @@ lowercase the UTF-8 bytes, enumerate contiguous byte n-grams (the whole
 string when shorter than n), hash each n-gram with FNV-1a 64, bucket by
 ``hash % dim``, add +1 when bit 63 of the hash is 0 else -1, then
 L2-normalize. Empty text maps to the all-zero vector.
+
+The recipe runs per text for one text (a Python loop, cheapest for one
+short query) and per block of 1,024 texts for two or more (every n-gram
+of a block at once in numpy uint64 arithmetic). The bucket sums are
+small integers, so the two paths must and do agree bit for bit.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 
 from . import transport
-from .hashing import fnv1a64
+from .hashing import FNV_OFFSET, FNV_PRIME, fnv1a64
 from .ingest import MoleculeRecord
 
 
@@ -74,6 +79,15 @@ class RemoteHttpConfig:
 
 EmbedderConfig = Union[LocalHashConfig, RemoteHttpConfig]
 
+# texts per block of the numpy path: bounds its per-gram temporaries
+LOCAL_BLOCK_TEXTS = 1024
+
+# every operand of the uint64 arithmetic is uint64, so numpy's scalar
+# promotion rules cannot change the result
+_FNV_OFFSET64 = np.uint64(FNV_OFFSET)
+_FNV_PRIME64 = np.uint64(FNV_PRIME)
+_SIGN_BIT64 = np.uint64(1 << 63)
+
 
 def _local_hash_vector(cfg: LocalHashConfig, text: str) -> np.ndarray:
     data = text.encode("utf-8").lower()
@@ -93,6 +107,33 @@ def _local_hash_vector(cfg: LocalHashConfig, text: str) -> np.ndarray:
     if norm > 0.0:
         vec /= norm
     return vec
+
+
+def _local_hash_block(cfg: LocalHashConfig, texts: Sequence[str]) -> np.ndarray:
+    """The pinned recipe for a block of texts at once, one row per text."""
+    data = [t.encode("utf-8").lower() for t in texts]
+    lengths = np.array([len(d) for d in data], dtype=np.int64)
+    n = cfg.ngram
+    # a text shorter than n has one gram, the whole string; an empty text none
+    counts = np.where(lengths >= n, lengths - n + 1, np.minimum(lengths, 1))
+    rows = np.repeat(np.arange(len(data)), counts)
+    gram_lengths = np.repeat(np.minimum(lengths, n), counts)
+    text_starts = np.cumsum(lengths) - lengths
+    first_grams = np.cumsum(counts) - counts
+    starts = np.arange(len(rows)) + np.repeat(text_starts - first_grams, counts)
+    # n zero bytes of padding keep every gather of a short gram in range
+    buf = np.frombuffer(b"".join(data) + bytes(n), dtype=np.uint8).astype(np.uint64)
+    h = np.full(len(rows), _FNV_OFFSET64, dtype=np.uint64)
+    for j in range(n):
+        h = np.where(gram_lengths > j, (h ^ buf[starts + j]) * _FNV_PRIME64, h)
+    signs = np.where(h < _SIGN_BIT64, 1.0, -1.0)
+    slots = rows * cfg.dim + (h % np.uint64(cfg.dim)).astype(np.int64)
+    # bincount returns int64 when the block holds no gram at all
+    sums = np.bincount(slots, weights=signs, minlength=len(data) * cfg.dim)
+    vecs = sums.astype(np.float64).reshape(len(data), cfg.dim)
+    norms = np.sqrt((vecs * vecs).sum(axis=1))[:, None]
+    np.divide(vecs, norms, out=vecs, where=norms > 0.0)
+    return vecs
 
 
 def _remote_batch(cfg: RemoteHttpConfig, texts: Sequence[str]) -> List[np.ndarray]:
@@ -122,7 +163,13 @@ def embed_texts(cfg: EmbedderConfig, texts: Sequence[str]) -> List[np.ndarray]:
     reassembled in input order regardless of completion order.
     """
     if isinstance(cfg, LocalHashConfig):
-        return [_local_hash_vector(cfg, t) for t in texts]
+        if len(texts) == 1:
+            return [_local_hash_vector(cfg, texts[0])]
+        return [
+            row
+            for i in range(0, len(texts), LOCAL_BLOCK_TEXTS)
+            for row in _local_hash_block(cfg, texts[i : i + LOCAL_BLOCK_TEXTS])
+        ]
     chunks = [
         list(texts[i : i + cfg.batch_size])
         for i in range(0, len(texts), cfg.batch_size)

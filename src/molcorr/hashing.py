@@ -8,16 +8,16 @@ FNV-1a 64 and splitmix64 bit for bit.
 
 MASK64 = (1 << 64) - 1
 
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
+FNV_OFFSET = 0xCBF29CE484222325
+FNV_PRIME = 0x100000001B3
 
 
 def fnv1a64(data: bytes) -> int:
     """FNV-1a 64-bit hash of a byte string."""
-    h = _FNV_OFFSET
+    h = FNV_OFFSET
     for b in data:
         h ^= b
-        h = (h * _FNV_PRIME) & MASK64
+        h = (h * FNV_PRIME) & MASK64
     return h
 
 

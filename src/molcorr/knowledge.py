@@ -423,6 +423,8 @@ def load_database(directory: Union[str, Path]) -> KnowledgeDatabase:
             f"{sidecar_path}: expected {expected} payload bytes, got {len(payload)}"
         )
     matrix = np.frombuffer(payload, dtype="<f4").reshape(count, dim)
+    if not np.isfinite(matrix).all():
+        raise PersistenceError(f"{sidecar_path}: non-finite embedding value")
 
     entries = []
     for (lineno, line), vector in zip(records, matrix):

@@ -80,6 +80,23 @@ class TestBuildDb:
         assert "metadata.jsonl" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "command",
+        [["correct", "--split", "test"], ["ablate", "--axis", "k", "--k-values", "1"]],
+    )
+    def test_non_finite_embedding_exits_2(self, tmp_path, capsys, command):
+        _, cfg = write_workspace(tmp_path)
+        assert main(["build-db", "--config", cfg]) == EXIT_OK
+        sidecar = tmp_path / "db" / "embeddings.lcdb"
+        raw = sidecar.read_bytes()
+        # a float32 NaN as the first payload value, after magic, dim and count
+        sidecar.write_bytes(raw[:12] + b"\x00\x00\xc0\x7f" + raw[16:])
+        capsys.readouterr()
+        assert main([*command, "--config", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "embeddings.lcdb" in err
+        assert "Traceback" not in err
+
 
 class TestCorrect:
     def test_echo_identity_run(self, tmp_path, capsys):

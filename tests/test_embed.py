@@ -105,6 +105,44 @@ def test_localhash_unit_norm(text):
     assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
 
 
+# empty, shorter than every tested ngram, uppercase and non-ASCII texts
+EDGE_TEXTS = [
+    "", "", "C", "Cl", "CCO", "NaCl", "C1=CC=CC=C1", "[NH4+]", "ÉTHANOL",
+    "ß", "漢字", "naïve Ω", "CC(=O)Oc1ccccc1C(=O)O\ncyclic ESTER, 9 carbons",
+]
+
+
+@given(
+    st.sampled_from([(8, 1), (16, 2), (37, 5), (256, 3), (1000, 4)]),
+    st.lists(st.text(max_size=40), min_size=1, max_size=30),
+    st.integers(min_value=1100, max_value=2200),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=20, deadline=None)
+def test_block_path_matches_oracle(shape, drawn, size, rnd):
+    # 1,100-2,200 texts put a block boundary inside the list
+    dim, ngram = shape
+    pool = drawn + EDGE_TEXTS
+    texts = [rnd.choice(pool) for _ in range(size)]
+    want = {text: oracle_vector(text, dim, ngram) for text in set(texts)}
+    got = embed_texts(LocalHashConfig(dim=dim, ngram=ngram), texts)
+    assert len(got) == size
+    for text, vec in zip(texts, got):
+        assert vec.dtype == np.float64
+        assert vec.tolist() == want[text]
+
+
+def test_block_path_empty_inputs():
+    cfg = LocalHashConfig(dim=37, ngram=5)
+    vecs = embed_texts(cfg, ["", "", ""])
+    assert len(vecs) == 3
+    for vec in vecs:
+        assert vec.dtype == np.float64
+        assert vec.shape == (37,)
+        assert not vec.any()
+    assert embed_texts(cfg, []) == []
+
+
 class TestCosine:
     def test_orthogonal(self):
         assert cosine_similarity(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0

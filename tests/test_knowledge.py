@@ -332,6 +332,18 @@ class TestPersistence:
             with pytest.raises(PersistenceError, match=f"{METADATA_FILE}:1: "):
                 stored_fingerprint(tmp_path / "db")
 
+    @pytest.mark.parametrize("value", [float("nan"), float("-inf")], ids=["nan", "-inf"])
+    def test_non_finite_embedding_names_sidecar(self, tmp_path, value):
+        bundle, _, db = build_db(n_train=3, n_valid=2)
+        save_database(db, tmp_path / "db")
+        sidecar = tmp_path / "db" / SIDECAR_FILE
+        raw = bytearray(sidecar.read_bytes())
+        # the 7th float32 of the payload, after the 12-byte header
+        raw[12 + 4 * 6 : 12 + 4 * 7] = np.array([value], dtype="<f4").tobytes()
+        sidecar.write_bytes(bytes(raw))
+        with pytest.raises(PersistenceError, match=f"{SIDECAR_FILE}: non-finite"):
+            load_database(tmp_path / "db")
+
     def test_retrieval_is_read_only(self, tmp_path):
         bundle, _, db = build_db(n_train=10, n_valid=5)
         save_database(db, tmp_path / "before")

@@ -2,22 +2,22 @@
 Sweeping one configuration axis at a time
 =========================================
 
-run_ablation holds everything fixed except one axis: the context size k,
-the retrieval strategy, the embedder, or the self-correction toggle.
-Each point yields a full report with the baseline-vs-corrected metric
-and the improvement percentage.
+ablation_points turns one axis name into a list of points, everything
+fixed except that axis: the context size k, the retrieval strategy, the
+self-correction toggle, or the embedder. run_ablation runs the points,
+building a knowledge database only when a point's embedder differs from
+the previous one. Each point yields a full report with the
+baseline-vs-corrected metric and the improvement percentage.
 """
 
 import random
 
 from molcorr import (
     REGRESSION,
-    KSweep,
     LocalHashConfig,
     MockNoisyOracle,
     RunConfig,
-    SelfCorrectionToggle,
-    StrategySweep,
+    ablation_points,
     run_ablation,
 )
 from molcorr.ingest import DatasetBundle, MoleculeRecord, PredictionSet, Split
@@ -43,11 +43,20 @@ llm = MockNoisyOracle(p=0.6, seed=9)
 val_set = PredictionSet(Split.VALID, val_preds)
 test_set = PredictionSet(Split.TEST, test_preds)
 
-for axis in (KSweep(values=(1, 5, 20)), StrategySweep(), SelfCorrectionToggle()):
+# the k axis takes k values and the embedder axis embedder configs; the
+# strategy and self-correction axes have fixed points
+axes = {
+    "k": (1, 5, 20),
+    "strategy": (),
+    "self-correction": (),
+    "embedder": (LocalHashConfig(dim=16), LocalHashConfig(dim=256)),
+}
+for axis_name, values in axes.items():
     print("=" * 52)
-    print(type(axis).__name__)
+    print(axis_name)
     print("=" * 52)
-    reports = run_ablation(axis, bundle, val_set, Split.TEST, test_set, cfg, emb, llm)
+    points = ablation_points(axis_name, cfg, emb, values)
+    reports = run_ablation(points, bundle, val_set, Split.TEST, test_set, llm)
     for report in reports:
         cmp = report.splits["test"]
         print(

@@ -26,12 +26,9 @@ from .embed import (
     embedder_fingerprint,
 )
 from .evaluate import (
-    EmbedderSweep,
     EvalReport,
-    KSweep,
     MetricValue,
-    SelfCorrectionToggle,
-    StrategySweep,
+    ablation_points,
     improvement_pct,
     rmse,
     roc_auc,

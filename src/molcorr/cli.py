@@ -350,9 +350,6 @@ def cmd_predict(rt: Runtime, kind: PromptKind, split: Split, shots: int) -> int:
     return EXIT_PARTIAL if failures else EXIT_OK
 
 
-_AXES = ("k", "strategy", "self-correction", "embedder")
-
-
 def cmd_ablate(
     rt: Runtime, axis_name: str, split: Split, k_values: Tuple[int, ...], dims: Tuple[int, ...]
 ) -> int:
@@ -360,26 +357,25 @@ def cmd_ablate(
     bundle = load_molecules(rt.config["dataset"], rt.task)
     val_preds = load_predictions(rt.config["valid_predictions"], bundle, Split.VALID)
     split_preds = load_predictions(rt.config[f"{split.value}_predictions"], bundle, split)
+    values: Tuple = ()
     if axis_name == "k":
         if not k_values:
             raise ConfigError("--k-values is required for the k axis")
-        axis = evaluate_mod.KSweep(values=k_values)
-    elif axis_name == "strategy":
-        axis = evaluate_mod.StrategySweep()
-    elif axis_name == "self-correction":
-        axis = evaluate_mod.SelfCorrectionToggle()
-    else:
+        values = k_values
+    elif axis_name == "embedder":
         if not dims:
             raise ConfigError("--dims is required for the embedder axis")
         base = _build(LocalHashConfig, rt.config, ngram="embedder_ngram")
-        axis = evaluate_mod.EmbedderSweep(configs=tuple(replace(base, dim=d) for d in dims))
+        values = tuple(replace(base, dim=d) for d in dims)
+    points = evaluate_mod.ablation_points(axis_name, rt.run, rt.embedder, values)
 
     db = None
     if (Path(db_dir) / METADATA_FILE).exists() and axis_name != "embedder":
         db = load_database(db_dir)
+        correct_mod.check_fingerprint(db.fingerprint, rt.embedder, rt.run.include_description)
 
     reports = evaluate_mod.run_ablation(
-        axis, bundle, val_preds, split, split_preds, rt.run, rt.embedder, rt.llm, db=db
+        points, bundle, val_preds, split, split_preds, rt.llm, db=db
     )
     out_dir = _output_dir(rt)
     tables = []
@@ -432,7 +428,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_ablate = sub.add_parser("ablate", help="sweep one configuration axis")
     add_common(p_ablate)
     p_ablate.add_argument("--split", choices=["valid", "test"], default="test")
-    p_ablate.add_argument("--axis", choices=_AXES, required=True)
+    p_ablate.add_argument("--axis", choices=evaluate_mod.ABLATION_AXES, required=True)
     p_ablate.add_argument("--k-values", type=_int_list, default="")
     p_ablate.add_argument("--dims", type=_int_list, default="")
     return parser

@@ -206,8 +206,14 @@ def correct_split(
 
     The leakage guard applies only to validation queries. ``cfg.jobs``
     workers may process queries concurrently; ordering and results do
-    not depend on the worker count.
+    not depend on the worker count. A database built for another task
+    raises CorrectionError.
     """
+    if db.task != bundle.task:
+        raise CorrectionError(
+            f"database task {db.task.kind.value!r} does not match "
+            f"configured task {bundle.task.kind.value!r}"
+        )
     queries = [
         (rec, predictions.entries[rec.id])
         for rec in bundle.records

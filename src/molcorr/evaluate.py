@@ -15,12 +15,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .correct import CorrectionOutcome, RunConfig, correct_split, run_summary
-from .embed import EmbedderConfig
+from .embed import EmbedderConfig, embedder_fingerprint
 from .ingest import DatasetBundle, Metric, PredictionSet, Split, TaskSpec
 from .knowledge import Jump, KnowledgeDatabase, Random, TopK, build_database, strategy_name
 from .llmclient import LlmBackendConfig
@@ -192,90 +192,70 @@ def evaluate_run(
     )
 
 
-@dataclass(frozen=True)
-class KSweep:
-    values: Tuple[int, ...]
+ABLATION_AXES = ("k", "strategy", "self-correction", "embedder")
+
+# (report echo, run config, embedder) for one ablation point
+AblationPoint = Tuple[Dict, RunConfig, EmbedderConfig]
 
 
-@dataclass(frozen=True)
-class StrategySweep:
-    pass
+def ablation_points(
+    axis_name: str, cfg: RunConfig, embedder: EmbedderConfig, values: Sequence = ()
+) -> List[AblationPoint]:
+    """The points of one ablation axis in run order, everything but that
+    axis held fixed.
 
-
-@dataclass(frozen=True)
-class EmbedderSweep:
-    configs: Tuple[EmbedderConfig, ...]
-
-
-@dataclass(frozen=True)
-class SelfCorrectionToggle:
-    pass
-
-
-AblationAxis = Union[KSweep, StrategySweep, EmbedderSweep, SelfCorrectionToggle]
+    ``values`` are the k values of the ``k`` axis and the embedder configs
+    of the ``embedder`` axis, run in the order given. The ``strategy`` axis
+    runs top-k, jump, random and the ``self-correction`` axis on, then off.
+    Every point keeps ``cfg.seed``, which also seeds the random strategy.
+    """
+    if axis_name == "k":
+        return [({"axis": "k", "value": k}, replace(cfg, k=k), embedder) for k in values]
+    if axis_name == "strategy":
+        return [
+            ({"axis": "strategy", "value": strategy_name(strat)}, replace(cfg, strategy=strat),
+             embedder)
+            for strat in (TopK(), Jump(), Random(seed=cfg.seed))
+        ]
+    if axis_name == "self-correction":
+        return [
+            ({"axis": "self_correction", "value": flag}, replace(cfg, self_correction=flag),
+             embedder)
+            for flag in (True, False)
+        ]
+    if axis_name == "embedder":
+        return [({"axis": "embedder", "value": emb.fingerprint}, cfg, emb) for emb in values]
+    raise EvalError(f"unknown ablation axis {axis_name!r}; expected one of {ABLATION_AXES}")
 
 
 def run_ablation(
-    axis: AblationAxis,
+    points: Sequence[AblationPoint],
     bundle: DatasetBundle,
     val_predictions: PredictionSet,
     split: Split,
     split_predictions: PredictionSet,
-    cfg: RunConfig,
-    embedder: EmbedderConfig,
     llm: LlmBackendConfig,
     db: Optional[KnowledgeDatabase] = None,
 ) -> List[EvalReport]:
-    """One report per axis point, everything else held fixed.
+    """One report per point, in point order, each with its echo merged
+    into the report's config.
 
-    Axis points run in a fixed order: the given k values; top-k, jump,
-    random; the given embedder configs; self-correction on then off. All
-    points share the run seed. The database is rebuilt only when the
-    embedder itself is being swept.
+    A point runs on ``db`` when ``db`` was built by the point's embedder
+    (same fingerprint); otherwise a database is built for it and kept for
+    the points after it, so one database is held at a time and a sweep of
+    embedders builds one per change of fingerprint.
     """
-    points: List[Tuple[Dict, RunConfig, EmbedderConfig]] = []
-    if isinstance(axis, KSweep):
-        for k in axis.values:
-            points.append(({"axis": "k", "value": k}, replace(cfg, k=k), embedder))
-    elif isinstance(axis, StrategySweep):
-        for strat in (TopK(), Jump(), Random(seed=cfg.seed)):
-            points.append(
-                (
-                    {"axis": "strategy", "value": strategy_name(strat)},
-                    replace(cfg, strategy=strat),
-                    embedder,
-                )
-            )
-    elif isinstance(axis, EmbedderSweep):
-        for emb in axis.configs:
-            points.append(({"axis": "embedder", "value": emb.fingerprint}, cfg, emb))
-    elif isinstance(axis, SelfCorrectionToggle):
-        for flag in (True, False):
-            points.append(
-                (
-                    {"axis": "self_correction", "value": flag},
-                    replace(cfg, self_correction=flag),
-                    embedder,
-                )
-            )
-    else:
-        raise EvalError(f"unknown ablation axis: {axis!r}")
-
     reports = []
-    base_db = db
-    if base_db is None and not isinstance(axis, EmbedderSweep):
-        base_db = build_database(bundle, val_predictions, embedder, cfg.include_description)
     for point_echo, point_cfg, point_embedder in points:
-        if isinstance(axis, EmbedderSweep):
-            point_db = build_database(
+        fingerprint = embedder_fingerprint(point_embedder, point_cfg.include_description)
+        if db is None or db.fingerprint != fingerprint:
+            db = None  # free the held database before the next one is built
+            db = build_database(
                 bundle, val_predictions, point_embedder, point_cfg.include_description
             )
-        else:
-            point_db = base_db
         outcomes = correct_split(
-            split, bundle, split_predictions, point_db, point_cfg, point_embedder, llm
+            split, bundle, split_predictions, db, point_cfg, point_embedder, llm
         )
         report = evaluate_run(bundle, split, outcomes, point_cfg, point_embedder, llm)
-        report = replace(report, config={**report.config, **point_echo})
-        reports.append(report)
+        reports.append(replace(report, config={**report.config, **point_echo}))
     return reports

@@ -24,6 +24,7 @@ in metadata order).
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -100,7 +101,8 @@ def strategy_name(strategy: RetrievalStrategy) -> str:
 
 class KnowledgeEntry:
     """One database entry: molecule text, label, optional base-model
-    prediction (validation entries only) and the cached embedding."""
+    prediction (validation entries only) and the cached embedding.
+    Labels and predictions must be finite, and the source train or valid."""
 
     __slots__ = ("id", "smiles", "description", "label", "primary_prediction", "source", "embedding")
 
@@ -114,6 +116,14 @@ class KnowledgeEntry:
         source: Split,
         embedding: np.ndarray,
     ):
+        if source not in (Split.TRAIN, Split.VALID):
+            raise KnowledgeError(f"entry {id!r} has source {source.value!r}, not train or valid")
+        if not math.isfinite(label):
+            raise KnowledgeError(f"entry {id!r} has a non-finite label {label!r}")
+        if primary_prediction is not None and not math.isfinite(primary_prediction):
+            raise KnowledgeError(
+                f"entry {id!r} has a non-finite prediction {primary_prediction!r}"
+            )
         if source is Split.TRAIN and primary_prediction is not None:
             raise KnowledgeError(f"train entry {id!r} must not carry a prediction")
         if source is Split.VALID and primary_prediction is None:

@@ -199,6 +199,22 @@ class TestCorrect:
         assert "localhash:dim=32:ngram=3:desc=0" in err
         assert "localhash:dim=64:ngram=3:desc=0" in err
 
+    @pytest.mark.parametrize(
+        "command",
+        [["correct", "--split", "test"], ["ablate", "--axis", "k", "--k-values", "1"]],
+    )
+    def test_task_mismatch_with_db(self, tmp_path, capsys, command):
+        _, cfg = write_workspace(tmp_path, task=CLASSIFICATION)
+        assert main(["build-db", "--config", cfg]) == EXIT_OK
+        text = Path(cfg).read_text().replace("task=classification", "task=regression")
+        Path(cfg).write_text(text)
+        capsys.readouterr()
+        assert main([*command, "--config", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "'binary_classification'" in err and "'regression'" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "report_test.json").exists()
+
     def test_non_finite_prediction(self, tmp_path, capsys):
         _, cfg = write_workspace(tmp_path)
         assert main(["build-db", "--config", cfg]) == EXIT_OK

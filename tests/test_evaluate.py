@@ -6,16 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from molcorr import evaluate
 from molcorr.correct import RunConfig, correct_split
 from molcorr.embed import LocalHashConfig
 from molcorr.evaluate import (
     DegenerateLabels,
-    EmbedderSweep,
     EvalError,
-    KSweep,
     Metric,
-    SelfCorrectionToggle,
-    StrategySweep,
+    ablation_points,
     evaluate_run,
     improvement_pct,
     rmse,
@@ -211,8 +209,8 @@ class TestAblation:
     def test_k_sweep(self):
         bundle, val_preds, test_preds, db, cfg, _ = make_run(REGRESSION, MockEcho())
         reports = run_ablation(
-            KSweep(values=(1, 3, 10)), bundle, val_preds, Split.TEST, test_preds,
-            cfg, EMB, MockEcho(), db=db,
+            ablation_points("k", cfg, EMB, (1, 3, 10)), bundle, val_preds, Split.TEST,
+            test_preds, MockEcho(), db=db,
         )
         assert len(reports) == 3
         assert [r.config["value"] for r in reports] == [1, 3, 10]
@@ -221,8 +219,8 @@ class TestAblation:
     def test_strategy_sweep_fixed_order(self):
         bundle, val_preds, test_preds, db, cfg, _ = make_run(REGRESSION, MockEcho())
         reports = run_ablation(
-            StrategySweep(), bundle, val_preds, Split.TEST, test_preds,
-            cfg, EMB, MockEcho(), db=db,
+            ablation_points("strategy", cfg, EMB), bundle, val_preds, Split.TEST, test_preds,
+            MockEcho(), db=db,
         )
         assert [r.config["value"] for r in reports] == ["topk", "jump", "random"]
 
@@ -231,27 +229,25 @@ class TestAblation:
             CLASSIFICATION, MockPerfectOracle()
         )
         reports = run_ablation(
-            StrategySweep(), bundle, val_preds, Split.TEST, test_preds,
-            cfg, EMB, MockPerfectOracle(), db=db,
+            ablation_points("strategy", cfg, EMB), bundle, val_preds, Split.TEST, test_preds,
+            MockPerfectOracle(), db=db,
         )
         assert all(r.splits["test"].corrected.value == 1.0 for r in reports)
 
     def test_self_correction_toggle(self):
         bundle, val_preds, test_preds, db, cfg, _ = make_run(REGRESSION, MockEcho())
         reports = run_ablation(
-            SelfCorrectionToggle(), bundle, val_preds, Split.TEST, test_preds,
-            cfg, EMB, MockEcho(), db=db,
+            ablation_points("self-correction", cfg, EMB), bundle, val_preds, Split.TEST,
+            test_preds, MockEcho(), db=db,
         )
         assert [r.config["value"] for r in reports] == [True, False]
 
     def test_embedder_sweep_rebuilds_db(self):
         bundle, val_preds, test_preds, db, cfg, _ = make_run(REGRESSION, MockEcho())
-        sweep = EmbedderSweep(
-            configs=(LocalHashConfig(dim=16), LocalHashConfig(dim=64))
+        sweep = ablation_points(
+            "embedder", cfg, EMB, (LocalHashConfig(dim=16), LocalHashConfig(dim=64))
         )
-        reports = run_ablation(
-            sweep, bundle, val_preds, Split.TEST, test_preds, cfg, EMB, MockEcho()
-        )
+        reports = run_ablation(sweep, bundle, val_preds, Split.TEST, test_preds, MockEcho())
         assert [r.config["value"] for r in reports] == [
             "localhash:dim=16:ngram=3",
             "localhash:dim=64:ngram=3",
@@ -265,7 +261,35 @@ class TestAblation:
         bundle, val_preds, test_preds, db, _, _ = make_run(REGRESSION, MockEcho())
         cfg = RunConfig(k=5, seed=77)
         reports = run_ablation(
-            KSweep(values=(1, 2)), bundle, val_preds, Split.TEST, test_preds,
-            cfg, EMB, MockEcho(), db=db,
+            ablation_points("k", cfg, EMB, (1, 2)), bundle, val_preds, Split.TEST, test_preds,
+            MockEcho(), db=db,
         )
         assert all(r.config["seed"] == 77 for r in reports)
+
+    @pytest.mark.parametrize(
+        "axis, values, given_db, built_dims",
+        [
+            ("k", (1, 3), False, [32]),
+            ("k", (1, 3), True, []),
+            ("embedder", (16, 16, 64, 16), True, [16, 64, 16]),
+        ],
+        ids=["k-no-db", "k-matching-db", "embedder-per-fingerprint-change"],
+    )
+    def test_database_builds(self, monkeypatch, axis, values, given_db, built_dims):
+        bundle, val_preds, test_preds, db, cfg, _ = make_run(REGRESSION, MockEcho())
+        built = []
+
+        def counting_build(bundle, val_predictions, embedder, include_description=False):
+            built.append(embedder.dim)
+            return build_database(bundle, val_predictions, embedder, include_description)
+
+        monkeypatch.setattr(evaluate, "build_database", counting_build)
+        if axis == "embedder":
+            values = tuple(LocalHashConfig(dim=d) for d in values)
+        points = ablation_points(axis, cfg, EMB, values)
+        reports = run_ablation(
+            points, bundle, val_preds, Split.TEST, test_preds, MockEcho(),
+            db=db if given_db else None,
+        )
+        assert built == built_dims
+        assert len(reports) == len(values)

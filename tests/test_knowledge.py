@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -315,8 +317,15 @@ class TestPersistence:
             (1, lambda line: "{not json"),
             (1, lambda line: line.replace('"fingerprint"', '"fingerprint_"')),
             (3, lambda line: "{broken"),
+            (2, lambda line: json.dumps({**json.loads(line), "label": float("nan")})),
+            # lines 2-4 hold the 3 train entries, lines 5-6 the 2 valid ones
+            (5, lambda line: json.dumps({**json.loads(line), "primary_prediction": float("nan")})),
+            (3, lambda line: json.dumps({**json.loads(line), "source": "test"})),
         ],
-        ids=["header-not-json", "header-without-fingerprint", "entry-not-json"],
+        ids=[
+            "header-not-json", "header-without-fingerprint", "entry-not-json",
+            "entry-nan-label", "entry-nan-prediction", "entry-test-source",
+        ],
     )
     def test_corrupt_metadata_names_file_and_line(self, tmp_path, lineno, corrupt):
         bundle, _, db = build_db(n_train=3, n_valid=2)

@@ -49,9 +49,9 @@ from .ingest import (
     save_molecules,
 )
 from .knowledge import (
+    Entry,
     Jump,
     KnowledgeDatabase,
-    KnowledgeEntry,
     Random,
     RetrievedContext,
     TopK,

@@ -230,13 +230,10 @@ def cmd_build_db(rt: Runtime) -> int:
         )
     db = build_database(bundle, val_preds, rt.embedder, rt.run.include_description)
     save_database(db, db_dir)
-    counts = {
-        "train": sum(1 for e in db.entries if e.primary_prediction is None),
-        "valid": sum(1 for e in db.entries if e.primary_prediction is not None),
-    }
+    valid = sum(1 for *_, source in db.rows if source is Split.VALID)
     print(
         f"built database: {len(db)} entries "
-        f"(train {counts['train']}, valid {counts['valid']}), "
+        f"(train {len(db) - valid}, valid {valid}), "
         f"dim {db.dim}, fingerprint {db.fingerprint}"
     )
     return EXIT_OK

@@ -1,9 +1,15 @@
 """Contextual knowledge database: build, persist, query.
 
 The database pools the labeled training molecules with the validation
-molecules (which additionally carry the base model's prediction), each
-with a cached embedding vector. Queries rank the whole pool by cosine
-similarity and select entries with one of three strategies:
+molecules (which additionally carry the base model's prediction). In
+memory it is an exact flat inner-product index: a tuple of metadata
+rows (id, smiles, description, label, prediction, source) over one
+``(count, dim)`` float32 matrix holding every embedding, row i for
+entry i. ``db[i]`` attaches a view of matrix row i to its metadata as an
+``Entry``; nothing copies the vectors per entry. The only other copy is
+the float64 ``_matrix``, made on the first query and kept as the
+similarity cache. Queries rank the whole pool by cosine similarity and
+select entries with one of three strategies:
 
   * top-k: the k most similar entries;
   * jump: k evenly spaced ranks, ``i*(n-1)//(k-1)``, always covering the
@@ -29,7 +35,7 @@ import struct
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -99,84 +105,82 @@ def strategy_name(strategy: RetrievalStrategy) -> str:
     return next(name for name, cls in STRATEGY_NAMES.items() if type(strategy) is cls)
 
 
-class KnowledgeEntry:
-    """One database entry: molecule text, label, optional base-model
-    prediction (validation entries only) and the cached embedding.
-    Labels and predictions must be finite, and the source train or valid."""
+class Entry(NamedTuple):
+    """One database row with its embedding attached: molecule text, label,
+    the base model's prediction (validation entries only) and source."""
 
-    __slots__ = ("id", "smiles", "description", "label", "primary_prediction", "source", "embedding")
+    id: str
+    smiles: str
+    description: Optional[str]
+    label: float
+    primary_prediction: Optional[float]
+    source: Split
+    embedding: np.ndarray
 
-    def __init__(
-        self,
-        id: str,
-        smiles: str,
-        description: Optional[str],
-        label: float,
-        primary_prediction: Optional[float],
-        source: Split,
-        embedding: np.ndarray,
-    ):
-        if source not in (Split.TRAIN, Split.VALID):
-            raise KnowledgeError(f"entry {id!r} has source {source.value!r}, not train or valid")
-        if not math.isfinite(label):
-            raise KnowledgeError(f"entry {id!r} has a non-finite label {label!r}")
-        if primary_prediction is not None and not math.isfinite(primary_prediction):
-            raise KnowledgeError(
-                f"entry {id!r} has a non-finite prediction {primary_prediction!r}"
-            )
-        if source is Split.TRAIN and primary_prediction is not None:
-            raise KnowledgeError(f"train entry {id!r} must not carry a prediction")
-        if source is Split.VALID and primary_prediction is None:
-            raise KnowledgeError(f"valid entry {id!r} must carry a prediction")
-        self.id = id
-        self.smiles = smiles
-        self.description = description
-        self.label = label
-        self.primary_prediction = primary_prediction
-        self.source = source
-        self.embedding = np.asarray(embedding, dtype=np.float32)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, KnowledgeEntry):
-            return NotImplemented
-        return (
-            self.id == other.id
-            and self.smiles == other.smiles
-            and self.description == other.description
-            and self.label == other.label
-            and self.primary_prediction == other.primary_prediction
-            and self.source == other.source
-            and np.array_equal(self.embedding, other.embedding)
+# an Entry without its embedding: (id, smiles, description, label,
+# primary_prediction, source)
+Row = Tuple[str, str, Optional[str], float, Optional[float], Split]
+
+
+def check_entry(
+    id: str,
+    smiles: str,
+    description: Optional[str],
+    label: float,
+    primary_prediction: Optional[float],
+    source: Split,
+) -> Row:
+    """The row for one entry, once its label and prediction are finite and
+    its source is train (no prediction) or valid (with one)."""
+    if source not in (Split.TRAIN, Split.VALID):
+        raise KnowledgeError(f"entry {id!r} has source {source.value!r}, not train or valid")
+    if not math.isfinite(label):
+        raise KnowledgeError(f"entry {id!r} has a non-finite label {label!r}")
+    if primary_prediction is not None and not math.isfinite(primary_prediction):
+        raise KnowledgeError(
+            f"entry {id!r} has a non-finite prediction {primary_prediction!r}"
         )
-
-    def __repr__(self) -> str:
-        return f"KnowledgeEntry(id={self.id!r}, source={self.source.value})"
+    if source is Split.TRAIN and primary_prediction is not None:
+        raise KnowledgeError(f"train entry {id!r} must not carry a prediction")
+    if source is Split.VALID and primary_prediction is None:
+        raise KnowledgeError(f"valid entry {id!r} must carry a prediction")
+    return (id, smiles, description, label, primary_prediction, source)
 
 
 class KnowledgeDatabase:
-    """Immutable entry collection plus the embedder fingerprint that
-    produced it."""
+    """Immutable metadata rows over one ``(count, dim)`` float32 embedding
+    matrix, plus the embedder fingerprint that produced them. ``db[i]``
+    is row i as an Entry whose embedding is a view of ``embeddings[i]``."""
 
-    def __init__(self, task: TaskSpec, fingerprint: str, entries: Tuple[KnowledgeEntry, ...]):
-        entries = tuple(entries)
-        dims = {e.embedding.shape[0] for e in entries}
-        if len(dims) > 1:
-            raise KnowledgeError(f"mixed embedding dims in database: {sorted(dims)}")
-        ids = [e.id for e in entries]
-        if len(set(ids)) != len(ids):
+    def __init__(
+        self, task: TaskSpec, fingerprint: str, rows: Tuple[Row, ...], embeddings: np.ndarray
+    ):
+        self.rows = tuple(rows)
+        if embeddings.ndim != 2 or len(embeddings) != len(self.rows):
+            raise KnowledgeError(
+                f"embedding matrix of shape {embeddings.shape} for {len(self.rows)} rows"
+            )
+        self._index_of = {row[0]: i for i, row in enumerate(self.rows)}
+        if len(self._index_of) != len(self.rows):
             raise KnowledgeError("duplicate ids in database")
         self.task = task
         self.fingerprint = fingerprint
-        self.entries = entries
+        self.embeddings = embeddings
 
     @property
     def dim(self) -> int:
-        if not self.entries:
-            return 0
-        return self.entries[0].embedding.shape[0]
+        return self.embeddings.shape[1]
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.rows)
+
+    def __getitem__(self, i: int) -> Entry:
+        return Entry(*self.rows[i], self.embeddings[i])
+
+    @property
+    def entries(self) -> Tuple[Entry, ...]:
+        return tuple(Entry(*row, vec) for row, vec in zip(self.rows, self.embeddings))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, KnowledgeDatabase):
@@ -184,14 +188,14 @@ class KnowledgeDatabase:
         return (
             self.task == other.task
             and self.fingerprint == other.fingerprint
-            and self.entries == other.entries
+            and self.rows == other.rows
+            and np.array_equal(self.embeddings, other.embeddings)
         )
 
     @cached_property
     def _matrix(self) -> np.ndarray:
-        if not self.entries:
-            return np.zeros((0, 0), dtype=np.float64)
-        return np.stack([e.embedding for e in self.entries]).astype(np.float64)
+        """The float64 copy every similarity is computed from."""
+        return self.embeddings.astype(np.float64)
 
     @cached_property
     def _norms(self) -> np.ndarray:
@@ -200,19 +204,15 @@ class KnowledgeDatabase:
     @cached_property
     def _id_ranks(self) -> np.ndarray:
         """Each entry's position in ascending-id order (the tie-break key)."""
-        order = sorted(range(len(self.entries)), key=lambda i: self.entries[i].id)
+        order = sorted(range(len(self.rows)), key=lambda i: self.rows[i][0])
         ranks = np.empty(len(order), dtype=np.int64)
         ranks[order] = np.arange(len(order))
         return ranks
 
-    @cached_property
-    def _index_of(self) -> Dict[str, int]:
-        return {e.id: i for i, e in enumerate(self.entries)}
-
 
 @dataclass(frozen=True)
 class ScoredEntry:
-    entry: KnowledgeEntry
+    entry: Entry
     similarity: float
 
 
@@ -221,14 +221,6 @@ class RetrievedContext:
     """Selected entries in rank order (most similar first)."""
 
     items: Tuple[ScoredEntry, ...]
-
-    @property
-    def train_items(self) -> Tuple[ScoredEntry, ...]:
-        return tuple(s for s in self.items if s.entry.source is Split.TRAIN)
-
-    @property
-    def valid_items(self) -> Tuple[ScoredEntry, ...]:
-        return tuple(s for s in self.items if s.entry.source is Split.VALID)
 
     @property
     def ids(self) -> Tuple[str, ...]:
@@ -251,31 +243,27 @@ def build_database(
     set was loaded against the same bundle).
     """
     pool = [r for r in bundle.records if r.split in (Split.TRAIN, Split.VALID)]
+    rows = []
     for rec in pool:
         if rec.split is Split.VALID and rec.id not in val_predictions.entries:
             raise KnowledgeError(f"no validation prediction for id {rec.id!r}")
         if rec.label is None:
             raise KnowledgeError(f"knowledge entry {rec.id!r} has no label")
+        prediction = val_predictions.entries[rec.id] if rec.split is Split.VALID else None
+        rows.append(
+            check_entry(rec.id, rec.smiles, rec.description, rec.label, prediction, rec.split)
+        )
     texts = [compose_molecule_text(r, include_description) for r in pool]
     vectors = embed_texts(embedder, texts)
-    entries = tuple(
-        KnowledgeEntry(
-            id=rec.id,
-            smiles=rec.smiles,
-            description=rec.description,
-            label=rec.label,
-            primary_prediction=(
-                val_predictions.entries[rec.id] if rec.split is Split.VALID else None
-            ),
-            source=rec.split,
-            embedding=vec,
-        )
-        for rec, vec in zip(pool, vectors)
-    )
+    dims = {len(v) for v in vectors}
+    if len(dims) > 1:
+        raise KnowledgeError(f"mixed embedding dims in database: {sorted(dims)}")
+    embeddings = np.asarray(vectors, np.float32).reshape(len(rows), dims.pop() if dims else 0)
     return KnowledgeDatabase(
         task=bundle.task,
         fingerprint=embedder_fingerprint(embedder, include_description),
-        entries=entries,
+        rows=tuple(rows),
+        embeddings=embeddings,
     )
 
 
@@ -291,7 +279,7 @@ def _ranked_pool(
         )
     qn = float(np.linalg.norm(q))
     if qn == 0.0:
-        sims = np.zeros(len(db.entries))
+        sims = np.zeros(len(db))
     else:
         with np.errstate(invalid="ignore", divide="ignore"):
             sims = (db._matrix @ q) / (db._norms * qn)
@@ -336,7 +324,7 @@ def retrieve(
         ranks = sorted(indices[:k])
     return RetrievedContext(
         items=tuple(
-            ScoredEntry(entry=db.entries[i], similarity=float(sims[i]))
+            ScoredEntry(entry=db[i], similarity=float(sims[i]))
             for i in (order[r] for r in ranks)
         )
     )
@@ -350,30 +338,17 @@ def save_database(db: KnowledgeDatabase, directory: Union[str, Path]) -> None:
         "task": db.task.kind.value,
         "fingerprint": db.fingerprint,
         "dim": db.dim,
-        "entries": len(db.entries),
+        "entries": len(db),
     }
     lines = [json.dumps(header, separators=(",", ":"))]
-    for e in db.entries:
-        lines.append(
-            json.dumps(
-                {
-                    "id": e.id,
-                    "smiles": e.smiles,
-                    "description": e.description,
-                    "label": e.label,
-                    "primary_prediction": e.primary_prediction,
-                    "source": e.source.value,
-                },
-                separators=(",", ":"),
-            )
-        )
+    for row in db.rows:
+        record = {**dict(zip(Entry._fields, row)), "source": row[-1].value}
+        lines.append(json.dumps(record, separators=(",", ":")))
     (directory / METADATA_FILE).write_text("\n".join(lines) + "\n", encoding="utf-8")
     with (directory / SIDECAR_FILE).open("wb") as fh:
         fh.write(MAGIC)
-        fh.write(struct.pack("<II", db.dim, len(db.entries)))
-        if db.entries:
-            matrix = np.stack([e.embedding for e in db.entries]).astype("<f4")
-            fh.write(matrix.tobytes(order="C"))
+        fh.write(struct.pack("<II", db.dim, len(db)))
+        db.embeddings.astype("<f4", copy=False).tofile(fh)
 
 
 def _read_header(meta_path: Path, line: str) -> Tuple[TaskSpec, str, int, int]:
@@ -427,36 +402,31 @@ def load_database(directory: Union[str, Path]) -> KnowledgeDatabase:
             f"{sidecar_path}: sidecar count {side_count} != metadata count {count}"
         )
     expected = 4 * dim * count
-    payload = raw[12:]
-    if len(payload) != expected:
+    if len(raw) - 12 != expected:
         raise TruncatedEmbeddings(
-            f"{sidecar_path}: expected {expected} payload bytes, got {len(payload)}"
+            f"{sidecar_path}: expected {expected} payload bytes, got {len(raw) - 12}"
         )
-    matrix = np.frombuffer(payload, dtype="<f4").reshape(count, dim)
+    matrix = np.frombuffer(raw, dtype="<f4", offset=12).reshape(count, dim)
     if not np.isfinite(matrix).all():
         raise PersistenceError(f"{sidecar_path}: non-finite embedding value")
 
-    entries = []
-    for (lineno, line), vector in zip(records, matrix):
+    rows = []
+    for lineno, line in records:
         try:
             rec = json.loads(line)
-            entries.append(
-                KnowledgeEntry(
-                    id=rec["id"],
-                    smiles=rec["smiles"],
-                    description=rec["description"],
-                    label=float(rec["label"]),
-                    primary_prediction=(
-                        float(rec["primary_prediction"])
-                        if rec["primary_prediction"] is not None
-                        else None
-                    ),
-                    source=Split(rec["source"]),
-                    embedding=vector,
+            prediction = rec["primary_prediction"]
+            rows.append(
+                check_entry(
+                    rec["id"],
+                    rec["smiles"],
+                    rec["description"],
+                    float(rec["label"]),
+                    float(prediction) if prediction is not None else None,
+                    Split(rec["source"]),
                 )
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise PersistenceError(
                 f"{meta_path}:{lineno}: corrupt metadata ({type(exc).__name__}: {exc})"
             ) from exc
-    return KnowledgeDatabase(task=task, fingerprint=fingerprint, entries=tuple(entries))
+    return KnowledgeDatabase(task=task, fingerprint=fingerprint, rows=tuple(rows), embeddings=matrix)

@@ -11,7 +11,6 @@ from molcorr.knowledge import (
     EmptyPool,
     Jump,
     KnowledgeDatabase,
-    KnowledgeEntry,
     KnowledgeError,
     MagicMismatch,
     METADATA_FILE,
@@ -22,6 +21,7 @@ from molcorr.knowledge import (
     TopK,
     TruncatedEmbeddings,
     build_database,
+    check_entry,
     load_database,
     retrieve,
     save_database,
@@ -118,11 +118,10 @@ class TestBuild:
             build_database(bundle, PredictionSet(Split.VALID, {}), EMB)
 
     def test_entry_invariants(self):
-        vec = embed_text(EMB, "CCO")
         with pytest.raises(KnowledgeError):
-            KnowledgeEntry("a", "CCO", None, 1.0, 0.5, Split.TRAIN, vec)
+            check_entry("a", "CCO", None, 1.0, 0.5, Split.TRAIN)
         with pytest.raises(KnowledgeError):
-            KnowledgeEntry("a", "CCO", None, 1.0, None, Split.VALID, vec)
+            check_entry("a", "CCO", None, 1.0, None, Split.VALID)
 
     def test_embeddings_match_embed_molecule(self):
         bundle, _, db = build_db()
@@ -136,15 +135,14 @@ class TestRetrieve:
     def test_topk_forced_ordering(self):
         # similarities engineered via vectors at known angles to the query
         angles = [0.9, 0.8, 0.7, 0.6, 0.5]
-        entries = []
+        rows, vecs = [], []
         for i, cos_target in enumerate(angles):
             vec = np.zeros(4, dtype=np.float64)
             vec[0] = cos_target
             vec[1] = np.sqrt(1 - cos_target**2)
-            entries.append(
-                KnowledgeEntry(f"e{i}", f"C{i}", None, 0.0, None, Split.TRAIN, vec)
-            )
-        db = KnowledgeDatabase(REGRESSION, "test", tuple(entries))
+            rows.append((f"e{i}", f"C{i}", None, 0.0, None, Split.TRAIN))
+            vecs.append(vec)
+        db = KnowledgeDatabase(REGRESSION, "test", tuple(rows), np.array(vecs, np.float32))
         query = np.array([1.0, 0.0, 0.0, 0.0])
         ctx = retrieve(db, query, k=2, strategy=TopK())
         assert ctx.ids == ("e0", "e1")
@@ -225,12 +223,14 @@ class TestRetrieve:
         query = embed_text(EMB, "CNC")
         ctx = retrieve(db, query, k=12)
         combined = list(ctx.ids)
-        train_ids = [s.entry.id for s in ctx.train_items]
-        valid_ids = [s.entry.id for s in ctx.valid_items]
+        train_items = [s for s in ctx.items if s.entry.source is Split.TRAIN]
+        valid_items = [s for s in ctx.items if s.entry.source is Split.VALID]
+        train_ids = [s.entry.id for s in train_items]
+        valid_ids = [s.entry.id for s in valid_items]
         assert [i for i in combined if i in set(train_ids)] == train_ids
         assert [i for i in combined if i in set(valid_ids)] == valid_ids
-        assert ctx.valid_items and all(
-            s.entry.primary_prediction is not None for s in ctx.valid_items
+        assert valid_items and all(
+            s.entry.primary_prediction is not None for s in valid_items
         )
 
     def test_empty_pool(self):
@@ -247,11 +247,8 @@ class TestRetrieve:
 
     def test_tie_break_by_ascending_id(self):
         vec = embed_text(EMB, "CCO")
-        entries = tuple(
-            KnowledgeEntry(mol_id, "CCO", None, 1.0, None, Split.TRAIN, vec)
-            for mol_id in ("z", "a", "m")
-        )
-        db = KnowledgeDatabase(REGRESSION, "test", entries)
+        rows = tuple((mol_id, "CCO", None, 1.0, None, Split.TRAIN) for mol_id in ("z", "a", "m"))
+        db = KnowledgeDatabase(REGRESSION, "test", rows, np.array([vec] * 3, np.float32))
         ctx = retrieve(db, vec.astype(np.float64), k=3)
         assert ctx.ids == ("a", "m", "z")
 

@@ -5,7 +5,7 @@ import pytest
 
 from molcorr.embed import LocalHashConfig, embed_text
 from molcorr.ingest import CLASSIFICATION, REGRESSION, MoleculeRecord, Split
-from molcorr.knowledge import KnowledgeEntry, RetrievedContext, ScoredEntry
+from molcorr.knowledge import Entry, RetrievedContext, ScoredEntry
 from molcorr.prompt import (
     BudgetTooSmall,
     MissingDescription,
@@ -27,7 +27,7 @@ QUERY_DESCRIBED = MoleculeRecord(
 
 def scored(mol_id, smiles, label, prediction=None, sim=0.5):
     source = Split.VALID if prediction is not None else Split.TRAIN
-    entry = KnowledgeEntry(
+    entry = Entry(
         mol_id, smiles, None, label, prediction, source, embed_text(EMB, smiles)
     )
     return ScoredEntry(entry=entry, similarity=sim)
@@ -87,7 +87,7 @@ class TestCorrector:
         assert not re.search(r"^\d+\. SMILES:", bundle.text, re.MULTILINE)
 
     def test_descriptions_never_included(self):
-        entry = KnowledgeEntry(
+        entry = Entry(
             "t0", "CCO", "a described molecule", 1.0, None, Split.TRAIN,
             embed_text(EMB, "CCO"),
         )

@@ -13,8 +13,9 @@ response overrides the initial proposal; a query whose response cannot be
 parsed (or whose backend call fails outright) falls back to the base
 model's prediction, so every query always yields a final value.
 
-All per-query randomness derives from (seed, query id); outcomes are
-emitted in dataset order regardless of worker count.
+All per-query randomness derives from (seed, query id); outcomes, and
+the audit log once a split is done, are in dataset order regardless of
+worker count.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ class CorrectionOutcome:
     self_correction_invoked: bool
     final: float
     fallback_used: bool
-    context_ids: Tuple[str, ...]
+    context_ids: Tuple[str, ...]  # the ids that reached the prompt, after trimming
     final_source: Optional[str] = None  # "probability" | "label" (classification only)
 
 
@@ -125,7 +126,6 @@ def correct_one(
 ) -> CorrectionOutcome:
     """Run the full correction pipeline for a single query."""
     task = db.task
-    check_fingerprint(db.fingerprint, embedder, cfg.include_description)
     query_vec = embed_molecule(embedder, record, cfg.include_description)
     exclude = record.id if record.split is Split.VALID else None
     ctx = retrieve(db, query_vec, cfg.k, cfg.strategy, exclude_id=exclude)
@@ -140,7 +140,7 @@ def correct_one(
             self_correction_invoked=False,
             final=primary,
             fallback_used=True,
-            context_ids=ctx.ids,
+            context_ids=prompt.context_ids,
         )
 
     try:
@@ -180,7 +180,7 @@ def correct_one(
         self_correction_invoked=invoked,
         final=final,
         fallback_used=False,
-        context_ids=ctx.ids,
+        context_ids=prompt.context_ids,
         final_source=source,
     )
 
@@ -206,14 +206,16 @@ def correct_split(
 
     The leakage guard applies only to validation queries. ``cfg.jobs``
     workers may process queries concurrently; ordering and results do
-    not depend on the worker count. A database built for another task
-    raises CorrectionError.
+    not depend on the worker count, and once the split is done the audit
+    log is rewritten in dataset order. A database built for another task
+    or embedder raises CorrectionError.
     """
     if db.task != bundle.task:
         raise CorrectionError(
             f"database task {db.task.kind.value!r} does not match "
             f"configured task {bundle.task.kind.value!r}"
         )
+    check_fingerprint(db.fingerprint, embedder, cfg.include_description)
     queries = [
         (rec, predictions.entries[rec.id])
         for rec in bundle.records
@@ -225,9 +227,13 @@ def correct_split(
         return correct_one(rec, primary, db, cfg, embedder, llm, audit=audit)
 
     if cfg.jobs <= 1 or len(queries) <= 1:
-        return [run(q) for q in queries]
-    with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-        return list(pool.map(run, queries))
+        outcomes = [run(q) for q in queries]
+    else:
+        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
+            outcomes = list(pool.map(run, queries))
+    if audit is not None:
+        audit.reorder([rec.id for rec, _ in queries])
+    return outcomes
 
 
 def run_summary(

@@ -207,12 +207,23 @@ def complete(
 
 
 class AuditLog:
-    """Append-only JSON-lines log of exchanges (id, kind, attempts,
-    latency in ms, response text). Thread-safe."""
+    """JSON-lines log of exchanges (id, kind, attempts, latency in ms,
+    response text), appended as calls complete. Thread-safe."""
 
     def __init__(self, path):
         self.path = path
         self._lock = threading.Lock()
+
+    def reorder(self, query_ids) -> None:
+        """Rewrite the log grouped by ``query_ids`` order. Lines of one id
+        keep the order they were appended in."""
+        rank = {query_id: i for i, query_id in enumerate(query_ids)}
+        with self._lock:
+            with open(self.path, encoding="utf-8") as fh:
+                lines = fh.readlines()
+            lines.sort(key=lambda line: rank[json.loads(line)["id"]])
+            with open(self.path, "w", encoding="utf-8") as fh:
+                fh.writelines(lines)
 
     def append(self, query_id: str, exchange: LlmExchange) -> None:
         line = json.dumps(

@@ -1,4 +1,5 @@
 import json
+import threading
 
 import pytest
 
@@ -12,11 +13,12 @@ from molcorr.correct import (
     should_self_correct,
     write_outcomes,
 )
-from molcorr.embed import LocalHashConfig
+from molcorr.embed import LocalHashConfig, embed_molecule
 from molcorr.ingest import CLASSIFICATION, REGRESSION, Split
-from molcorr.knowledge import build_database
+from molcorr.knowledge import build_database, retrieve
 from molcorr import transport
 from molcorr.llmclient import (
+    AuditLog,
     LlmError,
     MockEcho,
     MockNoisyOracle,
@@ -26,7 +28,7 @@ from molcorr.llmclient import (
     RemoteChatConfig,
     complete,
 )
-from molcorr.prompt import PromptBundle, PromptKind
+from molcorr.prompt import PromptBundle, PromptKind, build_corrector_prompt
 from conftest import make_bundle, make_predictions
 
 EMB = LocalHashConfig(dim=32)
@@ -134,11 +136,25 @@ class TestCorrectOne:
 
     def test_fingerprint_mismatch(self):
         bundle, _, test_preds, db = setup_pipeline()
-        rec = bundle.split_records(Split.TEST)[0]
         with pytest.raises(FingerprintMismatch):
-            correct_one(
-                rec, 1.0, db, CFG, LocalHashConfig(dim=64), MockEcho()
+            correct_split(
+                Split.TEST, bundle, test_preds, db, CFG, LocalHashConfig(dim=64), MockEcho()
             )
+
+    @pytest.mark.parametrize("llm", [MockEcho(), MockScripted()], ids=["answered", "fallback"])
+    def test_context_ids_are_the_prompt_ids(self, llm):
+        # k=40 against a 400-token budget: trimming drops part of the context,
+        # and the outcome lists only the ids that reached the prompt
+        bundle, _, test_preds, db = setup_pipeline(n_train=40, n_valid=10)
+        cfg = RunConfig(k=40, token_budget=400)
+        for rec in bundle.split_records(Split.TEST):
+            primary = test_preds.entries[rec.id]
+            ctx = retrieve(db, embed_molecule(EMB, rec), cfg.k, cfg.strategy)
+            prompt = build_corrector_prompt(rec, primary, ctx, db.task, cfg.token_budget)
+            out = correct_one(rec, primary, db, cfg, EMB, llm)
+            assert out.fallback_used is isinstance(llm, MockScripted)
+            assert out.context_ids == prompt.context_ids
+            assert 0 < len(out.context_ids) < 40 == len(ctx)
 
     def test_self_correction_disabled(self):
         bundle, _, _, db = setup_pipeline(task=CLASSIFICATION, seed=9)
@@ -200,6 +216,57 @@ class TestCorrectSplit:
             MockNoisyOracle(p=0.5, seed=11),
         )
         assert serial == parallel
+
+    def test_audit_log_in_dataset_order(self, tmp_path):
+        # the first query's lines are held back until the third query has
+        # logged, so at jobs=3 the calls complete out of dataset order
+        bundle, _, test_preds, db = setup_pipeline(n_test=8)
+        first, _, third = [r.id for r in bundle.split_records(Split.TEST)][:3]
+        third_logged = threading.Event()
+
+        class HeldBackLog(AuditLog):
+            def append(self, query_id, exchange):
+                if query_id == first:
+                    assert third_logged.wait(timeout=10)
+                super().append(query_id, exchange)
+                if query_id == third:
+                    third_logged.set()
+
+        logs = {}
+        for jobs in (1, 3):
+            third_logged.clear()
+            path = tmp_path / f"audit_{jobs}.jsonl"
+            path.write_text("")
+            log = HeldBackLog(path) if jobs > 1 else AuditLog(path)
+            correct_split(
+                Split.TEST, bundle, test_preds, db, RunConfig(k=5, jobs=jobs), EMB,
+                MockNoisyOracle(p=0.5, seed=11), audit=log,
+            )
+            logs[jobs] = [json.loads(line) for line in path.read_text().splitlines()]
+            for row in logs[jobs]:
+                del row["latency_ms"]
+        assert logs[3] == logs[1]
+        assert [row["kind"] for row in logs[1]].count("self_correction") > 0
+        want = [r.id for r in bundle.split_records(Split.TEST)]
+        assert list(dict.fromkeys(row["id"] for row in logs[1])) == want
+
+    def test_audit_log_bytes_unchanged_at_one_job(self, tmp_path):
+        # the dataset-order rewrite leaves a serial run's log as appended
+        bundle, _, test_preds, db = setup_pipeline(n_test=6)
+        path = tmp_path / "audit.jsonl"
+        appended = []
+
+        class Recording(AuditLog):
+            def append(self, query_id, exchange):
+                super().append(query_id, exchange)
+                appended.append(path.read_bytes())
+
+        path.write_text("")
+        correct_split(
+            Split.TEST, bundle, test_preds, db, RunConfig(k=5), EMB,
+            MockNoisyOracle(p=0.5, seed=11), audit=Recording(path),
+        )
+        assert path.read_bytes() == appended[-1]
 
     def test_every_query_yields_final(self):
         # even a backend that errors on every query never drops one

@@ -1,10 +1,22 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+from molcorr import knowledge
 from molcorr.embed import LocalHashConfig, embed_molecule, embed_text
-from molcorr.ingest import REGRESSION, PredictionSet, Split
+from molcorr.ingest import (
+    CLASSIFICATION,
+    REGRESSION,
+    DatasetBundle,
+    MoleculeRecord,
+    PredictionSet,
+    Split,
+)
 from molcorr.knowledge import (
     CountMismatch,
     DimMismatch,
@@ -27,7 +39,7 @@ from molcorr.knowledge import (
     save_database,
     stored_fingerprint,
 )
-from conftest import make_bundle, make_predictions
+from conftest import SMILES_ALPHABET, make_bundle, make_predictions
 
 EMB = LocalHashConfig(dim=32, ngram=3)
 
@@ -362,3 +374,97 @@ class TestPersistence:
             assert (tmp_path / "before" / name).read_bytes() == (
                 tmp_path / "after" / name
             ).read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# the store: rows over one float32 matrix
+
+
+@st.composite
+def pools(draw, smiles=st.text(SMILES_ALPHABET, min_size=1, max_size=12)):
+    """A bundle and validation predictions for a random pool: either task,
+    train and valid mixed or alone, descriptions None or any text, ids in
+    an order unrelated to row order."""
+    task = draw(st.sampled_from([REGRESSION, CLASSIFICATION]))
+    splits = draw(st.sampled_from([(Split.TRAIN, Split.VALID), (Split.TRAIN,), (Split.VALID,)]))
+    n = draw(st.integers(0, 24))
+    ids = draw(st.permutations([f"m{i:02d}" for i in range(n)]))
+    if task.is_classification:
+        labels = st.sampled_from([0.0, 1.0])
+    else:
+        labels = st.floats(-1e6, 1e6, allow_nan=False)
+    records, predictions = [], {}
+    for mol_id in ids:
+        split = draw(st.sampled_from(splits))
+        records.append(
+            MoleculeRecord(
+                mol_id, draw(smiles), draw(st.none() | st.text(max_size=20)), split, draw(labels)
+            )
+        )
+        if split is Split.VALID:
+            predictions[mol_id] = draw(st.floats(0.0, 1.0))
+    bundle = DatasetBundle(task=task, records=tuple(records))
+    return bundle, PredictionSet(Split.VALID, predictions)
+
+
+class TestStore:
+    @given(pool=pools(), dim=st.sampled_from([8, 16, 32]), described=st.booleans())
+    @example(
+        pool=(DatasetBundle(REGRESSION, ()), PredictionSet(Split.VALID, {})), dim=8, described=False
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_over_random_pools(self, pool, dim, described):
+        bundle, val_preds = pool
+        db = build_database(bundle, val_preds, LocalHashConfig(dim=dim), described)
+        assert db.dim == (dim if len(db) else 0)
+        with tempfile.TemporaryDirectory() as tmp:
+            save_database(db, Path(tmp) / "a")
+            reloaded = load_database(Path(tmp) / "a")
+            save_database(reloaded, Path(tmp) / "b")
+            for name in (METADATA_FILE, SIDECAR_FILE):
+                assert (Path(tmp) / "a" / name).read_bytes() == (
+                    Path(tmp) / "b" / name
+                ).read_bytes()
+        assert reloaded == db
+
+    @given(
+        pool=pools(smiles=st.sampled_from(["CCO", "CCN", "c1ccccc1"])),
+        query=st.sampled_from(["CCO", "CCN", "OCC"]),
+        k=st.integers(1, 30),
+        seed=st.integers(0, 2**64 - 1),
+        exclude=st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_tie_heavy_pools_match_oracles(self, pool, query, k, seed, exclude):
+        # three distinct SMILES, so most entries share their vector exactly
+        bundle, val_preds = pool
+        assume(len(bundle.records) >= 2)
+        db = build_database(bundle, val_preds, EMB)
+        exclude_id = bundle.records[seed % len(bundle.records)].id if exclude else None
+        vec = embed_text(EMB, query)
+        topk = retrieve(db, vec, k, TopK(), exclude_id=exclude_id)
+        assert list(topk.ids) == oracle_topk(db, vec, k, exclude_id)
+        jump = retrieve(db, vec, k, Jump(), exclude_id=exclude_id)
+        assert list(jump.ids) == oracle_jump(db, vec, k, exclude_id)
+        rand = retrieve(db, vec, k, Random(seed=seed), exclude_id=exclude_id)
+        assert list(rand.ids) == oracle_random(db, vec, k, seed, exclude_id)
+
+    def test_row_views_share_the_matrix(self, tmp_path):
+        _, _, db = build_db(n_train=6, n_valid=3)
+        save_database(db, tmp_path / "db")
+        for store in (db, load_database(tmp_path / "db")):
+            assert store.embeddings.dtype == np.float32
+            assert store.embeddings.shape == (9, EMB.dim)
+            for i in range(len(store)):
+                assert np.shares_memory(store[i].embedding, store.embeddings)
+                assert store[i][:6] == store.rows[i] == store.entries[i][:6]
+            ctx = retrieve(store, embed_text(EMB, "CCO"), k=3)
+            assert all(np.shares_memory(s.entry.embedding, store.embeddings) for s in ctx.items)
+
+    def test_ragged_embedder_reply(self, monkeypatch):
+        bundle = make_bundle(REGRESSION, n_train=3, n_valid=1, n_test=0)
+        val_preds = make_predictions(bundle, Split.VALID)
+        ragged = [np.zeros(8), np.zeros(8), np.zeros(5), np.zeros(8)]
+        monkeypatch.setattr(knowledge, "embed_texts", lambda cfg, texts: ragged)
+        with pytest.raises(KnowledgeError, match=r"mixed embedding dims in database: \[5, 8\]"):
+            build_database(bundle, val_preds, EMB)

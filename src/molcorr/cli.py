@@ -230,7 +230,7 @@ def cmd_build_db(rt: Runtime) -> int:
         )
     db = build_database(bundle, val_preds, rt.embedder, rt.run.include_description)
     save_database(db, db_dir)
-    valid = sum(1 for *_, source in db.rows if source is Split.VALID)
+    valid = bundle.counts[Split.VALID]
     print(
         f"built database: {len(db)} entries "
         f"(train {len(db) - valid}, valid {valid}), "
@@ -251,9 +251,13 @@ def cmd_correct(rt: Runtime, split: Split) -> int:
         audit_path = out_dir / f"audit_{split.value}.jsonl"
         audit_path.write_text("", encoding="utf-8")
         audit = AuditLog(audit_path)
-    outcomes = correct_mod.correct_split(
-        split, bundle, preds, db, rt.run, rt.embedder, rt.llm, audit=audit
-    )
+    try:
+        outcomes = correct_mod.correct_split(
+            split, bundle, preds, db, rt.run, rt.embedder, rt.llm, audit=audit
+        )
+    finally:
+        if audit is not None:
+            audit.close()
     correct_mod.write_outcomes(outcomes, out_dir / f"outcomes_{split.value}.jsonl")
     summary = correct_mod.run_summary(outcomes, rt.run, rt.embedder, rt.llm)
     (out_dir / f"summary_{split.value}.json").write_text(

@@ -12,8 +12,11 @@ L2-normalize. Empty text maps to the all-zero vector.
 
 The recipe runs per text for one text (a Python loop, cheapest for one
 short query) and per block of 1,024 texts for two or more (every n-gram
-of a block at once in numpy uint64 arithmetic). The bucket sums are
-small integers, so the two paths must and do agree bit for bit.
+of a block at once in numpy uint64 arithmetic). The block path hashes n
+bytes from every gram's start in the block's concatenated, zero-padded
+bytes; a text shorter than n has read past its own end, so its one gram
+is hashed again over its own bytes alone. The bucket sums are small
+integers, so the two paths must and do agree bit for bit.
 """
 
 from __future__ import annotations
@@ -117,20 +120,29 @@ def _local_hash_block(cfg: LocalHashConfig, texts: Sequence[str]) -> np.ndarray:
     # a text shorter than n has one gram, the whole string; an empty text none
     counts = np.where(lengths >= n, lengths - n + 1, np.minimum(lengths, 1))
     rows = np.repeat(np.arange(len(data)), counts)
-    gram_lengths = np.repeat(np.minimum(lengths, n), counts)
     text_starts = np.cumsum(lengths) - lengths
     first_grams = np.cumsum(counts) - counts
     starts = np.arange(len(rows)) + np.repeat(text_starts - first_grams, counts)
-    # n zero bytes of padding keep every gather of a short gram in range
-    buf = np.frombuffer(b"".join(data) + bytes(n), dtype=np.uint8).astype(np.uint64)
+    # n zero bytes of padding keep every n-byte gather in range
+    buf = np.frombuffer(b"".join(data) + bytes(n), dtype=np.uint8)
+    # hash n bytes from every gram start; the one gram of a text shorter
+    # than n read bytes past its end, so it is hashed again over its own
     h = np.full(len(rows), _FNV_OFFSET64, dtype=np.uint64)
     for j in range(n):
-        h = np.where(gram_lengths > j, (h ^ buf[starts + j]) * _FNV_PRIME64, h)
+        h ^= buf[starts + j]
+        h *= _FNV_PRIME64
+    short = np.flatnonzero((lengths > 0) & (lengths < n))
+    if short.size:
+        short_starts, short_lengths = text_starts[short], lengths[short]
+        hs = np.full(short.size, _FNV_OFFSET64, dtype=np.uint64)
+        for j in range(n - 1):
+            hs = np.where(short_lengths > j, (hs ^ buf[short_starts + j]) * _FNV_PRIME64, hs)
+        h[first_grams[short]] = hs
     signs = np.where(h < _SIGN_BIT64, 1.0, -1.0)
     slots = rows * cfg.dim + (h % np.uint64(cfg.dim)).astype(np.int64)
     # bincount returns int64 when the block holds no gram at all
     sums = np.bincount(slots, weights=signs, minlength=len(data) * cfg.dim)
-    vecs = sums.astype(np.float64).reshape(len(data), cfg.dim)
+    vecs = sums.astype(np.float64, copy=False).reshape(len(data), cfg.dim)
     norms = np.sqrt((vecs * vecs).sum(axis=1))[:, None]
     np.divide(vecs, norms, out=vecs, where=norms > 0.0)
     return vecs

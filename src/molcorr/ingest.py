@@ -141,14 +141,14 @@ CSV_HEADER = ["id", "smiles", "description", "label", "split"]
 _SPLIT_TOKENS = {s.value: s for s in Split}
 
 
-def _parse_label(raw: str, task: TaskSpec, row_id: str) -> float:
+def _parse_label(raw: str, is_classification: bool, row_id: str) -> float:
     try:
         value = float(raw)
     except ValueError as exc:
         raise InvalidLabel(f"row {row_id!r}: label {raw!r} is not a number") from exc
     if not math.isfinite(value):
         raise InvalidLabel(f"row {row_id!r}: label {raw!r} is not finite")
-    if task.is_classification and value not in (0.0, 1.0):
+    if is_classification and value not in (0.0, 1.0):
         raise InvalidLabel(
             f"row {row_id!r}: classification label must be 0 or 1, got {raw!r}"
         )
@@ -165,6 +165,7 @@ def load_molecules(path: Union[str, Path], task: TaskSpec) -> DatasetBundle:
     path = Path(path)
     records = []
     seen = set()
+    is_classification = task.is_classification
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -187,20 +188,12 @@ def load_molecules(path: Union[str, Path], task: TaskSpec) -> DatasetBundle:
             split = _SPLIT_TOKENS.get(split_raw)
             if split is None:
                 raise UnknownSplit(f"{path}:{lineno}: unknown split {split_raw!r}")
-            label = _parse_label(label_raw, task, mol_id) if label_raw else None
-            if label is None and split in (Split.TRAIN, Split.VALID):
+            label = _parse_label(label_raw, is_classification, mol_id) if label_raw else None
+            if label is None and split is not Split.TEST:
                 raise MissingLabel(
                     f"{path}:{lineno}: id {mol_id!r} in split {split.value} has no label"
                 )
-            records.append(
-                MoleculeRecord(
-                    id=mol_id,
-                    smiles=smiles,
-                    description=description or None,
-                    split=split,
-                    label=label,
-                )
-            )
+            records.append(MoleculeRecord(mol_id, smiles, description or None, split, label))
     counts = {s: 0 for s in Split}
     for rec in records:
         counts[rec.split] += 1

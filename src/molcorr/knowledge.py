@@ -24,7 +24,11 @@ pool (the leakage guard).
 On disk a database is two files: ``metadata.jsonl`` (a header line, then
 one JSON object per entry) and ``embeddings.lcdb`` (magic ``LCDB``, u32
 little-endian dim and count, then count*dim float32 little-endian values
-in metadata order).
+in metadata order). The header line is written by ``json.dumps``; each
+entry line by one f-string, with strings quoted by
+``json.encoder.encode_basestring_ascii`` (the escaper ``json.dumps``
+itself uses), floats by ``float.__repr__`` and ``None`` as ``null``, so
+the line is byte-equal to ``json.dumps(record, separators=(",", ":"))``.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import struct
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import NamedTuple, Optional, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -107,7 +111,9 @@ def strategy_name(strategy: RetrievalStrategy) -> str:
 
 class Entry(NamedTuple):
     """One database row with its embedding attached: molecule text, label,
-    the base model's prediction (validation entries only) and source."""
+    the base model's prediction (validation entries only) and source.
+    Two entries are equal when their metadata fields are equal and their
+    embeddings hold the same values."""
 
     id: str
     smiles: str
@@ -116,6 +122,15 @@ class Entry(NamedTuple):
     primary_prediction: Optional[float]
     source: Split
     embedding: np.ndarray
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Entry):
+            return NotImplemented
+        return self[:-1] == other[:-1] and np.array_equal(self.embedding, other.embedding)
+
+    def __ne__(self, other) -> bool:
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
 
 
 # an Entry without its embedding: (id, smiles, description, label,
@@ -132,20 +147,24 @@ def check_entry(
     source: Split,
 ) -> Row:
     """The row for one entry, once its label and prediction are finite and
-    its source is train (no prediction) or valid (with one)."""
-    if source not in (Split.TRAIN, Split.VALID):
+    its source is train (no prediction) or valid (with one). The row holds
+    them as Python floats, whatever number type they came in as."""
+    train = source is Split.TRAIN
+    if not train and source is not Split.VALID:
         raise KnowledgeError(f"entry {id!r} has source {source.value!r}, not train or valid")
     if not math.isfinite(label):
         raise KnowledgeError(f"entry {id!r} has a non-finite label {label!r}")
-    if primary_prediction is not None and not math.isfinite(primary_prediction):
-        raise KnowledgeError(
-            f"entry {id!r} has a non-finite prediction {primary_prediction!r}"
-        )
-    if source is Split.TRAIN and primary_prediction is not None:
-        raise KnowledgeError(f"train entry {id!r} must not carry a prediction")
-    if source is Split.VALID and primary_prediction is None:
+    if primary_prediction is not None:
+        if not math.isfinite(primary_prediction):
+            raise KnowledgeError(
+                f"entry {id!r} has a non-finite prediction {primary_prediction!r}"
+            )
+        if train:
+            raise KnowledgeError(f"train entry {id!r} must not carry a prediction")
+        primary_prediction = float(primary_prediction)
+    elif not train:
         raise KnowledgeError(f"valid entry {id!r} must carry a prediction")
-    return (id, smiles, description, label, primary_prediction, source)
+    return (id, smiles, description, float(label), primary_prediction, source)
 
 
 class KnowledgeDatabase:
@@ -242,18 +261,24 @@ def build_database(
     by ``val_predictions`` (the prediction loader guarantees this when the
     set was loaded against the same bundle).
     """
-    pool = [r for r in bundle.records if r.split in (Split.TRAIN, Split.VALID)]
+    train, valid = Split.TRAIN, Split.VALID
+    predictions = val_predictions.entries
     rows = []
-    for rec in pool:
-        if rec.split is Split.VALID and rec.id not in val_predictions.entries:
-            raise KnowledgeError(f"no validation prediction for id {rec.id!r}")
+    texts = []
+    for rec in bundle.records:
+        split = rec.split
+        if split is train:
+            prediction = None
+        elif split is valid:
+            if rec.id not in predictions:
+                raise KnowledgeError(f"no validation prediction for id {rec.id!r}")
+            prediction = predictions[rec.id]
+        else:
+            continue
         if rec.label is None:
             raise KnowledgeError(f"knowledge entry {rec.id!r} has no label")
-        prediction = val_predictions.entries[rec.id] if rec.split is Split.VALID else None
-        rows.append(
-            check_entry(rec.id, rec.smiles, rec.description, rec.label, prediction, rec.split)
-        )
-    texts = [compose_molecule_text(r, include_description) for r in pool]
+        rows.append(check_entry(rec.id, rec.smiles, rec.description, rec.label, prediction, split))
+        texts.append(compose_molecule_text(rec, include_description))
     vectors = embed_texts(embedder, texts)
     dims = {len(v) for v in vectors}
     if len(dims) > 1:
@@ -330,6 +355,22 @@ def retrieve(
     )
 
 
+def _metadata_lines(rows: Sequence[Row]) -> List[str]:
+    """One metadata line per row, each byte-equal to ``json.dumps`` of the
+    row's record with ``separators=(",", ":")``. Labels and predictions
+    must be floats, as ``check_entry`` leaves them."""
+    quote = json.encoder.encode_basestring_ascii
+    number = float.__repr__
+    return [
+        f'{{"id":{quote(id)},"smiles":{quote(smiles)},'
+        f'"description":{"null" if description is None else quote(description)},'
+        f'"label":{number(label)},'
+        f'"primary_prediction":{"null" if prediction is None else number(prediction)},'
+        f'"source":{quote(source.value)}}}'
+        for id, smiles, description, label, prediction, source in rows
+    ]
+
+
 def save_database(db: KnowledgeDatabase, directory: Union[str, Path]) -> None:
     """Write metadata and the binary embedding sidecar."""
     directory = Path(directory)
@@ -340,10 +381,7 @@ def save_database(db: KnowledgeDatabase, directory: Union[str, Path]) -> None:
         "dim": db.dim,
         "entries": len(db),
     }
-    lines = [json.dumps(header, separators=(",", ":"))]
-    for row in db.rows:
-        record = {**dict(zip(Entry._fields, row)), "source": row[-1].value}
-        lines.append(json.dumps(record, separators=(",", ":")))
+    lines = [json.dumps(header, separators=(",", ":")), *_metadata_lines(db.rows)]
     (directory / METADATA_FILE).write_text("\n".join(lines) + "\n", encoding="utf-8")
     with (directory / SIDECAR_FILE).open("wb") as fh:
         fh.write(MAGIC)

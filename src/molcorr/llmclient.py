@@ -208,17 +208,30 @@ def complete(
 
 class AuditLog:
     """JSON-lines log of exchanges (id, kind, attempts, latency in ms,
-    response text), appended as calls complete. Thread-safe."""
+    response text), appended as calls complete. Thread-safe. The first
+    append opens the file, line-buffered, so every line is on disk when
+    ``append`` returns; ``reorder`` and ``close`` close it."""
 
     def __init__(self, path):
         self.path = path
         self._lock = threading.Lock()
+        self._fh = None
+
+    def close(self) -> None:
+        with self._lock:
+            self._close()
+
+    def _close(self) -> None:
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
 
     def reorder(self, query_ids) -> None:
         """Rewrite the log grouped by ``query_ids`` order. Lines of one id
         keep the order they were appended in."""
         rank = {query_id: i for i, query_id in enumerate(query_ids)}
         with self._lock:
+            self._close()
             with open(self.path, encoding="utf-8") as fh:
                 lines = fh.readlines()
             lines.sort(key=lambda line: rank[json.loads(line)["id"]])
@@ -237,5 +250,6 @@ class AuditLog:
             separators=(",", ":"),
         )
         with self._lock:
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
+            if self._fh is None:
+                self._fh = open(self.path, "a", encoding="utf-8", buffering=1)
+            self._fh.write(line + "\n")

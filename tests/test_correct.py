@@ -16,7 +16,7 @@ from molcorr.correct import (
 from molcorr.embed import LocalHashConfig, embed_molecule
 from molcorr.ingest import CLASSIFICATION, REGRESSION, Split
 from molcorr.knowledge import build_database, retrieve
-from molcorr import transport
+from molcorr import llmclient, transport
 from molcorr.llmclient import (
     AuditLog,
     LlmError,
@@ -267,6 +267,26 @@ class TestCorrectSplit:
             MockNoisyOracle(p=0.5, seed=11), audit=Recording(path),
         )
         assert path.read_bytes() == appended[-1]
+
+    def test_audit_log_opens_its_file_once(self, tmp_path, monkeypatch):
+        # one append handle for the whole split, then the reorder's read
+        # and rewrite
+        bundle, _, test_preds, db = setup_pipeline(n_test=6)
+        path = tmp_path / "audit.jsonl"
+        path.write_text("")
+        modes = []
+
+        def counting_open(file, mode="r", *args, **kwargs):
+            modes.append(mode)
+            return open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(llmclient, "open", counting_open, raising=False)
+        correct_split(
+            Split.TEST, bundle, test_preds, db, RunConfig(k=5), EMB,
+            MockNoisyOracle(p=0.5, seed=11), audit=AuditLog(path),
+        )
+        assert len(path.read_text().splitlines()) >= 6
+        assert modes == ["a", "r", "w"]
 
     def test_every_query_yields_final(self):
         # even a backend that errors on every query never drops one

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import random
 import tempfile
 from pathlib import Path
 
@@ -468,3 +470,126 @@ class TestStore:
         monkeypatch.setattr(knowledge, "embed_texts", lambda cfg, texts: ragged)
         with pytest.raises(KnowledgeError, match=r"mixed embedding dims in database: \[5, 8\]"):
             build_database(bundle, val_preds, EMB)
+
+
+# ---------------------------------------------------------------------------
+# the on-disk format: metadata lines, number types, pinned bytes
+
+meta_texts = st.text() | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "naïve Ω", "😀𝔘 astral", ""])
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+meta_numbers = (
+    finite_floats
+    | finite_floats.map(np.float64)
+    | st.sampled_from([-0.0, 5e-324, 1e16, 1e-7, 3.0, np.float64(3.0)])
+)
+metadata_rows = st.tuples(
+    meta_texts, meta_texts, st.none() | meta_texts, meta_numbers, st.none() | meta_numbers,
+    st.sampled_from([Split.TRAIN, Split.VALID]),
+)
+
+
+@given(st.lists(metadata_rows, max_size=4))
+@example([
+    ('q"uote\\back', "\x01\n\t😀", "", -0.0, 5e-324, Split.VALID),
+    ("漢字", "C", None, np.float64(3.0), None, Split.TRAIN),
+    ("x", "CC", "𝔘", 1e16, 1e-7, Split.VALID),
+])
+@settings(max_examples=200, deadline=None)
+def test_metadata_lines_equal_json_dumps(rows):
+    want = [
+        json.dumps(
+            {
+                "id": row[0], "smiles": row[1], "description": row[2], "label": row[3],
+                "primary_prediction": row[4], "source": row[5].value,
+            },
+            separators=(",", ":"),
+        )
+        for row in rows
+    ]
+    assert knowledge._metadata_lines(rows) == want
+
+
+def test_int_numbers_save_the_same_bytes_after_a_reload(tmp_path):
+    # an int label or prediction is stored as a float, so the first save
+    # already writes "3.0", as every later one does
+    records = (
+        MoleculeRecord("a", "CCO", None, Split.TRAIN, 3),
+        MoleculeRecord("b", "CCN", "ring", Split.VALID, -1),
+        MoleculeRecord("c", "C", None, Split.VALID, np.float64(1.5)),
+    )
+    val_preds = PredictionSet(Split.VALID, {"b": 2, "c": np.float64(0.25)})
+    db = build_database(DatasetBundle(REGRESSION, records), val_preds, EMB)
+    assert all(type(row[3]) is float for row in db.rows)
+    assert all(type(row[4]) is float for row in db.rows if row[4] is not None)
+    save_database(db, tmp_path / "a")
+    save_database(load_database(tmp_path / "a"), tmp_path / "b")
+    for name in (METADATA_FILE, SIDECAR_FILE):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    meta = (tmp_path / "a" / METADATA_FILE).read_text()
+    assert '"label":3.0,"primary_prediction":null' in meta
+    assert '"label":-1.0,"primary_prediction":2.0' in meta
+
+
+def pinned_pool():
+    """2,600 entries, so the pool spans two block boundaries of the
+    hasher. A quarter are SMILES shorter than the 3-byte n-gram without a
+    description; a third have descriptions with quotes, escapes,
+    non-ASCII and astral characters, some empty."""
+    rng = random.Random(2024)
+    short = ["C", "N", "O", "Cl", "Br", "CO"]
+    words = ["ring", "chain", "naïve", "Ω", '"quoted"', "back\\slash", "tab\there", "漢字", "😀"]
+    records, predictions = [], {}
+    for i in range(2600):
+        mol_id = f"p{i:05d}"
+        split = Split.VALID if i % 5 == 0 else Split.TRAIN
+        if i % 4 == 0:
+            smiles = rng.choice(short)
+        else:
+            smiles = "".join(rng.choice(SMILES_ALPHABET) for _ in range(rng.randint(3, 40)))
+        description = None
+        if i % 3 == 0:
+            description = " ".join(rng.choice(words) for _ in range(rng.randint(0, 6)))
+        label = round(rng.uniform(-5.0, 5.0), rng.randint(0, 6))
+        records.append(MoleculeRecord(mol_id, smiles, description, split, label))
+        if split is Split.VALID:
+            predictions[mol_id] = round(rng.uniform(-5.0, 5.0), 4)
+    return DatasetBundle(REGRESSION, tuple(records)), PredictionSet(Split.VALID, predictions)
+
+
+def test_pinned_pool_bytes(tmp_path):
+    # digests of the files as first written by json.dumps per entry and
+    # the per-gram hasher; any change to the on-disk format or to the
+    # embedding recipe moves them
+    bundle, val_preds = pinned_pool()
+    db = build_database(bundle, val_preds, LocalHashConfig(), include_description=True)
+    save_database(db, tmp_path)
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in (METADATA_FILE, SIDECAR_FILE)
+    }
+    assert digests == {
+        METADATA_FILE: "0a6a7f3fed1a610783f7fc5fc9bb02fbc1dcd0293f8aa9d22c9f64f3ae38a694",
+        SIDECAR_FILE: "b7a9832ba188b3b3e9822bf6fc5e729ae19b465c186f1ee94f7e11d27ea882c1",
+    }
+
+
+class TestEntryEquality:
+    def test_entries_compare_by_value(self, tmp_path):
+        _, _, db = build_db(n_train=6, n_valid=3)
+        assert db[0] == db[0]
+        assert not db[0] != db[0]
+        assert db[0] != db[1]
+        save_database(db, tmp_path / "db")
+        loaded = load_database(tmp_path / "db")
+        assert loaded.entries == db.entries
+        query = embed_text(EMB, "CCO")
+        assert retrieve(loaded, query, k=4) == retrieve(db, query, k=4)
+        assert retrieve(db, query, k=4) != retrieve(db, query, k=3)
+
+    def test_embedding_alone_makes_entries_differ(self):
+        _, _, db = build_db(n_train=2, n_valid=1)
+        entry = db[0]
+        other = entry._replace(embedding=entry.embedding + np.float32(1.0))
+        assert entry != other
+        assert not entry == other
+        assert entry == entry._replace(embedding=entry.embedding.copy())

@@ -171,7 +171,8 @@ def embed_texts(cfg: EmbedderConfig, texts: Sequence[str]) -> List[np.ndarray]:
     """Embed a batch of strings, results aligned with the input order.
 
     The remote backend splits the batch into chunks of ``batch_size`` and
-    may run up to ``max_in_flight`` requests concurrently; results are
+    may run up to ``max_in_flight`` requests concurrently, within the
+    transport's cap of 4 for every remote request; results are
     reassembled in input order regardless of completion order.
     """
     if isinstance(cfg, LocalHashConfig):

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 
 class IngestError(ValueError):
@@ -106,8 +106,7 @@ class Split(str, Enum):
     TEST = "test"
 
 
-@dataclass(frozen=True)
-class MoleculeRecord:
+class MoleculeRecord(NamedTuple):
     id: str
     smiles: str
     description: Optional[str]

@@ -11,9 +11,8 @@ The mocks make the whole pipeline runnable and testable offline:
 
 Every mock renders its answer in the strict response grammar. Remote
 calls share the transport retry policy (5 attempts, 0.5 s base
-exponential backoff), and at most 4 of them are in flight at once. API
-keys stay in the environment and never appear in exchanges, logs or
-errors.
+exponential backoff) and its cap of 4 requests in flight. API keys stay
+in the environment and never appear in exchanges, logs or errors.
 """
 
 from __future__ import annotations
@@ -115,10 +114,6 @@ class LlmExchange:
     attempts: int
 
 
-# bounds the remote chat requests in flight across every worker thread
-_in_flight = threading.Semaphore(4)
-
-
 def _echo_text(task: TaskSpec, meta: QueryMeta) -> str:
     if meta.primary is None:
         raise MissingTruth(f"echo backend needs a primary prediction for {meta.id!r}")
@@ -153,8 +148,7 @@ def _remote_complete(cfg: RemoteChatConfig, prompt: PromptBundle) -> tuple[str, 
         "messages": [{"role": "user", "content": prompt.text}],
         "temperature": cfg.temperature,
     }
-    with _in_flight:
-        payload, attempts = transport.post_json(cfg.endpoint, body, api_key=api_key)
+    payload, attempts = transport.post_json(cfg.endpoint, body, api_key=api_key)
     try:
         text = payload["choices"][0]["message"]["content"]
     except (KeyError, IndexError, TypeError) as exc:

@@ -13,9 +13,10 @@ rendering is byte-deterministic and machine-checkable. Kinds:
 
 Number rendering: regression values and probabilities with 4 decimals,
 classification labels as bare 0/1. The token estimate is
-``ceil(utf8_bytes / 4)``; when a corrector prompt exceeds its budget,
-context entries are dropped lowest-rank-first until it fits (the query
-and instruction are never dropped).
+``ceil(utf8_bytes / 4)``. A corrector prompt is rendered once; when it
+exceeds its budget, context lines are dropped lowest-rank-first, each
+taking its own byte count off the total, until it fits (the query and
+instruction are never dropped).
 """
 
 from __future__ import annotations
@@ -151,37 +152,6 @@ def _context_line(task: TaskSpec, index: int, item: ScoredEntry) -> str:
     return line
 
 
-def _render_corrector(
-    task: TaskSpec,
-    record: MoleculeRecord,
-    primary: float,
-    items: Sequence[ScoredEntry],
-) -> str:
-    train_lines: List[str] = []
-    valid_lines: List[str] = []
-    for item in items:
-        if item.entry.primary_prediction is None:
-            train_lines.append(_context_line(task, len(train_lines) + 1, item))
-        else:
-            valid_lines.append(_context_line(task, len(valid_lines) + 1, item))
-    sections = [
-        CORRECTOR_INSTRUCTION,
-        "\n".join([TRAIN_CONTEXT_HEADER] + train_lines),
-        "\n".join([VALID_CONTEXT_HEADER] + valid_lines),
-        "\n".join(
-            [
-                QUESTION_HEADER,
-                f"SMILES: {record.smiles}",
-                f"Model prediction: {format_prediction(primary)}",
-                "Drawing on the provided context, refine the model prediction "
-                "for this molecule.",
-            ]
-        ),
-        answer_footer(task, PromptKind.CORRECTOR),
-    ]
-    return "\n\n".join(sections)
-
-
 def build_corrector_prompt(
     record: MoleculeRecord,
     primary: float,
@@ -191,27 +161,51 @@ def build_corrector_prompt(
 ) -> PromptBundle:
     """Render the corrector prompt, trimming context to the token budget.
 
-    Context entries drop from the lowest-similarity rank upward until the
-    estimate fits; the instruction, question and footer always survive.
+    The prompt is rendered once. Context lines are numbered within their
+    section in rank order, so dropping the lowest-rank entry pops its
+    section's last line and takes that line's UTF-8 bytes and newline off
+    the byte count. The instruction, question and footer always survive.
     Descriptions are never included in corrector prompts.
     """
-    items = list(ctx.items)
-    while True:
-        text = _render_corrector(task, record, primary, items)
-        estimate = estimate_tokens(text)
-        if estimate <= token_budget:
-            break
-        if not items:
+    train = [TRAIN_CONTEXT_HEADER]
+    valid = [VALID_CONTEXT_HEADER]
+    homes: List[List[str]] = []
+    for item in ctx.items:
+        lines = train if item.entry.primary_prediction is None else valid
+        lines.append(_context_line(task, len(lines), item))
+        homes.append(lines)
+    question = "\n".join(
+        [
+            QUESTION_HEADER,
+            f"SMILES: {record.smiles}",
+            f"Model prediction: {format_prediction(primary)}",
+            "Drawing on the provided context, refine the model prediction "
+            "for this molecule.",
+        ]
+    )
+    tail = [question, answer_footer(task, PromptKind.CORRECTOR)]
+
+    def render() -> str:
+        return "\n\n".join([CORRECTOR_INSTRUCTION, "\n".join(train), "\n".join(valid), *tail])
+
+    text = render()
+    size = len(text.encode("utf-8"))
+    kept = len(homes)
+    while (estimate := math.ceil(size / 4)) > token_budget:
+        if not kept:
             raise BudgetTooSmall(
                 f"token budget {token_budget} cannot hold the zero-context "
                 f"prompt ({estimate} tokens)"
             )
-        items.pop()
+        kept -= 1
+        size -= len(homes[kept].pop().encode("utf-8")) + 1
+    if kept < len(homes):
+        text = render()
     return PromptBundle(
         kind=PromptKind.CORRECTOR,
         text=text,
         token_estimate=estimate,
-        context_ids=tuple(item.entry.id for item in items),
+        context_ids=tuple(item.entry.id for item in ctx.items[:kept]),
     )
 
 

@@ -2,13 +2,15 @@
 
 One retry policy covers both: up to 5 attempts, exponential backoff with
 delays 0.5 * 2**(attempt-1) seconds, retrying on transport errors,
-timeouts, 429 and 5xx. API keys come from the environment and are never
-echoed into errors or logs.
+timeouts, 429 and 5xx. At most 4 requests are in flight at once across
+every thread; a request waiting out its backoff holds no slot. API keys
+come from the environment and are never echoed into errors or logs.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 import time
 from typing import Any, Callable, Optional
 
@@ -18,6 +20,10 @@ MAX_ATTEMPTS = 5
 BACKOFF_BASE_SECONDS = 0.5
 BACKOFF_FACTOR = 2.0
 REQUEST_TIMEOUT_SECONDS = 60.0
+
+# bounds the remote requests in flight across every worker thread; held
+# only for the request itself, never for the backoff sleep
+_in_flight = threading.Semaphore(4)
 
 
 class TransportError(RuntimeError):
@@ -72,7 +78,8 @@ def post_json(
     last_status: Optional[int] = None
     for attempt in range(1, MAX_ATTEMPTS + 1):
         try:
-            resp = post(url, json=body, headers=headers, timeout=REQUEST_TIMEOUT_SECONDS)
+            with _in_flight:
+                resp = post(url, json=body, headers=headers, timeout=REQUEST_TIMEOUT_SECONDS)
             status = getattr(resp, "status_code", 0)
             if status == 429 or status >= 500:
                 last_error = f"status {status}"

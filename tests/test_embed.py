@@ -254,6 +254,7 @@ def stub_embed_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}/v1/embeddings"
     server.shutdown()
+    server.server_close()
 
 
 class TestRemoteBackend:

@@ -176,6 +176,7 @@ def stub_chat_server():
     _StubChatHandler.seen_headers = []
     yield f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
     server.shutdown()
+    server.server_close()
 
 
 class TestRemoteChat:
@@ -206,6 +207,7 @@ class TestRemoteChat:
         audit = AuditLog(log_path)
         audit.append("a", ex)
         assert "sk-super-secret-value" not in log_path.read_text()
+        audit.close()
 
     def test_missing_key_env(self, stub_chat_server, monkeypatch):
         monkeypatch.delenv("NOPE_KEY", raising=False)
@@ -227,3 +229,71 @@ def test_audit_log_fields(tmp_path):
     assert row["attempts"] == 1
     assert "latency_ms" in row
     assert "Prediction: 2.0000" in row["response"]
+    audit.close()
+
+
+class _FakeResponse:
+    def __init__(self, status_code, payload=None):
+        self.status_code = status_code
+        self._payload = payload
+
+    def json(self):
+        return self._payload
+
+
+def test_backoff_sleep_holds_no_slot(monkeypatch):
+    # four requests fail once and then sleep until released; a fifth
+    # request must get a slot and finish while all four are still asleep
+    lock = threading.Lock()
+    in_flight = [0, 0]  # current, peak
+    failed = set()
+    asleep = threading.Semaphore(0)
+    release = threading.Event()
+    events = []
+
+    def fake_post(url, json, headers, timeout):
+        content = json["messages"][0]["content"]
+        with lock:
+            in_flight[0] += 1
+            in_flight[1] = max(in_flight)
+        try:
+            with lock:
+                if content.startswith("slow") and content not in failed:
+                    failed.add(content)
+                    return _FakeResponse(503)
+            reply = {"choices": [{"message": {"content": f"Prediction: {content}"}}]}
+            return _FakeResponse(200, reply)
+        finally:
+            with lock:
+                in_flight[0] -= 1
+
+    def fake_sleep(seconds):
+        asleep.release()
+        release.wait(timeout=3.0)
+        events.append("sleep ended")
+
+    monkeypatch.setattr(transport.requests, "post", fake_post)
+    monkeypatch.setattr(transport.time, "sleep", fake_sleep)
+    cfg = RemoteChatConfig(endpoint="http://127.0.0.1:9/v1/chat/completions", model="m")
+
+    exchanges = {}
+
+    def send(text):
+        prompt = PromptBundle(kind=PromptKind.CORRECTOR, text=text, token_estimate=1)
+        exchanges[text] = complete(cfg, prompt, QueryMeta(id=text), REGRESSION)
+
+    slow = [threading.Thread(target=send, args=(f"slow-{i}",)) for i in range(4)]
+    for thread in slow:
+        thread.start()
+    for _ in slow:
+        assert asleep.acquire(timeout=3.0)
+    send("fast")
+    events.append("fast done")
+    release.set()
+    for thread in slow:
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+    assert events[0] == "fast done"
+    assert exchanges["fast"].attempts == 1
+    assert sorted(ex.attempts for ex in exchanges.values()) == [1, 2, 2, 2, 2]
+    assert in_flight[1] <= 4

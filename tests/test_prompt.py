@@ -1,20 +1,30 @@
 import math
 import re
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from molcorr.embed import LocalHashConfig, embed_text
 from molcorr.ingest import CLASSIFICATION, REGRESSION, MoleculeRecord, Split
 from molcorr.knowledge import Entry, RetrievedContext, ScoredEntry
 from molcorr.prompt import (
+    CORRECTOR_INSTRUCTION,
+    QUESTION_HEADER,
+    TRAIN_CONTEXT_HEADER,
+    VALID_CONTEXT_HEADER,
     BudgetTooSmall,
     MissingDescription,
     PromptError,
     PromptKind,
+    _context_line,
+    answer_footer,
     build_corrector_prompt,
     build_predictor_prompt,
     build_self_correction_prompt,
     estimate_tokens,
+    format_prediction,
 )
 
 EMB = LocalHashConfig(dim=16)
@@ -211,3 +221,94 @@ class TestPredictor:
     def test_corrector_kind_rejected(self):
         with pytest.raises(PromptError):
             build_predictor_prompt(PromptKind.CORRECTOR, QUERY, REGRESSION)
+
+
+# Reference trimming: re-render the whole prompt after every dropped
+# entry. build_corrector_prompt renders once and counts bytes instead, and
+# must give the same text, estimate, ids and BudgetTooSmall message.
+def reference_render(task, record, primary, items):
+    train_lines = []
+    valid_lines = []
+    for item in items:
+        if item.entry.primary_prediction is None:
+            train_lines.append(_context_line(task, len(train_lines) + 1, item))
+        else:
+            valid_lines.append(_context_line(task, len(valid_lines) + 1, item))
+    sections = [
+        CORRECTOR_INSTRUCTION,
+        "\n".join([TRAIN_CONTEXT_HEADER] + train_lines),
+        "\n".join([VALID_CONTEXT_HEADER] + valid_lines),
+        "\n".join(
+            [
+                QUESTION_HEADER,
+                f"SMILES: {record.smiles}",
+                f"Model prediction: {format_prediction(primary)}",
+                "Drawing on the provided context, refine the model prediction "
+                "for this molecule.",
+            ]
+        ),
+        answer_footer(task, PromptKind.CORRECTOR),
+    ]
+    return "\n\n".join(sections)
+
+
+def reference_corrector_prompt(record, primary, ctx, task, token_budget):
+    items = list(ctx.items)
+    while True:
+        text = reference_render(task, record, primary, items)
+        estimate = estimate_tokens(text)
+        if estimate <= token_budget:
+            break
+        if not items:
+            raise BudgetTooSmall(
+                f"token budget {token_budget} cannot hold the zero-context "
+                f"prompt ({estimate} tokens)"
+            )
+        items.pop()
+    return text, estimate, tuple(item.entry.id for item in items)
+
+
+# one-, two-, three- and four-byte UTF-8 characters, so byte counts and
+# character counts disagree
+SMILES_TEXT = st.one_of(
+    st.text(alphabet="CNOSc1234()=#[]@+-", min_size=1, max_size=40),
+    st.text(alphabet="CNOc1()=éΩ中😀𝐂", min_size=1, max_size=40),
+    st.text(min_size=0, max_size=20),
+)
+FINITE = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@st.composite
+def corrector_cases(draw):
+    task = draw(st.sampled_from([REGRESSION, CLASSIFICATION]))
+    k = draw(st.integers(0, 60))
+    items = []
+    for i in range(k):
+        label = float(draw(st.integers(0, 1))) if task is CLASSIFICATION else draw(FINITE)
+        prediction = draw(st.one_of(st.none(), FINITE))
+        source = Split.TRAIN if prediction is None else Split.VALID
+        entry = Entry(
+            f"m{i}", draw(SMILES_TEXT), None, label, prediction, source, np.zeros(1)
+        )
+        items.append(ScoredEntry(entry=entry, similarity=1.0 - i / 100))
+    record = MoleculeRecord("q", draw(SMILES_TEXT), None, Split.TEST, None)
+    return task, record, draw(FINITE), RetrievedContext(items=tuple(items))
+
+
+# the second range is where a 0-60 entry prompt starts to need trimming
+BUDGETS = st.one_of(st.integers(1, 3000), st.integers(180, 800))
+
+
+@settings(max_examples=250, deadline=None)
+@given(corrector_cases(), BUDGETS)
+def test_corrector_matches_drop_one_reference(case, token_budget):
+    task, record, primary, ctx = case
+    try:
+        want = reference_corrector_prompt(record, primary, ctx, task, token_budget)
+    except BudgetTooSmall as exc:
+        with pytest.raises(BudgetTooSmall) as got:
+            build_corrector_prompt(record, primary, ctx, task, token_budget=token_budget)
+        assert str(got.value) == str(exc)
+        return
+    bundle = build_corrector_prompt(record, primary, ctx, task, token_budget=token_budget)
+    assert (bundle.text, bundle.token_estimate, bundle.context_ids) == want

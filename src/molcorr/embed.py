@@ -73,7 +73,6 @@ class RemoteHttpConfig:
     model: str
     key_env: Optional[str] = None
     batch_size: int = 128
-    max_in_flight: int = 4
 
     @property
     def fingerprint(self) -> str:
@@ -171,9 +170,9 @@ def embed_texts(cfg: EmbedderConfig, texts: Sequence[str]) -> List[np.ndarray]:
     """Embed a batch of strings, results aligned with the input order.
 
     The remote backend splits the batch into chunks of ``batch_size`` and
-    may run up to ``max_in_flight`` requests concurrently, within the
-    transport's cap of 4 for every remote request; results are
-    reassembled in input order regardless of completion order.
+    posts them from ``transport.MAX_IN_FLIGHT`` threads, the transport's
+    cap on remote requests in flight; results are reassembled in input
+    order regardless of completion order.
     """
     if isinstance(cfg, LocalHashConfig):
         if len(texts) == 1:
@@ -191,7 +190,7 @@ def embed_texts(cfg: EmbedderConfig, texts: Sequence[str]) -> List[np.ndarray]:
         return []
     if len(chunks) == 1:
         return _remote_batch(cfg, chunks[0])
-    with ThreadPoolExecutor(max_workers=max(1, cfg.max_in_flight)) as pool:
+    with ThreadPoolExecutor(max_workers=transport.MAX_IN_FLIGHT) as pool:
         results = list(pool.map(lambda c: _remote_batch(cfg, c), chunks))
     out: List[np.ndarray] = []
     for part in results:

@@ -8,8 +8,10 @@ rows (id, smiles, description, label, prediction, source) over one
 entry i. ``db[i]`` attaches a view of matrix row i to its metadata as an
 ``Entry``; nothing copies the vectors per entry. The only other copy is
 the float64 ``_matrix``, made on the first query and kept as the
-similarity cache. Queries rank the whole pool by cosine similarity and
-select entries with one of three strategies:
+similarity cache. Its row norms are computed in row blocks, bit-identical
+to ``np.linalg.norm(_matrix, axis=1)``, so the first query holds no
+whole-pool temporary beside that one copy. Queries rank the whole pool
+by cosine similarity and select entries with one of three strategies:
 
   * top-k: the k most similar entries;
   * jump: k evenly spaced ranks, ``i*(n-1)//(k-1)``, always covering the
@@ -50,6 +52,9 @@ from .ingest import DatasetBundle, PredictionSet, Split, TaskKind, TaskSpec
 MAGIC = b"LCDB"
 METADATA_FILE = "metadata.jsonl"
 SIDECAR_FILE = "embeddings.lcdb"
+
+# rows per block of the norm pass: bounds its x * x temporary
+_NORM_BLOCK_ROWS = 1024
 
 
 class KnowledgeError(ValueError):
@@ -218,7 +223,16 @@ class KnowledgeDatabase:
 
     @cached_property
     def _norms(self) -> np.ndarray:
-        return np.linalg.norm(self._matrix, axis=1)
+        """Each row's Euclidean norm, computed ``_NORM_BLOCK_ROWS`` rows at a
+        time so no whole-pool ``x * x`` temporary sits beside ``_matrix``.
+        Each row is summed along its own contiguous axis, so the result is
+        bit-identical to ``np.linalg.norm(self._matrix, axis=1)``."""
+        matrix = self._matrix
+        norms = np.empty(len(matrix))
+        for i in range(0, len(matrix), _NORM_BLOCK_ROWS):
+            block = matrix[i : i + _NORM_BLOCK_ROWS]
+            np.sqrt(np.add.reduce(block * block, axis=1), out=norms[i : i + _NORM_BLOCK_ROWS])
+        return norms
 
     @cached_property
     def _id_ranks(self) -> np.ndarray:
@@ -448,10 +462,27 @@ def load_database(directory: Union[str, Path]) -> KnowledgeDatabase:
     if not np.isfinite(matrix).all():
         raise PersistenceError(f"{sidecar_path}: non-finite embedding value")
 
+    # raw_decode skips json.loads' whitespace and trailing-data handling;
+    # any line it does not take whole goes through json.loads, so a
+    # corrupt line raises json.loads' own error
+    decode = json.JSONDecoder().raw_decode
+    splits = {split.value: split for split in Split}
+
+    def split_of(value) -> Split:
+        try:
+            return splits[value]
+        except (KeyError, TypeError):
+            return Split(value)
+
     rows = []
     for lineno, line in records:
         try:
-            rec = json.loads(line)
+            try:
+                rec, end = decode(line)
+            except ValueError:
+                end = -1
+            if end != len(line):
+                rec = json.loads(line)
             prediction = rec["primary_prediction"]
             rows.append(
                 check_entry(
@@ -460,7 +491,7 @@ def load_database(directory: Union[str, Path]) -> KnowledgeDatabase:
                     rec["description"],
                     float(rec["label"]),
                     float(prediction) if prediction is not None else None,
-                    Split(rec["source"]),
+                    split_of(rec["source"]),
                 )
             )
         except (KeyError, TypeError, ValueError) as exc:

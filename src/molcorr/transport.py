@@ -2,9 +2,10 @@
 
 One retry policy covers both: up to 5 attempts, exponential backoff with
 delays 0.5 * 2**(attempt-1) seconds, retrying on transport errors,
-timeouts, 429 and 5xx. At most 4 requests are in flight at once across
-every thread; a request waiting out its backoff holds no slot. API keys
-come from the environment and are never echoed into errors or logs.
+timeouts, 429 and 5xx. At most ``MAX_IN_FLIGHT`` (4) requests are in
+flight at once across every thread; a request waiting out its backoff
+holds no slot. API keys come from the environment and are never echoed
+into errors or logs.
 """
 
 from __future__ import annotations
@@ -21,9 +22,10 @@ BACKOFF_BASE_SECONDS = 0.5
 BACKOFF_FACTOR = 2.0
 REQUEST_TIMEOUT_SECONDS = 60.0
 
-# bounds the remote requests in flight across every worker thread; held
-# only for the request itself, never for the backoff sleep
-_in_flight = threading.Semaphore(4)
+# remote requests in flight at once across every worker thread; the
+# semaphore is held only for the request itself, never for the backoff sleep
+MAX_IN_FLIGHT = 4
+_in_flight = threading.Semaphore(MAX_IN_FLIGHT)
 
 
 class TransportError(RuntimeError):

@@ -270,9 +270,7 @@ class TestRemoteBackend:
             assert np.allclose(g, w, atol=1e-12)
 
     def test_batching_preserves_order(self, stub_embed_server):
-        remote = RemoteHttpConfig(
-            endpoint=stub_embed_server, model="stub", batch_size=2, max_in_flight=3
-        )
+        remote = RemoteHttpConfig(endpoint=stub_embed_server, model="stub", batch_size=2)
         texts = [f"CC{i}O" for i in range(11)]
         got = embed_texts(remote, texts)
         assert len(got) == 11

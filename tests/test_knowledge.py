@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -593,3 +594,116 @@ class TestEntryEquality:
         assert entry != other
         assert not entry == other
         assert entry == entry._replace(embedding=entry.embedding.copy())
+
+
+def parent_parse(line):
+    """The per-line parse ``load_database`` used before its raw_decode fast
+    path: one ``json.loads`` and ``Split(...)`` per line."""
+    rec = json.loads(line)
+    prediction = rec["primary_prediction"]
+    return check_entry(
+        rec["id"],
+        rec["smiles"],
+        rec["description"],
+        float(rec["label"]),
+        float(prediction) if prediction is not None else None,
+        Split(rec["source"]),
+    )
+
+
+def _with(line, **fields):
+    return json.dumps({**json.loads(line), **fields})
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda line: line,
+        lambda line: "  " + line,
+        lambda line: line + " \t",
+        lambda line: line + "x",
+        lambda line: line + " {}",
+        lambda line: "\ufeff" + line,
+        lambda line: line[:-1],
+        lambda line: "[1, 2]",
+        lambda line: "nul",
+        lambda line: line.replace('"label":', '"label":NaN,"x":'),
+        lambda line: _with(line, source=["train"]),
+        lambda line: _with(line, source={"a": 1}),
+        lambda line: _with(line, source=3),
+        lambda line: _with(line, source="TRAIN"),
+        lambda line: _with(line, source="valid"),
+        lambda line: _with(line, label="1.5"),
+        lambda line: json.dumps({k: v for k, v in json.loads(line).items() if k != "source"}),
+    ],
+    ids=[
+        "as-saved", "leading-space", "trailing-space", "extra-char", "extra-value", "bom",
+        "truncated", "list", "bad-literal", "nan-label", "list-source", "dict-source",
+        "int-source", "upper-source", "valid-without-prediction", "string-label",
+        "no-source",
+    ],
+)
+def test_metadata_lines_parse_as_json_loads_does(tmp_path, edit):
+    # every line loads to the row, or fails with the message, that one
+    # json.loads and Split(...) per line gives
+    _, _, db = build_db(n_train=3, n_valid=2)
+    save_database(db, tmp_path / "db")
+    meta = tmp_path / "db" / METADATA_FILE
+    lines = meta.read_text(encoding="utf-8").splitlines()
+    lines[2] = edit(lines[2])
+    meta.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        want = parent_parse(lines[2])
+    except (KeyError, TypeError, ValueError) as exc:
+        with pytest.raises(PersistenceError) as info:
+            load_database(tmp_path / "db")
+        assert str(info.value) == f"{meta}:3: corrupt metadata ({type(exc).__name__}: {exc})"
+    else:
+        assert load_database(tmp_path / "db").rows[1] == want
+
+
+def _matrix_db(count, dim, seed, zero_rows):
+    rng = np.random.default_rng(seed)
+    scales = 10.0 ** rng.uniform(-3, 3, size=(count, 1))
+    matrix = (rng.standard_normal((count, dim)) * scales).astype(np.float32)
+    matrix[rng.random(count) < zero_rows] = 0.0
+    rows = tuple(check_entry(f"m{i:05d}", "C", None, 0.0, None, Split.TRAIN) for i in range(count))
+    return KnowledgeDatabase(REGRESSION, "fp", rows, matrix)
+
+
+BLOCK = knowledge._NORM_BLOCK_ROWS
+
+
+@given(
+    count=st.one_of(st.sampled_from([0, 1, BLOCK - 1, BLOCK, BLOCK + 1]), st.integers(0, 3001)),
+    dim=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+    zero_rows=st.sampled_from([0.0, 0.2, 1.0]),
+)
+@example(count=0, dim=8, seed=0, zero_rows=0.0)
+@example(count=1, dim=1, seed=1, zero_rows=0.0)
+@example(count=BLOCK - 1, dim=256, seed=2, zero_rows=0.2)
+@example(count=BLOCK, dim=33, seed=3, zero_rows=0.0)
+@example(count=BLOCK + 1, dim=300, seed=4, zero_rows=0.2)
+@example(count=3001, dim=33, seed=5, zero_rows=0.2)
+@example(count=BLOCK + 1, dim=16, seed=6, zero_rows=1.0)
+@settings(max_examples=40, deadline=None)
+def test_norms_are_bit_identical_to_linalg_norm(count, dim, seed, zero_rows):
+    db = _matrix_db(count, dim, seed, zero_rows)
+    assert db._norms.tobytes() == np.linalg.norm(db._matrix, axis=1).tobytes()
+
+
+def test_first_query_holds_one_float64_copy():
+    # the first query makes the float64 similarity cache and its norms;
+    # a whole-pool x * x temporary beside it would double the peak
+    count, dim = 4000, 256
+    db = _matrix_db(count, dim, seed=7, zero_rows=0.0)
+    query = np.random.default_rng(8).standard_normal(dim)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        retrieve(db, query, k=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= 1.5 * count * dim * 8

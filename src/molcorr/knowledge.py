@@ -462,27 +462,10 @@ def load_database(directory: Union[str, Path]) -> KnowledgeDatabase:
     if not np.isfinite(matrix).all():
         raise PersistenceError(f"{sidecar_path}: non-finite embedding value")
 
-    # raw_decode skips json.loads' whitespace and trailing-data handling;
-    # any line it does not take whole goes through json.loads, so a
-    # corrupt line raises json.loads' own error
-    decode = json.JSONDecoder().raw_decode
-    splits = {split.value: split for split in Split}
-
-    def split_of(value) -> Split:
-        try:
-            return splits[value]
-        except (KeyError, TypeError):
-            return Split(value)
-
     rows = []
     for lineno, line in records:
         try:
-            try:
-                rec, end = decode(line)
-            except ValueError:
-                end = -1
-            if end != len(line):
-                rec = json.loads(line)
+            rec = json.loads(line)
             prediction = rec["primary_prediction"]
             rows.append(
                 check_entry(
@@ -491,7 +474,7 @@ def load_database(directory: Union[str, Path]) -> KnowledgeDatabase:
                     rec["description"],
                     float(rec["label"]),
                     float(prediction) if prediction is not None else None,
-                    split_of(rec["source"]),
+                    Split(rec["source"]),
                 )
             )
         except (KeyError, TypeError, ValueError) as exc:

@@ -596,72 +596,6 @@ class TestEntryEquality:
         assert entry == entry._replace(embedding=entry.embedding.copy())
 
 
-def parent_parse(line):
-    """The per-line parse ``load_database`` used before its raw_decode fast
-    path: one ``json.loads`` and ``Split(...)`` per line."""
-    rec = json.loads(line)
-    prediction = rec["primary_prediction"]
-    return check_entry(
-        rec["id"],
-        rec["smiles"],
-        rec["description"],
-        float(rec["label"]),
-        float(prediction) if prediction is not None else None,
-        Split(rec["source"]),
-    )
-
-
-def _with(line, **fields):
-    return json.dumps({**json.loads(line), **fields})
-
-
-@pytest.mark.parametrize(
-    "edit",
-    [
-        lambda line: line,
-        lambda line: "  " + line,
-        lambda line: line + " \t",
-        lambda line: line + "x",
-        lambda line: line + " {}",
-        lambda line: "\ufeff" + line,
-        lambda line: line[:-1],
-        lambda line: "[1, 2]",
-        lambda line: "nul",
-        lambda line: line.replace('"label":', '"label":NaN,"x":'),
-        lambda line: _with(line, source=["train"]),
-        lambda line: _with(line, source={"a": 1}),
-        lambda line: _with(line, source=3),
-        lambda line: _with(line, source="TRAIN"),
-        lambda line: _with(line, source="valid"),
-        lambda line: _with(line, label="1.5"),
-        lambda line: json.dumps({k: v for k, v in json.loads(line).items() if k != "source"}),
-    ],
-    ids=[
-        "as-saved", "leading-space", "trailing-space", "extra-char", "extra-value", "bom",
-        "truncated", "list", "bad-literal", "nan-label", "list-source", "dict-source",
-        "int-source", "upper-source", "valid-without-prediction", "string-label",
-        "no-source",
-    ],
-)
-def test_metadata_lines_parse_as_json_loads_does(tmp_path, edit):
-    # every line loads to the row, or fails with the message, that one
-    # json.loads and Split(...) per line gives
-    _, _, db = build_db(n_train=3, n_valid=2)
-    save_database(db, tmp_path / "db")
-    meta = tmp_path / "db" / METADATA_FILE
-    lines = meta.read_text(encoding="utf-8").splitlines()
-    lines[2] = edit(lines[2])
-    meta.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    try:
-        want = parent_parse(lines[2])
-    except (KeyError, TypeError, ValueError) as exc:
-        with pytest.raises(PersistenceError) as info:
-            load_database(tmp_path / "db")
-        assert str(info.value) == f"{meta}:3: corrupt metadata ({type(exc).__name__}: {exc})"
-    else:
-        assert load_database(tmp_path / "db").rows[1] == want
-
-
 def _matrix_db(count, dim, seed, zero_rows):
     rng = np.random.default_rng(seed)
     scales = 10.0 ** rng.uniform(-3, 3, size=(count, 1))

@@ -233,6 +233,22 @@ class TestCorrect:
         row = json.loads(lines[0])
         assert row["kind"] == "corrector"
 
+    def test_one_fallback_exits_1(self, tmp_path, capsys):
+        bundle = make_bundle(REGRESSION, n_train=20, n_valid=8, n_test=8, seed=3)
+        test_ids = [rec.id for rec in bundle.split_records(Split.TEST)]
+        scripted = tmp_path / "scripted.json"
+        scripted.write_text(json.dumps({i: "Prediction: 0.5000" for i in test_ids[1:]}))
+        _, cfg = write_workspace(tmp_path, llm_backend="scripted", scripted_responses=scripted)
+        main(["build-db", "--config", cfg])
+        capsys.readouterr()
+        assert main(["correct", "--config", cfg, "--split", "test"]) == 1
+        out = capsys.readouterr().out
+        assert "warning: 1 query(ies) fell back to the base prediction" in out
+        lines = (tmp_path / "out" / "outcomes_test.jsonl").read_text().splitlines()
+        rows = [json.loads(line) for line in lines]
+        assert [row["id"] for row in rows] == test_ids
+        assert [row["fallback_used"] for row in rows] == [True] + [False] * 7
+
 
 class TestPredict:
     def test_ip_with_perfect_oracle_auc_one(self, tmp_path, capsys):

@@ -28,6 +28,7 @@ from molcorr.llmclient import (
     RemoteChatConfig,
     complete,
 )
+from molcorr.parse import render_answer
 from molcorr.prompt import PromptBundle, PromptKind, build_corrector_prompt
 from conftest import make_bundle, make_predictions
 
@@ -133,6 +134,62 @@ class TestCorrectOne:
         rec = bundle.split_records(Split.TEST)[0]
         out = correct_one(rec, test_preds.entries[rec.id], db, CFG, EMB, MockScripted())
         assert out.fallback_used
+
+    @staticmethod
+    def failing_transport(monkeypatch, failing_call, reply):
+        """Patch ``transport.post_json`` to answer ``reply`` as chat content,
+        except on call number ``failing_call``, which raises TransportError."""
+        calls = []
+
+        def post_json(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == failing_call:
+                raise transport.TransportError("request failed after 5 attempts", attempts=5)
+            return {"choices": [{"message": {"content": reply}}]}, 1
+
+        monkeypatch.setattr(transport, "post_json", post_json)
+        return calls
+
+    def test_corrector_request_failure_falls_back(self, monkeypatch, caplog, tmp_path):
+        bundle, _, test_preds, db = setup_pipeline()
+        rec = bundle.split_records(Split.TEST)[0]
+        primary = test_preds.entries[rec.id]
+        calls = self.failing_transport(monkeypatch, 1, "Prediction: 1.0")
+        path = tmp_path / "audit.jsonl"
+        path.write_text("")
+        llm = RemoteChatConfig(endpoint="http://127.0.0.1:9/v1/chat", model="m")
+        with caplog.at_level("WARNING", logger="molcorr.correct"):
+            out = correct_one(rec, primary, db, CFG, EMB, llm, audit=AuditLog(path))
+        assert len(calls) == 1
+        assert out.fallback_used and out.initial is None
+        assert out.final == primary and not out.self_correction_invoked
+        assert [r.getMessage() for r in caplog.records] == [
+            f"query {rec.id}: backend error, falling back (request failed after 5 attempts)"
+        ]
+        assert path.read_text() == ""
+
+    def test_self_correction_request_failure_keeps_initial(self, monkeypatch, caplog, tmp_path):
+        bundle, _, _, db = setup_pipeline(task=CLASSIFICATION, seed=9)
+        rec = bundle.split_records(Split.TEST)[0]
+        # a flipped label triggers self-correction, whose request then fails
+        reply = render_answer(CLASSIFICATION, 0.0, probability=0.2, explanation="flip")
+        calls = self.failing_transport(monkeypatch, 2, reply)
+        path = tmp_path / "audit.jsonl"
+        path.write_text("")
+        llm = RemoteChatConfig(endpoint="http://127.0.0.1:9/v1/chat", model="m")
+        with caplog.at_level("WARNING", logger="molcorr.correct"):
+            out = correct_one(rec, 0.9, db, CFG, EMB, llm, audit=AuditLog(path))
+        assert len(calls) == 2
+        assert out.self_correction_invoked and not out.fallback_used
+        assert out.initial is not None and out.initial.prediction == 0.0
+        assert out.final == 0.2 and out.final_source == "probability"
+        assert [r.getMessage() for r in caplog.records] == [
+            f"query {rec.id}: self-correction backend error (request failed after 5 attempts)"
+        ]
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [(row["id"], row["kind"], row["response"]) for row in lines] == [
+            (rec.id, "corrector", reply)
+        ]
 
     def test_fingerprint_mismatch(self):
         bundle, _, test_preds, db = setup_pipeline()

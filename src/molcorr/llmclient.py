@@ -222,13 +222,18 @@ class AuditLog:
 
     def reorder(self, query_ids) -> None:
         """Rewrite the log grouped by ``query_ids`` order. Lines of one id
-        keep the order they were appended in."""
+        keep the order they were appended in; lines of ids not in
+        ``query_ids`` (an earlier split's) stay ahead, in their order. A
+        log nothing was appended to has no file and is left as it is."""
         rank = {query_id: i for i, query_id in enumerate(query_ids)}
         with self._lock:
             self._close()
-            with open(self.path, encoding="utf-8") as fh:
-                lines = fh.readlines()
-            lines.sort(key=lambda line: rank[json.loads(line)["id"]])
+            try:
+                with open(self.path, encoding="utf-8") as fh:
+                    lines = fh.readlines()
+            except FileNotFoundError:
+                return
+            lines.sort(key=lambda line: rank.get(json.loads(line)["id"], -1))
             with open(self.path, "w", encoding="utf-8") as fh:
                 fh.writelines(lines)
 

@@ -345,6 +345,36 @@ class TestCorrectSplit:
         assert len(path.read_text().splitlines()) >= 6
         assert modes == ["a", "r", "w"]
 
+    def test_audit_log_without_any_reply(self, tmp_path):
+        # every query fails before a reply is logged, so the log's file is
+        # never created; the split still yields its outcomes
+        bundle, _, test_preds, db = setup_pipeline()
+        path = tmp_path / "audit.jsonl"
+        outs = correct_split(
+            Split.TEST, bundle, test_preds, db, CFG, EMB, MockScripted(), audit=AuditLog(path)
+        )
+        assert len(outs) == bundle.counts[Split.TEST]
+        assert all(o.fallback_used for o in outs)
+
+    def test_audit_log_shared_by_two_splits(self, tmp_path):
+        # one log for the valid split, then the test split: the valid lines
+        # stay ahead, in their order, and each split's lines are its own log's
+        bundle, val_preds, test_preds, db = setup_pipeline()
+        llm = MockNoisyOracle(p=0.5, seed=11)
+        logs = {}
+        for name, splits in (("shared", ("valid", "test")), ("valid", ("valid",)),
+                             ("test", ("test",))):
+            log = AuditLog(tmp_path / f"{name}.jsonl")
+            for split in splits:
+                preds = val_preds if split == "valid" else test_preds
+                correct_split(Split(split), bundle, preds, db, CFG, EMB, llm, audit=log)
+            log.close()
+            logs[name] = [json.loads(line) for line in log.path.read_text().splitlines()]
+            for row in logs[name]:
+                del row["latency_ms"]
+        assert logs["valid"] and logs["test"]
+        assert logs["shared"] == logs["valid"] + logs["test"]
+
     def test_every_query_yields_final(self):
         # even a backend that errors on every query never drops one
         bundle, _, test_preds, db = setup_pipeline()

@@ -19,7 +19,7 @@ from molcorr import (
     build_self_correction_prompt,
 )
 from molcorr.embed import embed_text
-from molcorr.knowledge import Entry, RetrievedContext, ScoredEntry
+from molcorr.knowledge import Entry, RetrievedContext
 
 emb = LocalHashConfig(dim=32)
 query = MoleculeRecord(
@@ -29,10 +29,7 @@ query = MoleculeRecord(
 
 def entry(mol_id, smiles, label, prediction=None):
     source = Split.VALID if prediction is not None else Split.TRAIN
-    return ScoredEntry(
-        Entry(mol_id, smiles, None, label, prediction, source, embed_text(emb, smiles)),
-        similarity=0.9,
-    )
+    return Entry(mol_id, smiles, None, label, prediction, source, embed_text(emb, smiles))
 
 
 ctx = RetrievedContext(

@@ -13,9 +13,11 @@ response overrides the initial proposal; a query whose response cannot be
 parsed (or whose backend call fails outright) falls back to the base
 model's prediction, so every query always yields a final value.
 
-All per-query randomness derives from (seed, query id); outcomes, and
-the audit log once a split is done, are in dataset order regardless of
-worker count.
+Nothing depends on worker count or call order: the noisy mock's coin
+flip derives from (its seed, query id), and the random strategy's draw
+from the run seed and the pool size alone, so every query of a split
+takes the same rank positions. Outcomes, and the audit log once a split
+is done, are in dataset order.
 """
 
 from __future__ import annotations
@@ -89,7 +91,7 @@ def should_self_correct(
     return abs(proposed - primary) > cfg.regression_trigger_fraction * abs(primary)
 
 
-def _final_value(task: TaskSpec, answer: ParsedAnswer) -> Tuple[float, Optional[str]]:
+def final_value(task: TaskSpec, answer: ParsedAnswer) -> Tuple[float, Optional[str]]:
     """Refined prediction recorded for an answer.
 
     Classification answers score by probability when present, else by the
@@ -132,64 +134,44 @@ def correct_one(
     prompt = build_corrector_prompt(record, primary, ctx, task, cfg.token_budget)
     meta = QueryMeta(id=record.id, primary=primary, true_label=record.label)
 
-    def fallback() -> CorrectionOutcome:
-        return CorrectionOutcome(
-            id=record.id,
-            primary=primary,
-            initial=None,
-            self_correction_invoked=False,
-            final=primary,
-            fallback_used=True,
-            context_ids=prompt.context_ids,
-        )
+    def ask(bundle, backend_warning: str) -> Optional[ParsedAnswer]:
+        """Send one prompt, log the exchange and parse the reply; None when
+        the backend fails (logged as ``backend_warning``) or the reply does
+        not parse."""
+        try:
+            exchange = complete(llm, bundle, meta, task)
+            if audit is not None:
+                audit.append(record.id, exchange)
+            return parse_response(exchange.response_text, task)
+        except LlmError as exc:
+            logger.warning(backend_warning, record.id, exc)
+        except ParseError:
+            pass
+        return None
 
-    try:
-        exchange = complete(llm, prompt, meta, task)
-        if audit is not None:
-            audit.append(record.id, exchange)
-        initial = _parse_or_none(exchange.response_text, task)
-    except LlmError as exc:
-        logger.warning("query %s: backend error, falling back (%s)", record.id, exc)
-        return fallback()
-    if initial is None:
-        return fallback()
-
-    proposed = initial.prediction
-    invoked = cfg.self_correction and should_self_correct(task, primary, proposed, cfg)
+    initial = ask(prompt, "query %s: backend error, falling back (%s)")
+    invoked = (
+        initial is not None
+        and cfg.self_correction
+        and should_self_correct(task, primary, initial.prediction, cfg)
+    )
     answer = initial
     if invoked:
         sc_prompt = build_self_correction_prompt(
-            record, primary, proposed, task, prior_explanation=initial.explanation
+            record, primary, initial.prediction, task, prior_explanation=initial.explanation
         )
-        try:
-            sc_exchange = complete(llm, sc_prompt, meta, task)
-            if audit is not None:
-                audit.append(record.id, sc_exchange)
-            revised = _parse_or_none(sc_exchange.response_text, task)
-        except LlmError as exc:
-            logger.warning("query %s: self-correction backend error (%s)", record.id, exc)
-            revised = None
-        if revised is not None:
-            answer = revised
-
-    final, source = _final_value(task, answer)
+        answer = ask(sc_prompt, "query %s: self-correction backend error (%s)") or initial
+    final, source = (primary, None) if answer is None else final_value(task, answer)
     return CorrectionOutcome(
         id=record.id,
         primary=primary,
         initial=initial,
         self_correction_invoked=invoked,
         final=final,
-        fallback_used=False,
+        fallback_used=initial is None,
         context_ids=prompt.context_ids,
         final_source=source,
     )
-
-
-def _parse_or_none(text: str, task: TaskSpec) -> Optional[ParsedAnswer]:
-    try:
-        return parse_response(text, task)
-    except ParseError:
-        return None
 
 
 def correct_split(

@@ -11,7 +11,8 @@ the float64 ``_matrix``, made on the first query and kept as the
 similarity cache. Its row norms are computed in row blocks, bit-identical
 to ``np.linalg.norm(_matrix, axis=1)``, so the first query holds no
 whole-pool temporary beside that one copy. Queries rank the whole pool
-by cosine similarity and select entries with one of three strategies:
+by cosine similarity and return the selected rows as ``db[i]`` entries,
+without their similarities, picked by one of three strategies:
 
   * top-k: the k most similar entries;
   * jump: k evenly spaced ranks, ``i*(n-1)//(k-1)``, always covering the
@@ -244,20 +245,15 @@ class KnowledgeDatabase:
 
 
 @dataclass(frozen=True)
-class ScoredEntry:
-    entry: Entry
-    similarity: float
-
-
-@dataclass(frozen=True)
 class RetrievedContext:
-    """Selected entries in rank order (most similar first)."""
+    """Selected entries in rank order (most similar first), each the
+    ``Entry`` row view ``db[i]`` of its database row."""
 
-    items: Tuple[ScoredEntry, ...]
+    items: Tuple[Entry, ...]
 
     @property
     def ids(self) -> Tuple[str, ...]:
-        return tuple(s.entry.id for s in self.items)
+        return tuple(entry.id for entry in self.items)
 
     def __len__(self) -> int:
         return len(self.items)
@@ -308,9 +304,8 @@ def build_database(
 
 def _ranked_pool(
     db: KnowledgeDatabase, query_vec: np.ndarray, exclude_id: Optional[str]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Entry indices ranked by similarity desc, id asc on ties, and the
-    similarity of every entry."""
+) -> np.ndarray:
+    """Entry indices ranked by similarity desc, id asc on ties."""
     q = np.asarray(query_vec, dtype=np.float64)
     if q.shape != (db.dim,):
         raise RetrievalDimMismatch(
@@ -327,7 +322,7 @@ def _ranked_pool(
     excluded = db._index_of.get(exclude_id)
     if excluded is not None:
         order = order[order != excluded]
-    return order, sims
+    return order
 
 
 def retrieve(
@@ -344,7 +339,7 @@ def retrieve(
     """
     if k < 1:
         raise KnowledgeError(f"k must be >= 1, got {k}")
-    order, sims = _ranked_pool(db, query_vec, exclude_id)
+    order = _ranked_pool(db, query_vec, exclude_id)
     n = len(order)
     if n == 0:
         raise EmptyPool("retrieval pool is empty")
@@ -361,12 +356,7 @@ def retrieve(
             j = i + rng.next_uint64() % (n - i)
             indices[i], indices[j] = indices[j], indices[i]
         ranks = sorted(indices[:k])
-    return RetrievedContext(
-        items=tuple(
-            ScoredEntry(entry=db[i], similarity=float(sims[i]))
-            for i in (order[r] for r in ranks)
-        )
-    )
+    return RetrievedContext(items=tuple(db[order[r]] for r in ranks))
 
 
 def _metadata_lines(rows: Sequence[Row]) -> List[str]:

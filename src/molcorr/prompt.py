@@ -3,8 +3,9 @@
 All wording lives in pinned template constants (``TEMPLATE_VERSION``), so
 rendering is byte-deterministic and machine-checkable. Kinds:
 
-  * corrector: instruction, numbered context from the training and
-    validation pools, a question restating the query molecule and the
+  * corrector: instruction, one numbered context line per retrieved
+    entry (SMILES and label, plus the base model's prediction for a
+    validation entry), a question restating the query molecule and the
     base model's prediction, and the answer-format footer;
   * self-correction: restates the query, the model prediction and the
     previously proposed correction, asking to confirm or revise;
@@ -27,7 +28,7 @@ from enum import Enum
 from typing import List, Optional, Sequence, Tuple
 
 from .ingest import MoleculeRecord, TaskSpec
-from .knowledge import RetrievedContext, ScoredEntry
+from .knowledge import Entry, RetrievedContext
 
 TEMPLATE_VERSION = 1
 
@@ -144,8 +145,7 @@ def answer_footer(task: TaskSpec, kind: PromptKind) -> str:
     return "\n".join(lines)
 
 
-def _context_line(task: TaskSpec, index: int, item: ScoredEntry) -> str:
-    entry = item.entry
+def _context_line(task: TaskSpec, index: int, entry: Entry) -> str:
     line = f"{index}. SMILES: {entry.smiles} ; Label: {format_value(task, entry.label)}"
     if entry.primary_prediction is not None:
         line += f" ; Model prediction: {format_prediction(entry.primary_prediction)}"
@@ -161,7 +161,9 @@ def build_corrector_prompt(
 ) -> PromptBundle:
     """Render the corrector prompt, trimming context to the token budget.
 
-    The prompt is rendered once. Context lines are numbered within their
+    The prompt is rendered once. Each entry of ``ctx.items`` gives one
+    context line, in the validation section when it carries a prediction
+    and in the training section otherwise. Lines are numbered within their
     section in rank order, so dropping the lowest-rank entry pops its
     section's last line and takes that line's UTF-8 bytes and newline off
     the byte count. The instruction, question and footer always survive.
@@ -170,9 +172,9 @@ def build_corrector_prompt(
     train = [TRAIN_CONTEXT_HEADER]
     valid = [VALID_CONTEXT_HEADER]
     homes: List[List[str]] = []
-    for item in ctx.items:
-        lines = train if item.entry.primary_prediction is None else valid
-        lines.append(_context_line(task, len(lines), item))
+    for entry in ctx.items:
+        lines = train if entry.primary_prediction is None else valid
+        lines.append(_context_line(task, len(lines), entry))
         homes.append(lines)
     question = "\n".join(
         [
@@ -205,7 +207,7 @@ def build_corrector_prompt(
         kind=PromptKind.CORRECTOR,
         text=text,
         token_estimate=estimate,
-        context_ids=tuple(item.entry.id for item in ctx.items[:kept]),
+        context_ids=ctx.ids[:kept],
     )
 
 

@@ -161,10 +161,6 @@ class TestRetrieve:
         query = np.array([1.0, 0.0, 0.0, 0.0])
         ctx = retrieve(db, query, k=2, strategy=TopK())
         assert ctx.ids == ("e0", "e1")
-        # entries store binary32 embeddings, so engineered cosines are
-        # only float32-accurate
-        sims = [item.similarity for item in ctx.items]
-        assert sims == pytest.approx([0.9, 0.8], abs=1e-6)
 
     def test_jump_indices_pool_of_ten(self):
         bundle, _, db = build_db(n_train=8, n_valid=2)
@@ -238,14 +234,14 @@ class TestRetrieve:
         query = embed_text(EMB, "CNC")
         ctx = retrieve(db, query, k=12)
         combined = list(ctx.ids)
-        train_items = [s for s in ctx.items if s.entry.source is Split.TRAIN]
-        valid_items = [s for s in ctx.items if s.entry.source is Split.VALID]
-        train_ids = [s.entry.id for s in train_items]
-        valid_ids = [s.entry.id for s in valid_items]
+        train_items = [e for e in ctx.items if e.source is Split.TRAIN]
+        valid_items = [e for e in ctx.items if e.source is Split.VALID]
+        train_ids = [e.id for e in train_items]
+        valid_ids = [e.id for e in valid_items]
         assert [i for i in combined if i in set(train_ids)] == train_ids
         assert [i for i in combined if i in set(valid_ids)] == valid_ids
         assert valid_items and all(
-            s.entry.primary_prediction is not None for s in valid_items
+            e.primary_prediction is not None for e in valid_items
         )
 
     def test_empty_pool(self):
@@ -462,7 +458,7 @@ class TestStore:
                 assert np.shares_memory(store[i].embedding, store.embeddings)
                 assert store[i][:6] == store.rows[i] == store.entries[i][:6]
             ctx = retrieve(store, embed_text(EMB, "CCO"), k=3)
-            assert all(np.shares_memory(s.entry.embedding, store.embeddings) for s in ctx.items)
+            assert all(np.shares_memory(e.embedding, store.embeddings) for e in ctx.items)
 
     def test_ragged_embedder_reply(self, monkeypatch):
         bundle = make_bundle(REGRESSION, n_train=3, n_valid=1, n_test=0)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from molcorr.embed import LocalHashConfig, embed_text
 from molcorr.ingest import CLASSIFICATION, REGRESSION, MoleculeRecord, Split
-from molcorr.knowledge import Entry, RetrievedContext, ScoredEntry
+from molcorr.knowledge import Entry, RetrievedContext
 from molcorr.prompt import (
     CORRECTOR_INSTRUCTION,
     QUESTION_HEADER,
@@ -35,23 +35,17 @@ QUERY_DESCRIBED = MoleculeRecord(
 )
 
 
-def scored(mol_id, smiles, label, prediction=None, sim=0.5):
+def context_entry(mol_id, smiles, label, prediction=None):
     source = Split.VALID if prediction is not None else Split.TRAIN
-    entry = Entry(
-        mol_id, smiles, None, label, prediction, source, embed_text(EMB, smiles)
-    )
-    return ScoredEntry(entry=entry, similarity=sim)
+    return Entry(mol_id, smiles, None, label, prediction, source, embed_text(EMB, smiles))
 
 
 def make_ctx(n_train=1, n_valid=1):
     items = []
-    sim = 0.99
     for i in range(n_train):
-        items.append(scored(f"t{i}", f"C{'C' * i}O", 1.5 + i, sim=sim))
-        sim -= 0.01
+        items.append(context_entry(f"t{i}", f"C{'C' * i}O", 1.5 + i))
     for i in range(n_valid):
-        items.append(scored(f"v{i}", f"N{'C' * i}O", 0.5 + i, prediction=0.8 + i, sim=sim))
-        sim -= 0.01
+        items.append(context_entry(f"v{i}", f"N{'C' * i}O", 0.5 + i, prediction=0.8 + i))
     return RetrievedContext(items=tuple(items))
 
 
@@ -101,7 +95,7 @@ class TestCorrector:
             "t0", "CCO", "a described molecule", 1.0, None, Split.TRAIN,
             embed_text(EMB, "CCO"),
         )
-        ctx = RetrievedContext(items=(ScoredEntry(entry, 0.9),))
+        ctx = RetrievedContext(items=(entry,))
         bundle = build_corrector_prompt(QUERY_DESCRIBED, 1.0, ctx, REGRESSION)
         assert "described" not in bundle.text
         assert "Description:" not in bundle.text
@@ -229,11 +223,11 @@ class TestPredictor:
 def reference_render(task, record, primary, items):
     train_lines = []
     valid_lines = []
-    for item in items:
-        if item.entry.primary_prediction is None:
-            train_lines.append(_context_line(task, len(train_lines) + 1, item))
+    for entry in items:
+        if entry.primary_prediction is None:
+            train_lines.append(_context_line(task, len(train_lines) + 1, entry))
         else:
-            valid_lines.append(_context_line(task, len(valid_lines) + 1, item))
+            valid_lines.append(_context_line(task, len(valid_lines) + 1, entry))
     sections = [
         CORRECTOR_INSTRUCTION,
         "\n".join([TRAIN_CONTEXT_HEADER] + train_lines),
@@ -265,7 +259,7 @@ def reference_corrector_prompt(record, primary, ctx, task, token_budget):
                 f"prompt ({estimate} tokens)"
             )
         items.pop()
-    return text, estimate, tuple(item.entry.id for item in items)
+    return text, estimate, tuple(entry.id for entry in items)
 
 
 # one-, two-, three- and four-byte UTF-8 characters, so byte counts and
@@ -287,10 +281,9 @@ def corrector_cases(draw):
         label = float(draw(st.integers(0, 1))) if task is CLASSIFICATION else draw(FINITE)
         prediction = draw(st.one_of(st.none(), FINITE))
         source = Split.TRAIN if prediction is None else Split.VALID
-        entry = Entry(
-            f"m{i}", draw(SMILES_TEXT), None, label, prediction, source, np.zeros(1)
+        items.append(
+            Entry(f"m{i}", draw(SMILES_TEXT), None, label, prediction, source, np.zeros(1))
         )
-        items.append(ScoredEntry(entry=entry, similarity=1.0 - i / 100))
     record = MoleculeRecord("q", draw(SMILES_TEXT), None, Split.TEST, None)
     return task, record, draw(FINITE), RetrievedContext(items=tuple(items))
 

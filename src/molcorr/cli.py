@@ -318,7 +318,7 @@ def cmd_predict(rt: Runtime, kind: PromptKind, split: Split, shots: int) -> int:
             failures += 1
             continue
         answers.append(answer)
-        value = answer.probability if (task.is_classification and answer.probability is not None) else answer.prediction
+        value, _ = correct_mod.final_value(task, answer)
         rows.append({"id": rec.id, "prediction": value, "strict": answer.strict})
 
     stem = f"predict_{kind.value}{shots if kind is PromptKind.FEW_SHOT else ''}_{split.value}"

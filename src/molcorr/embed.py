@@ -72,7 +72,6 @@ class RemoteHttpConfig:
     endpoint: str
     model: str
     key_env: Optional[str] = None
-    batch_size: int = 128
 
     @property
     def fingerprint(self) -> str:
@@ -83,6 +82,9 @@ EmbedderConfig = Union[LocalHashConfig, RemoteHttpConfig]
 
 # texts per block of the numpy path: bounds its per-gram temporaries
 LOCAL_BLOCK_TEXTS = 1024
+
+# texts per request of the remote backend
+REMOTE_BATCH_TEXTS = 128
 
 # every operand of the uint64 arithmetic is uint64, so numpy's scalar
 # promotion rules cannot change the result
@@ -169,10 +171,11 @@ def _remote_batch(cfg: RemoteHttpConfig, texts: Sequence[str]) -> List[np.ndarra
 def embed_texts(cfg: EmbedderConfig, texts: Sequence[str]) -> List[np.ndarray]:
     """Embed a batch of strings, results aligned with the input order.
 
-    The remote backend splits the batch into chunks of ``batch_size`` and
-    posts them from ``transport.MAX_IN_FLIGHT`` threads, the transport's
-    cap on remote requests in flight; results are reassembled in input
-    order regardless of completion order.
+    The remote backend splits the batch into chunks of
+    ``REMOTE_BATCH_TEXTS`` texts and posts them from
+    ``transport.MAX_IN_FLIGHT`` threads, the transport's cap on remote
+    requests in flight; results are reassembled in input order regardless
+    of completion order.
     """
     if isinstance(cfg, LocalHashConfig):
         if len(texts) == 1:
@@ -183,8 +186,8 @@ def embed_texts(cfg: EmbedderConfig, texts: Sequence[str]) -> List[np.ndarray]:
             for row in _local_hash_block(cfg, texts[i : i + LOCAL_BLOCK_TEXTS])
         ]
     chunks = [
-        list(texts[i : i + cfg.batch_size])
-        for i in range(0, len(texts), cfg.batch_size)
+        list(texts[i : i + REMOTE_BATCH_TEXTS])
+        for i in range(0, len(texts), REMOTE_BATCH_TEXTS)
     ]
     if not chunks:
         return []

@@ -78,6 +78,7 @@ def post_json(
         headers["Authorization"] = f"Bearer {api_key}"
     last_error = "no attempt made"
     last_status: Optional[int] = None
+    delays = backoff_delays(MAX_ATTEMPTS)
     for attempt in range(1, MAX_ATTEMPTS + 1):
         try:
             with _in_flight:
@@ -102,7 +103,7 @@ def post_json(
             last_error = f"transport error: {type(exc).__name__}"
             last_status = None
         if attempt < MAX_ATTEMPTS:
-            sleep(BACKOFF_BASE_SECONDS * BACKOFF_FACTOR ** (attempt - 1))
+            sleep(delays[attempt - 1])
     raise TransportError(
         f"request to {url} failed after {MAX_ATTEMPTS} attempts ({last_error})",
         attempts=MAX_ATTEMPTS,

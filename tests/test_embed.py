@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from molcorr import embed
 from molcorr.embed import (
     DimensionMismatch,
     EmbedError,
@@ -269,8 +270,9 @@ class TestRemoteBackend:
         for g, w in zip(got, want):
             assert np.allclose(g, w, atol=1e-12)
 
-    def test_batching_preserves_order(self, stub_embed_server):
-        remote = RemoteHttpConfig(endpoint=stub_embed_server, model="stub", batch_size=2)
+    def test_batching_preserves_order(self, stub_embed_server, monkeypatch):
+        monkeypatch.setattr(embed, "REMOTE_BATCH_TEXTS", 2)
+        remote = RemoteHttpConfig(endpoint=stub_embed_server, model="stub")
         texts = [f"CC{i}O" for i in range(11)]
         got = embed_texts(remote, texts)
         assert len(got) == 11

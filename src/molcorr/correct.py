@@ -140,14 +140,15 @@ def correct_one(
         not parse."""
         try:
             exchange = complete(llm, bundle, meta, task)
-            if audit is not None:
-                audit.append(record.id, exchange)
-            return parse_response(exchange.response_text, task)
         except LlmError as exc:
             logger.warning(backend_warning, record.id, exc)
+            return None
+        if audit is not None:
+            audit.append(record.id, exchange)
+        try:
+            return parse_response(exchange.response_text, task)
         except ParseError:
-            pass
-        return None
+            return None
 
     initial = ask(prompt, "query %s: backend error, falling back (%s)")
     invoked = (

@@ -177,8 +177,10 @@ class TestCorrectOne:
         path = tmp_path / "audit.jsonl"
         path.write_text("")
         llm = RemoteChatConfig(endpoint="http://127.0.0.1:9/v1/chat", model="m")
+        audit = AuditLog(path)
         with caplog.at_level("WARNING", logger="molcorr.correct"):
-            out = correct_one(rec, 0.9, db, CFG, EMB, llm, audit=AuditLog(path))
+            out = correct_one(rec, 0.9, db, CFG, EMB, llm, audit=audit)
+        audit.close()
         assert len(calls) == 2
         assert out.self_correction_invoked and not out.fallback_used
         assert out.initial is not None and out.initial.prediction == 0.0
@@ -355,6 +357,7 @@ class TestCorrectSplit:
         )
         assert len(outs) == bundle.counts[Split.TEST]
         assert all(o.fallback_used for o in outs)
+        assert not path.exists()
 
     def test_audit_log_shared_by_two_splits(self, tmp_path):
         # one log for the valid split, then the test split: the valid lines

@@ -56,6 +56,7 @@ from .llmclient import (
     MockScripted,
     QueryMeta,
     RemoteChatConfig,
+    backend_name,
     complete,
 )
 from .parse import ParseError, consistency_rate, parse_response
@@ -302,6 +303,15 @@ def cmd_predict(rt: Runtime, kind: PromptKind, split: Split, shots: int) -> int:
                 f"--shots must be between 1 and the train size ({len(train)})"
             )
         examples = [(rec, rec.label) for rec in train[:shots]]
+    primaries: Dict[str, float] = {}
+    if isinstance(rt.llm, (MockEcho, MockNoisyOracle)):
+        key = f"{split.value}_predictions"
+        if key not in rt.config:
+            raise ConfigError(
+                f"the {backend_name(rt.llm)} backend answers from the base model's "
+                f"predictions; set {key} to predict on the {split.value} split"
+            )
+        primaries = load_predictions(rt.config[key], bundle, split).entries
     out_dir = _output_dir(rt)
 
     rows = []
@@ -310,7 +320,8 @@ def cmd_predict(rt: Runtime, kind: PromptKind, split: Split, shots: int) -> int:
     for rec in records:
         prompt = build_predictor_prompt(kind, rec, task, examples=examples, shots=shots if examples else None)
         try:
-            exchange = complete(rt.llm, prompt, QueryMeta(id=rec.id, true_label=rec.label), task)
+            meta = QueryMeta(id=rec.id, primary=primaries.get(rec.id), true_label=rec.label)
+            exchange = complete(rt.llm, prompt, meta, task)
             answer = parse_response(exchange.response_text, task)
         except (LlmError, ParseError) as exc:
             answers.append(ParseError(str(exc)))

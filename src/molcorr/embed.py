@@ -10,13 +10,18 @@ string when shorter than n), hash each n-gram with FNV-1a 64, bucket by
 ``hash % dim``, add +1 when bit 63 of the hash is 0 else -1, then
 L2-normalize. Empty text maps to the all-zero vector.
 
-The recipe runs per text for one text (a Python loop, cheapest for one
-short query) and per block of 1,024 texts for two or more (every n-gram
-of a block at once in numpy uint64 arithmetic). The block path hashes n
-bytes from every gram's start in the block's concatenated, zero-padded
-bytes; a text shorter than n has read past its own end, so its one gram
-is hashed again over its own bytes alone. The bucket sums are small
-integers, so the two paths must and do agree bit for bit.
+``embed_text`` embeds one query as a float64 vector: the local recipe
+runs per text there (a Python loop, cheapest for one short query).
+``embed_texts`` embeds a pool into one ``(len(texts), dim)`` float32
+matrix, the knowledge database's storage type: the local recipe runs
+per block of 1,024 texts (every n-gram of a block at once in numpy
+uint64 arithmetic), and each float64 block is rounded into its rows of
+the matrix, so at most one block is held in float64. The block path
+hashes n bytes from every gram's start in the block's concatenated,
+zero-padded bytes; a text shorter than n has read past its own end, so
+its one gram is hashed again over its own bytes alone. The bucket sums
+are small integers, so the two paths must and do agree bit for bit in
+float64.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -144,12 +149,14 @@ def _local_hash_block(cfg: LocalHashConfig, texts: Sequence[str]) -> np.ndarray:
     # bincount returns int64 when the block holds no gram at all
     sums = np.bincount(slots, weights=signs, minlength=len(data) * cfg.dim)
     vecs = sums.astype(np.float64, copy=False).reshape(len(data), cfg.dim)
-    norms = np.sqrt((vecs * vecs).sum(axis=1))[:, None]
-    np.divide(vecs, norms, out=vecs, where=norms > 0.0)
+    # the sums of squares are small integers, so every order gives the same bits
+    norms = np.sqrt(np.einsum("ij,ij->i", vecs, vecs))
+    norms[norms == 0.0] = 1.0
+    vecs /= norms[:, None]
     return vecs
 
 
-def _remote_batch(cfg: RemoteHttpConfig, texts: Sequence[str]) -> List[np.ndarray]:
+def _remote_batch(cfg: RemoteHttpConfig, texts: Sequence[str]) -> np.ndarray:
     api_key = transport.resolve_api_key(cfg.key_env)
     body = {"model": cfg.model, "input": list(texts)}
     payload, _ = transport.post_json(cfg.endpoint, body, api_key=api_key)
@@ -165,45 +172,50 @@ def _remote_batch(cfg: RemoteHttpConfig, texts: Sequence[str]) -> List[np.ndarra
         raise EmbedError(f"embedding response has shape {matrix.shape} for {len(texts)} inputs")
     if not np.isfinite(matrix).all():
         raise EmbedError("embedding response holds a non-finite value")
-    return list(matrix)
+    return matrix
 
 
-def embed_texts(cfg: EmbedderConfig, texts: Sequence[str]) -> List[np.ndarray]:
-    """Embed a batch of strings, results aligned with the input order.
+def embed_texts(cfg: EmbedderConfig, texts: Sequence[str]) -> np.ndarray:
+    """Embed a batch of strings into one ``(len(texts), dim)`` float32
+    matrix, row i for text i; no texts give a ``(0, 0)`` matrix.
 
-    The remote backend splits the batch into chunks of
-    ``REMOTE_BATCH_TEXTS`` texts and posts them from
-    ``transport.MAX_IN_FLIGHT`` threads, the transport's cap on remote
-    requests in flight; results are reassembled in input order regardless
-    of completion order.
+    The local backend fills the matrix one ``LOCAL_BLOCK_TEXTS`` block at
+    a time, so only one block is ever held in float64. The remote backend
+    splits the batch into chunks of ``REMOTE_BATCH_TEXTS`` texts and posts
+    them from ``transport.MAX_IN_FLIGHT`` threads, the transport's cap on
+    remote requests in flight; every chunk must reply with the same dim,
+    and rows keep the input order regardless of completion order.
     """
+    if not texts:
+        return np.empty((0, 0), dtype=np.float32)
     if isinstance(cfg, LocalHashConfig):
-        if len(texts) == 1:
-            return [_local_hash_vector(cfg, texts[0])]
-        return [
-            row
-            for i in range(0, len(texts), LOCAL_BLOCK_TEXTS)
-            for row in _local_hash_block(cfg, texts[i : i + LOCAL_BLOCK_TEXTS])
-        ]
-    chunks = [
-        list(texts[i : i + REMOTE_BATCH_TEXTS])
-        for i in range(0, len(texts), REMOTE_BATCH_TEXTS)
-    ]
-    if not chunks:
-        return []
+        out = np.empty((len(texts), cfg.dim), dtype=np.float32)
+        for i in range(0, len(texts), LOCAL_BLOCK_TEXTS):
+            block = texts[i : i + LOCAL_BLOCK_TEXTS]
+            out[i : i + len(block)] = _local_hash_block(cfg, block)
+        return out
+    chunks = [texts[i : i + REMOTE_BATCH_TEXTS] for i in range(0, len(texts), REMOTE_BATCH_TEXTS)]
+
+    def fetch(chunk: Sequence[str]) -> np.ndarray:
+        return _remote_batch(cfg, chunk).astype(np.float32)
+
     if len(chunks) == 1:
-        return _remote_batch(cfg, chunks[0])
+        return fetch(chunks[0])
     with ThreadPoolExecutor(max_workers=transport.MAX_IN_FLIGHT) as pool:
-        results = list(pool.map(lambda c: _remote_batch(cfg, c), chunks))
-    out: List[np.ndarray] = []
-    for part in results:
-        out.extend(part)
-    return out
+        parts = list(pool.map(fetch, chunks))
+    dims = sorted({part.shape[1] for part in parts})
+    if len(dims) > 1:
+        raise EmbedError(f"mixed embedding dims in one batch: {dims}")
+    return np.concatenate(parts)
 
 
 def embed_text(cfg: EmbedderConfig, text: str) -> np.ndarray:
-    """Embed one string. Deterministic for the local backend."""
-    return embed_texts(cfg, [text])[0]
+    """Embed one string as a float64 vector, the query path. Deterministic
+    for the local backend, and equal to its ``embed_texts`` row before
+    that row's rounding to float32."""
+    if isinstance(cfg, LocalHashConfig):
+        return _local_hash_vector(cfg, text)
+    return _remote_batch(cfg, [text])[0]
 
 
 def compose_molecule_text(record: MoleculeRecord, include_description: bool) -> str:

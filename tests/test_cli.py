@@ -289,6 +289,39 @@ class TestPredict:
         assert code == EXIT_OK
 
 
+    @pytest.mark.parametrize("backend", ["echo", "noisy"])
+    def test_echo_and_noisy_answer_from_the_base_predictions(self, tmp_path, backend):
+        bundle, cfg = write_workspace(tmp_path, llm_backend=backend)
+        code = main(["predict", "--config", cfg, "--prompt", "ip", "--split", "test"])
+        assert code == EXIT_OK
+        rows = [
+            json.loads(line)
+            for line in (tmp_path / "out" / "predict_ip_test.jsonl").read_text().splitlines()
+        ]
+        base = make_predictions(bundle, Split.TEST, seed=5).entries
+        labels = {rec.id: rec.label for rec in bundle.split_records(Split.TEST)}
+        assert [row["id"] for row in rows] == list(labels)
+        for row in rows:
+            assert row["prediction"] in (pytest.approx(base[row["id"]]), labels[row["id"]])
+        if backend == "echo":
+            assert [row["prediction"] for row in rows] == pytest.approx(
+                [base[mol_id] for mol_id in labels]
+            )
+        result = json.loads((tmp_path / "out" / "predict_ip_test.json").read_text())
+        assert result["failures"] == 0
+        assert result["metric"]["n"] == len(rows)
+
+    @pytest.mark.parametrize("backend", ["echo", "noisy"])
+    def test_echo_and_noisy_need_split_predictions(self, tmp_path, capsys, backend):
+        _, cfg = write_workspace(tmp_path, llm_backend=backend)
+        code = main(["predict", "--config", cfg, "--prompt", "ip", "--split", "train"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"the {backend} backend" in err
+        assert "train_predictions" in err
+        assert not (tmp_path / "out" / "predict_ip_train.jsonl").exists()
+
+
 class TestAblate:
     def test_k_sweep_writes_reports(self, tmp_path):
         _, cfg = write_workspace(tmp_path)

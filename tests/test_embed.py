@@ -126,22 +126,32 @@ def test_block_path_matches_oracle(shape, drawn, size, rnd):
     pool = drawn + EDGE_TEXTS
     texts = [rnd.choice(pool) for _ in range(size)]
     want = {text: oracle_vector(text, dim, ngram) for text in set(texts)}
-    got = embed_texts(LocalHashConfig(dim=dim, ngram=ngram), texts)
-    assert len(got) == size
-    for text, vec in zip(texts, got):
-        assert vec.dtype == np.float64
-        assert vec.tolist() == want[text]
+    cfg = LocalHashConfig(dim=dim, ngram=ngram)
+    # the float64 rows of each block, before the matrix rounds them
+    block = embed.LOCAL_BLOCK_TEXTS
+    exact = np.concatenate(
+        [embed._local_hash_block(cfg, texts[i : i + block]) for i in range(0, size, block)]
+    )
+    assert exact.dtype == np.float64
+    got = embed_texts(cfg, texts)
+    assert got.dtype == np.float32
+    assert got.shape == (size, dim)
+    for text, row, vec in zip(texts, exact, got):
+        assert row.tolist() == want[text]
+        assert vec.tolist() == np.asarray(want[text], np.float32).tolist()
 
 
 def test_block_path_empty_inputs():
     cfg = LocalHashConfig(dim=37, ngram=5)
+    exact = embed._local_hash_block(cfg, ["", "", ""])
+    assert exact.dtype == np.float64
+    assert exact.shape == (3, 37)
+    assert not exact.any()
     vecs = embed_texts(cfg, ["", "", ""])
-    assert len(vecs) == 3
-    for vec in vecs:
-        assert vec.dtype == np.float64
-        assert vec.shape == (37,)
-        assert not vec.any()
-    assert embed_texts(cfg, []) == []
+    assert vecs.dtype == np.float32
+    assert vecs.shape == (3, 37)
+    assert not vecs.any()
+    assert embed_texts(cfg, []).shape == (0, 0)
 
 
 class TestCosine:
@@ -275,9 +285,25 @@ class TestRemoteBackend:
         remote = RemoteHttpConfig(endpoint=stub_embed_server, model="stub")
         texts = [f"CC{i}O" for i in range(11)]
         got = embed_texts(remote, texts)
-        assert len(got) == 11
+        assert got.dtype == np.float32
+        assert got.shape == (11, 32)
         for text, vec in zip(texts, got):
-            assert vec.tolist() == oracle_vector(text, 32, 3)
+            assert vec.tolist() == np.asarray(oracle_vector(text, 32, 3), np.float32).tolist()
+        # the query path keeps the reply's float64 values
+        assert embed_text(remote, texts[3]).tolist() == oracle_vector(texts[3], 32, 3)
+
+    def test_mixed_dims_across_chunks(self, monkeypatch):
+        import molcorr.transport as transport
+
+        def post_json(url, body, api_key=None):
+            dim = 5 if "C2O" in body["input"] else 8
+            return {"data": [{"embedding": [0.5] * dim} for _ in body["input"]]}, 1
+
+        monkeypatch.setattr(transport, "post_json", post_json)
+        monkeypatch.setattr(embed, "REMOTE_BATCH_TEXTS", 2)
+        remote = RemoteHttpConfig(endpoint="http://127.0.0.1:9/v1/embeddings", model="stub")
+        with pytest.raises(EmbedError, match=r"mixed embedding dims in one batch: \[5, 8\]"):
+            embed_texts(remote, [f"C{i}O" for i in range(5)])
 
     def test_retries_recover_from_5xx(self, stub_embed_server, monkeypatch):
         import molcorr.transport as transport

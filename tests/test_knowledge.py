@@ -61,9 +61,11 @@ def oracle_rank(db, query_vec, exclude_id=None):
     """Full-sort ranking oracle: similarity desc, id asc on ties."""
     matrix = np.stack([e.embedding for e in db.entries]).astype(np.float64)
     qn = np.linalg.norm(np.asarray(query_vec, dtype=np.float64))
-    sims = (matrix @ np.asarray(query_vec, dtype=np.float64)) / (
-        np.linalg.norm(matrix, axis=1) * qn
-    )
+    norms = np.linalg.norm(matrix, axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        sims = (matrix @ np.asarray(query_vec, dtype=np.float64)) / (norms * qn)
+    # a zero row or a zero query scores 0, as in cosine_similarity
+    sims = np.where((norms == 0.0) | (qn == 0.0), 0.0, sims)
     scored = [
         (float(sims[i]), e.id)
         for i, e in enumerate(db.entries)
@@ -460,13 +462,6 @@ class TestStore:
             ctx = retrieve(store, embed_text(EMB, "CCO"), k=3)
             assert all(np.shares_memory(e.embedding, store.embeddings) for e in ctx.items)
 
-    def test_ragged_embedder_reply(self, monkeypatch):
-        bundle = make_bundle(REGRESSION, n_train=3, n_valid=1, n_test=0)
-        val_preds = make_predictions(bundle, Split.VALID)
-        ragged = [np.zeros(8), np.zeros(8), np.zeros(5), np.zeros(8)]
-        monkeypatch.setattr(knowledge, "embed_texts", lambda cfg, texts: ragged)
-        with pytest.raises(KnowledgeError, match=r"mixed embedding dims in database: \[5, 8\]"):
-            build_database(bundle, val_preds, EMB)
 
 
 # ---------------------------------------------------------------------------
@@ -620,20 +615,141 @@ BLOCK = knowledge._NORM_BLOCK_ROWS
 @settings(max_examples=40, deadline=None)
 def test_norms_are_bit_identical_to_linalg_norm(count, dim, seed, zero_rows):
     db = _matrix_db(count, dim, seed, zero_rows)
-    assert db._norms.tobytes() == np.linalg.norm(db._matrix, axis=1).tobytes()
+    want = np.linalg.norm(db.embeddings.astype(np.float64), axis=1)
+    assert db._norms.tobytes() == want.tobytes()
 
 
-def test_first_query_holds_one_float64_copy():
-    # the first query makes the float64 similarity cache and its norms;
-    # a whole-pool x * x temporary beside it would double the peak
-    count, dim = 4000, 256
+@pytest.mark.parametrize("strategy", [TopK(), Jump()], ids=["topk", "jump"])
+def test_first_query_holds_no_whole_pool_float64_copy(strategy):
+    # the first query computes the row norms, and top-k its approximate
+    # scores; the float64 rows exist only one block at a time, so the
+    # peak stays far below one float64 copy of the pool
+    count, dim = 16000, 256
     db = _matrix_db(count, dim, seed=7, zero_rows=0.0)
     query = np.random.default_rng(8).standard_normal(dim)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        retrieve(db, query, k=10)
+        retrieve(db, query, k=10, strategy=strategy)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - before <= 1.5 * count * dim * 8
+    assert peak - before <= 0.5 * count * dim * 8
+
+
+# ---------------------------------------------------------------------------
+# block scoring and the top-k prefilter
+
+GROUP = knowledge._GROUP_ROWS
+CALL = knowledge._CALL_ROWS
+
+
+@given(
+    count=st.one_of(
+        st.sampled_from([1, 2, 3, 5, GROUP + 1, CALL, CALL + 1, CALL + 2, 2 * CALL + 5]),
+        st.integers(1, 1200),
+    ),
+    dim=st.one_of(st.sampled_from([1, 7, 31, 33, 255, 257]), st.integers(1, 300)),
+    rows=st.sampled_from([GROUP, 16, 64, CALL, 256]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(count=22000, dim=256, rows=CALL, seed=11)
+@example(count=CALL + 1, dim=256, rows=GROUP, seed=1)
+@example(count=3 * CALL + 1, dim=300, rows=GROUP, seed=2)
+@settings(max_examples=60, deadline=None)
+def test_block_gemv_equals_whole_pool_gemv(count, dim, rows, seed):
+    # exact scoring multiplies stacks of aligned row groups; each row must
+    # get the bits one GEMV over the whole pool gives it, or ranks would
+    # move. This holds where BLAS runs the whole-pool GEMV in one thread
+    # or splits it at a multiple of its row unroll; elsewhere it must fail
+    rng = np.random.default_rng(seed)
+    db = _matrix_db(count, dim, seed, zero_rows=0.1)
+    q = rng.standard_normal(dim)
+    matrix = db.embeddings.astype(np.float64)
+    whole = matrix @ q
+    # aligned blocks at random starts; the last block runs to the end of
+    # the pool, so it is never a lone row unless the pool is one row
+    last = max(count - 2, 0) // rows * rows
+    for start in set(rng.integers(0, count, size=6).tolist()) | {0, count - 1}:
+        lo = min(start - start % rows, last)
+        hi = count if lo == last else lo + rows
+        part = np.matmul(matrix[lo:hi], q)
+        assert part.tobytes() == whole[lo:hi].tobytes(), (lo, hi)
+    # the program's stacked groups, for random row sets and for every row
+    qn = float(np.linalg.norm(q))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        sims = whole / (db._norms * qn)
+    sims = np.where(db._norms == 0.0, 0.0, sims)
+    for picked in (
+        np.array([count - 1]),
+        np.unique(rng.integers(0, count, size=2)),
+        np.unique(rng.integers(0, count, size=10)),
+        np.arange(count),
+    ):
+        got = knowledge._exact_scores(db, q, qn, picked)
+        assert got.tobytes() == sims[picked].tobytes(), picked
+    # the whole-pool pass of jump and random
+    calls = [knowledge._dots(db, q, slice(lo, hi)) for lo, hi in knowledge._calls(count)]
+    assert np.concatenate(calls).tobytes() == whole.tobytes()
+
+
+def _tied_db(count, dim, distinct, zero_rows, seed, spread=1.0):
+    """A pool of ``count`` rows drawn from ``distinct`` vectors, some rows
+    zero, with ids in an order unrelated to row order. A small ``spread``
+    makes the vectors near-duplicates of one another, so their cosines
+    differ by about what float32 scoring gets wrong."""
+    rng = np.random.default_rng(seed)
+    vectors = rng.standard_normal(dim) + spread * rng.standard_normal((distinct, dim))
+    vectors = vectors.astype(np.float32)
+    matrix = vectors[rng.integers(0, distinct, size=count)]
+    matrix[rng.random(count) < zero_rows] = 0.0
+    ids = rng.permutation(count)
+    rows = tuple(check_entry(f"t{i:05d}", "C", None, 0.0, None, Split.TRAIN) for i in ids)
+    return KnowledgeDatabase(REGRESSION, "fp", rows, matrix), vectors
+
+
+@given(
+    count=st.integers(2, 400),
+    dim=st.sampled_from([3, 8, 33, 256]),
+    distinct=st.one_of(st.integers(1, 6), st.integers(7, 80)),
+    spread=st.sampled_from([1.0, 1e-5, 1e-6]),
+    zero_rows=st.sampled_from([0.0, 0.3, 1.0]),
+    k_from_end=st.integers(-3, 40),
+    query=st.sampled_from(["row", "noisy row", "random", "zero"]),
+    exclude=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=120, deadline=None)
+def test_prefiltered_topk_matches_oracle(
+    count, dim, distinct, spread, zero_rows, k_from_end, query, exclude, seed
+):
+    # rows tie exactly or nearly, so the k-th score usually sits inside a
+    # tie or among cosines that float32 scoring orders wrongly
+    db, vectors = _tied_db(count, dim, distinct, zero_rows, seed, spread)
+    rng = np.random.default_rng(seed + 1)
+    q = {
+        "row": vectors[0].astype(np.float64),
+        "noisy row": vectors[0] + 1e-6 * rng.standard_normal(dim),
+        "random": rng.standard_normal(dim),
+        "zero": np.zeros(dim),
+    }[query]
+    exclude_id = db.rows[seed % count][0] if exclude else None
+    n = count - exclude
+    # a draw below 4 puts k within 3 of the pool size n; k >= n returns it all
+    k = max(1, n - k_from_end) if k_from_end < 4 else min(k_from_end, n)
+    ctx = retrieve(db, q, k, TopK(), exclude_id=exclude_id)
+    assert list(ctx.ids) == oracle_topk(db, q, k, exclude_id)
+
+
+def test_prefilter_rescores_few_rows(monkeypatch):
+    # on a spread-out pool the candidates are a few rows, not the pool
+    db, _ = _tied_db(4096, 64, distinct=4096, zero_rows=0.0, seed=3)
+    q = np.random.default_rng(4).standard_normal(64)
+    scored = []
+    exact_scores = knowledge._exact_scores
+    monkeypatch.setattr(
+        knowledge, "_exact_scores", lambda *args: scored.append(args[3]) or exact_scores(*args)
+    )
+    ctx = retrieve(db, q, k=5)
+    assert list(ctx.ids) == oracle_topk(db, q, 5)
+    assert len(scored) == 1 and 5 <= len(scored[0]) <= 20

@@ -19,9 +19,10 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from . import correct as correct_mod
 from . import evaluate as evaluate_mod
@@ -54,13 +55,11 @@ from .llmclient import (
     MockNoisyOracle,
     MockPerfectOracle,
     MockScripted,
-    QueryMeta,
     RemoteChatConfig,
     backend_name,
-    complete,
 )
-from .parse import ParseError, consistency_rate, parse_response
-from .prompt import MissingDescription, PromptError, PromptKind, build_predictor_prompt
+from .parse import consistency_rate
+from .prompt import PromptError, PromptKind, build_predictor_prompt
 
 EXIT_OK = 0
 EXIT_PARTIAL = 1
@@ -221,6 +220,21 @@ def _output_dir(rt: Runtime) -> Path:
     return out_dir
 
 
+@contextmanager
+def _audit_log(rt: Runtime, out_dir: Path, stem: str) -> Iterator[Optional[AuditLog]]:
+    """An emptied ``audit_<stem>.jsonl`` log, closed on exit, when ``audit_log`` is set."""
+    if not rt.config.get("audit_log"):
+        yield None
+        return
+    path = out_dir / f"audit_{stem}.jsonl"
+    path.write_text("", encoding="utf-8")
+    audit = AuditLog(path)
+    try:
+        yield audit
+    finally:
+        audit.close()
+
+
 def cmd_build_db(rt: Runtime) -> int:
     db_dir = Path(rt.config["database_dir"])
     bundle = load_molecules(rt.config["dataset"], rt.task)
@@ -242,32 +256,22 @@ def cmd_build_db(rt: Runtime) -> int:
 
 def cmd_correct(rt: Runtime, split: Split) -> int:
     bundle = load_molecules(rt.config["dataset"], rt.task)
-    if not bundle.split_records(split):
+    records = bundle.split_records(split)
+    if not records:
         raise ConfigError(f"split {split.value} is empty")
     preds = load_predictions(rt.config[f"{split.value}_predictions"], bundle, split)
     db = load_database(rt.config["database_dir"])
     out_dir = _output_dir(rt)
-    audit = None
-    if rt.config.get("audit_log"):
-        audit_path = out_dir / f"audit_{split.value}.jsonl"
-        audit_path.write_text("", encoding="utf-8")
-        audit = AuditLog(audit_path)
-    try:
+    with _audit_log(rt, out_dir, split.value) as audit:
         outcomes = correct_mod.correct_split(
             split, bundle, preds, db, rt.run, rt.embedder, rt.llm, audit=audit
         )
-    finally:
-        if audit is not None:
-            audit.close()
     correct_mod.write_outcomes(outcomes, out_dir / f"outcomes_{split.value}.jsonl")
     summary = correct_mod.run_summary(outcomes, rt.run, rt.embedder, rt.llm)
     (out_dir / f"summary_{split.value}.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    labeled = all(
-        rec.label is not None for rec in bundle.records if rec.split is split
-    )
-    if labeled:
+    if all(rec.label is not None for rec in records):
         report = evaluate_mod.evaluate_run(bundle, split, outcomes, rt.run, rt.embedder, rt.llm)
         (out_dir / f"report_{split.value}.json").write_text(
             report.to_json() + "\n", encoding="utf-8"
@@ -284,17 +288,9 @@ def cmd_correct(rt: Runtime, split: Split) -> int:
 
 def cmd_predict(rt: Runtime, kind: PromptKind, split: Split, shots: int) -> int:
     bundle = load_molecules(rt.config["dataset"], rt.task)
-    task = bundle.task
     records = bundle.split_records(split)
     if not records:
         raise ConfigError(f"split {split.value} is empty")
-    if kind in (PromptKind.IPD, PromptKind.IED):
-        missing = [r.id for r in records if not r.description]
-        if missing:
-            raise MissingDescription(
-                f"{kind.value} prompts need descriptions; {len(missing)} record(s) "
-                f"lack one, e.g. {missing[:3]}"
-            )
     examples = None
     if kind is PromptKind.FEW_SHOT:
         train = bundle.split_records(Split.TRAIN)
@@ -308,50 +304,42 @@ def cmd_predict(rt: Runtime, kind: PromptKind, split: Split, shots: int) -> int:
         key = f"{split.value}_predictions"
         if key not in rt.config:
             raise ConfigError(
-                f"the {backend_name(rt.llm)} backend answers from the base model's "
-                f"predictions; set {key} to predict on the {split.value} split"
+                f"the {backend_name(rt.llm)} backend answers from the base model's predictions; "
+                + (f"there is no {key}: base predictions exist only for the valid and test splits"
+                   if split is Split.TRAIN else f"set {key} to predict on the {split.value} split")
             )
         primaries = load_predictions(rt.config[key], bundle, split).entries
+    # every prompt is rendered before the first request, so a prompt fault sends nothing
+    queries = [
+        (rec, build_predictor_prompt(kind, rec, rt.task, examples, shots if examples else None))
+        for rec in records
+    ]
     out_dir = _output_dir(rt)
-
-    rows = []
-    answers = []
-    failures = 0
-    for rec in records:
-        prompt = build_predictor_prompt(kind, rec, task, examples=examples, shots=shots if examples else None)
-        try:
-            meta = QueryMeta(id=rec.id, primary=primaries.get(rec.id), true_label=rec.label)
-            exchange = complete(rt.llm, prompt, meta, task)
-            answer = parse_response(exchange.response_text, task)
-        except (LlmError, ParseError) as exc:
-            answers.append(ParseError(str(exc)))
-            rows.append({"id": rec.id, "prediction": None, "strict": False})
-            failures += 1
-            continue
-        answers.append(answer)
-        value, _ = correct_mod.final_value(task, answer)
-        rows.append({"id": rec.id, "prediction": value, "strict": answer.strict})
-
     stem = f"predict_{kind.value}{shots if kind is PromptKind.FEW_SHOT else ''}_{split.value}"
+    with _audit_log(rt, out_dir, stem) as audit:
+        answers = correct_mod.run_queries(
+            lambda rec, prompt: correct_mod.ask(
+                rt.llm, prompt, rec, primaries.get(rec.id), rt.task, audit,
+                "query %s: backend error, no prediction (%s)",
+            ),
+            queries, rt.run.jobs, audit,
+        )
+    values = [None if a is None else correct_mod.final_value(rt.task, a)[0] for a in answers]
     with (out_dir / f"{stem}.jsonl").open("w", encoding="utf-8") as fh:
-        for row in rows:
+        for rec, answer, value in zip(records, answers, values):
+            row = {"id": rec.id, "prediction": value, "strict": bool(answer and answer.strict)}
             fh.write(json.dumps(row, separators=(",", ":")) + "\n")
-    stats = consistency_rate(answers)
+    failures = values.count(None)
     result = {
         "prompt": kind.value,
         "split": split.value,
         "queries": len(records),
         "failures": failures,
-        "consistency": {"total": stats.total, "strict": stats.strict, "rate": stats.rate},
+        "consistency": consistency_rate(answers).to_dict(),
     }
-    labeled = all(rec.label is not None for rec in records)
-    if labeled and failures < len(records):
-        scored = [
-            (row["prediction"], rec.label)
-            for row, rec in zip(rows, records)
-            if row["prediction"] is not None
-        ]
-        metric = evaluate_mod.score(task, [s for s, _ in scored], [t for _, t in scored])
+    if failures < len(records) and all(rec.label is not None for rec in records):
+        scored = [(v, rec.label) for v, rec in zip(values, records) if v is not None]
+        metric = evaluate_mod.score(rt.task, [v for v, _ in scored], [t for _, t in scored])
         result["metric"] = {"name": metric.metric.value, "value": metric.value, "n": metric.n}
         print(f"{kind.value} on {split.value}: {metric.metric.value} = {metric.value:.4f}")
     else:

@@ -13,6 +13,9 @@ response overrides the initial proposal; a query whose response cannot be
 parsed (or whose backend call fails outright) falls back to the base
 model's prediction, so every query always yields a final value.
 
+Every LLM call goes through ``ask`` and every split through ``run_queries``;
+``molcorr predict`` sends its direct prompts through the same two.
+
 Nothing depends on worker count or call order: the noisy mock's coin
 flip derives from (its seed, query id), and the random strategy's draw
 from the run seed and the pool size alone, so every query of a split
@@ -26,14 +29,15 @@ import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .embed import EmbedderConfig, embed_molecule, embedder_fingerprint
 from .ingest import DatasetBundle, MoleculeRecord, PredictionSet, Split, TaskSpec
 from .knowledge import KnowledgeDatabase, RetrievalStrategy, TopK, retrieve, strategy_name
 from .llmclient import AuditLog, LlmBackendConfig, LlmError, QueryMeta, backend_name, complete
 from .parse import ParseError, ParsedAnswer, consistency_rate, parse_response
-from .prompt import DEFAULT_TOKEN_BUDGET, build_corrector_prompt, build_self_correction_prompt
+from .prompt import (DEFAULT_TOKEN_BUDGET, PromptBundle, build_corrector_prompt,
+                     build_self_correction_prompt)
 
 logger = logging.getLogger(__name__)
 
@@ -117,6 +121,45 @@ def check_fingerprint(
         )
 
 
+def ask(
+    llm: LlmBackendConfig, prompt: PromptBundle, record: MoleculeRecord,
+    primary: Optional[float], task: TaskSpec, audit: Optional[AuditLog],
+    backend_warning: str = "query %s: backend error, falling back (%s)",
+) -> Optional[ParsedAnswer]:
+    """Send one prompt about ``record``, log the exchange and parse the
+    reply; None when the backend fails (logged as ``backend_warning`` with
+    the query id and the error) or the reply does not parse."""
+    meta = QueryMeta(id=record.id, primary=primary, true_label=record.label)
+    try:
+        exchange = complete(llm, prompt, meta, task)
+    except LlmError as exc:
+        logger.warning(backend_warning, record.id, exc)
+        return None
+    if audit is not None:
+        audit.append(record.id, exchange)
+    try:
+        return parse_response(exchange.response_text, task)
+    except ParseError:
+        return None
+
+
+def run_queries(
+    step: Callable, queries: Sequence[Tuple[MoleculeRecord, object]], jobs: int,
+    audit: Optional[AuditLog],
+) -> List:
+    """``step(record, value)`` for each ``(record, value)`` query, in query
+    order, on up to ``jobs`` workers; then the audit log is rewritten in
+    query order, so neither results nor log depend on the worker count."""
+    if jobs <= 1 or len(queries) <= 1:
+        results = [step(rec, value) for rec, value in queries]
+    else:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(step, *zip(*queries)))
+    if audit is not None:
+        audit.reorder([rec.id for rec, _ in queries])
+    return results
+
+
 def correct_one(
     record: MoleculeRecord,
     primary: float,
@@ -132,25 +175,7 @@ def correct_one(
     exclude = record.id if record.split is Split.VALID else None
     ctx = retrieve(db, query_vec, cfg.k, cfg.strategy, exclude_id=exclude)
     prompt = build_corrector_prompt(record, primary, ctx, task, cfg.token_budget)
-    meta = QueryMeta(id=record.id, primary=primary, true_label=record.label)
-
-    def ask(bundle, backend_warning: str) -> Optional[ParsedAnswer]:
-        """Send one prompt, log the exchange and parse the reply; None when
-        the backend fails (logged as ``backend_warning``) or the reply does
-        not parse."""
-        try:
-            exchange = complete(llm, bundle, meta, task)
-        except LlmError as exc:
-            logger.warning(backend_warning, record.id, exc)
-            return None
-        if audit is not None:
-            audit.append(record.id, exchange)
-        try:
-            return parse_response(exchange.response_text, task)
-        except ParseError:
-            return None
-
-    initial = ask(prompt, "query %s: backend error, falling back (%s)")
+    initial = ask(llm, prompt, record, primary, task, audit)
     invoked = (
         initial is not None
         and cfg.self_correction
@@ -161,7 +186,8 @@ def correct_one(
         sc_prompt = build_self_correction_prompt(
             record, primary, initial.prediction, task, prior_explanation=initial.explanation
         )
-        answer = ask(sc_prompt, "query %s: self-correction backend error (%s)") or initial
+        answer = ask(llm, sc_prompt, record, primary, task, audit,
+                     "query %s: self-correction backend error (%s)") or initial
     final, source = (primary, None) if answer is None else final_value(task, answer)
     return CorrectionOutcome(
         id=record.id,
@@ -185,13 +211,10 @@ def correct_split(
     llm: LlmBackendConfig,
     audit: Optional[AuditLog] = None,
 ) -> List[CorrectionOutcome]:
-    """Correct every molecule of a split, outcomes in dataset order.
-
-    The leakage guard applies only to validation queries. ``cfg.jobs``
-    workers may process queries concurrently; ordering and results do
-    not depend on the worker count, and once the split is done the audit
-    log is rewritten in dataset order. A database built for another task
-    or embedder raises CorrectionError.
+    """Correct every molecule of a split through ``run_queries``, outcomes
+    in dataset order. The leakage guard applies only to validation
+    queries. A database built for another task or embedder raises
+    CorrectionError.
     """
     if db.task != bundle.task:
         raise CorrectionError(
@@ -199,24 +222,11 @@ def correct_split(
             f"configured task {bundle.task.kind.value!r}"
         )
     check_fingerprint(db.fingerprint, embedder, cfg.include_description)
-    queries = [
-        (rec, predictions.entries[rec.id])
-        for rec in bundle.records
-        if rec.split is split
-    ]
-
-    def run(pair) -> CorrectionOutcome:
-        rec, primary = pair
-        return correct_one(rec, primary, db, cfg, embedder, llm, audit=audit)
-
-    if cfg.jobs <= 1 or len(queries) <= 1:
-        outcomes = [run(q) for q in queries]
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            outcomes = list(pool.map(run, queries))
-    if audit is not None:
-        audit.reorder([rec.id for rec, _ in queries])
-    return outcomes
+    queries = [(rec, predictions.entries[rec.id]) for rec in bundle.split_records(split)]
+    return run_queries(
+        lambda rec, primary: correct_one(rec, primary, db, cfg, embedder, llm, audit=audit),
+        queries, cfg.jobs, audit,
+    )
 
 
 def run_summary(
@@ -226,15 +236,10 @@ def run_summary(
     llm: LlmBackendConfig,
 ) -> Dict:
     """Aggregate stats for a corrected split, plus a config echo."""
-    answers: List = [
-        o.initial if o.initial is not None else ParseError("fallback")
-        for o in outcomes
-    ]
-    stats = consistency_rate(answers)
     return {
         "config": config_echo(cfg, embedder, llm),
         "queries": len(outcomes),
-        "consistency": {"total": stats.total, "strict": stats.strict, "rate": stats.rate},
+        "consistency": consistency_rate([o.initial for o in outcomes]).to_dict(),
         "self_corrections": sum(1 for o in outcomes if o.self_correction_invoked),
         "fallbacks": sum(1 for o in outcomes if o.fallback_used),
         "final_from_probability": sum(1 for o in outcomes if o.final_source == "probability"),

@@ -197,7 +197,10 @@ def embed_texts(cfg: EmbedderConfig, texts: Sequence[str]) -> np.ndarray:
     chunks = [texts[i : i + REMOTE_BATCH_TEXTS] for i in range(0, len(texts), REMOTE_BATCH_TEXTS)]
 
     def fetch(chunk: Sequence[str]) -> np.ndarray:
-        return _remote_batch(cfg, chunk).astype(np.float32)
+        matrix = _remote_batch(cfg, chunk)
+        if np.abs(matrix).max() > np.finfo(np.float32).max:  # checked before the cast overflows
+            raise EmbedError("embedding response holds a value beyond float32's range")
+        return matrix.astype(np.float32)
 
     if len(chunks) == 1:
         return fetch(chunks[0])

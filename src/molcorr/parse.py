@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Dict, Optional, Sequence, Union
 
 from .ingest import TaskSpec
 from .prompt import format_prediction, format_value
@@ -55,6 +55,9 @@ class ConsistencyStats:
     @property
     def rate(self) -> float:
         return self.strict / self.total if self.total else 0.0
+
+    def to_dict(self) -> Dict[str, float]:
+        return {"total": self.total, "strict": self.strict, "rate": self.rate}
 
 
 _MARKDOWN_PREFIX = re.compile(r"^[\s*#\-]+")
@@ -152,9 +155,9 @@ def parse_response(text: str, task: TaskSpec) -> ParsedAnswer:
 
 
 def consistency_rate(
-    answers: Sequence[Union[ParsedAnswer, ParseError]]
+    answers: Sequence[Union[ParsedAnswer, ParseError, None]]
 ) -> ConsistencyStats:
-    """Fraction of answers that parsed strictly; errors count in total."""
+    """Fraction of answers that parsed strictly; errors and Nones count in total."""
     strict = sum(
         1 for a in answers if isinstance(a, ParsedAnswer) and a.strict
     )

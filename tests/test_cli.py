@@ -1,4 +1,5 @@
 import json
+import threading
 from pathlib import Path
 
 import pytest
@@ -53,6 +54,19 @@ class TestBuildDb:
         (tmp_path / "valid.jsonl").unlink()
         assert main(["build-db", "--config", cfg]) == EXIT_CONFIG
         assert "valid.jsonl" in capsys.readouterr().err
+
+    def test_remote_embedding_beyond_float32_exits_2(self, tmp_path, capsys, monkeypatch):
+        def post_json(url, body, api_key=None):
+            return {"data": [{"embedding": [1e39, 1.0, 2.0]} for _ in body["input"]]}, 1
+
+        monkeypatch.setattr(transport, "post_json", post_json)
+        _, cfg = write_workspace(
+            tmp_path, embedder_backend="remote",
+            embedder_endpoint="http://127.0.0.1:9/v1/embeddings", embedder_model="stub",
+        )
+        assert main(["build-db", "--config", cfg]) == EXIT_CONFIG
+        assert "beyond float32's range" in capsys.readouterr().err
+        assert not (tmp_path / "db" / "metadata.jsonl").exists()
 
     def test_fingerprint_mismatch_with_existing_db(self, tmp_path, capsys):
         _, cfg = write_workspace(tmp_path)
@@ -320,6 +334,73 @@ class TestPredict:
         assert f"the {backend} backend" in err
         assert "train_predictions" in err
         assert not (tmp_path / "out" / "predict_ip_train.jsonl").exists()
+
+
+    def test_train_split_advice_names_no_config_key(self, tmp_path, capsys):
+        _, cfg = write_workspace(tmp_path, llm_backend="echo")
+        assert main(["predict", "--config", cfg, "--prompt", "ip", "--split", "train"]) == 2
+        err = capsys.readouterr().err
+        assert "set train_predictions" not in err
+        assert "only for the valid and test splits" in err
+
+    def test_jobs_sends_requests_concurrently(self, tmp_path, monkeypatch):
+        # each request waits for a second one, so only overlapping queries finish
+        barrier = threading.Barrier(2, timeout=10)
+
+        def post_json(url, body, api_key=None):
+            barrier.wait()
+            return {"choices": [{"message": {"content": "Prediction: 0.5000"}}]}, 1
+
+        monkeypatch.setattr(transport, "post_json", post_json)
+        _, cfg = write_workspace(
+            tmp_path, llm_backend="remote", llm_endpoint="http://127.0.0.1:9/v1/chat",
+            llm_model="stub",
+        )
+        code = main(["predict", "--config", cfg, "--prompt", "ip", "--split", "test", "--jobs", "3"])
+        assert code == EXIT_OK
+        rows = (tmp_path / "out" / "predict_ip_test.jsonl").read_text().splitlines()
+        assert [json.loads(row)["prediction"] for row in rows] == [0.5] * 8
+
+    def test_audit_log_in_dataset_order_at_any_jobs(self, tmp_path):
+        bundle, cfg = write_workspace(tmp_path, llm_backend="noisy", audit_log="true")
+        audits, files = [], []
+        for jobs in ("1", "3"):
+            code = main(["predict", "--config", cfg, "--prompt", "ip", "--split", "test",
+                         "--jobs", jobs])
+            assert code == EXIT_OK
+            lines = (tmp_path / "out" / "audit_predict_ip_test.jsonl").read_text().splitlines()
+            rows = [json.loads(line) for line in lines]
+            for row in rows:
+                del row["latency_ms"]
+            audits.append(rows)
+            files.append([(tmp_path / "out" / f"predict_ip_test{ext}").read_bytes()
+                          for ext in (".jsonl", ".json")])
+        assert [row["id"] for row in audits[0]] == [
+            rec.id for rec in bundle.split_records(Split.TEST)
+        ]
+        assert {row["kind"] for row in audits[0]} == {"ip"}
+        assert audits[0] == audits[1]
+        assert files[0] == files[1]
+
+    def test_missing_scripted_reply_is_a_failure_row(self, tmp_path, capsys, caplog):
+        bundle = make_bundle(REGRESSION, n_train=20, n_valid=8, n_test=8, seed=3)
+        test_ids = [rec.id for rec in bundle.split_records(Split.TEST)]
+        scripted = tmp_path / "scripted.json"
+        scripted.write_text(json.dumps({i: "Prediction: 0.5000" for i in test_ids[1:]}))
+        _, cfg = write_workspace(tmp_path, llm_backend="scripted", scripted_responses=scripted)
+        with caplog.at_level("WARNING", logger="molcorr.correct"):
+            code = main(["predict", "--config", cfg, "--prompt", "ip", "--split", "test",
+                         "--jobs", "3"])
+        assert code == 1
+        assert [r.getMessage() for r in caplog.records] == [
+            f"query {test_ids[0]}: backend error, no prediction "
+            f"(no scripted response for {test_ids[0]!r})"
+        ]
+        rows = (tmp_path / "out" / "predict_ip_test.jsonl").read_text().splitlines()
+        assert json.loads(rows[0]) == {"id": test_ids[0], "prediction": None, "strict": False}
+        result = json.loads((tmp_path / "out" / "predict_ip_test.json").read_text())
+        assert result["failures"] == 1
+        assert result["metric"]["n"] == 7
 
 
 class TestAblate:

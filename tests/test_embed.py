@@ -1,6 +1,7 @@
 import json
 import math
 import threading
+import warnings
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -304,6 +305,20 @@ class TestRemoteBackend:
         remote = RemoteHttpConfig(endpoint="http://127.0.0.1:9/v1/embeddings", model="stub")
         with pytest.raises(EmbedError, match=r"mixed embedding dims in one batch: \[5, 8\]"):
             embed_texts(remote, [f"C{i}O" for i in range(5)])
+
+    @pytest.mark.parametrize("value", [1e39, -1e39])
+    def test_value_beyond_float32_is_embed_error(self, monkeypatch, value):
+        import molcorr.transport as transport
+
+        payload = {"data": [{"embedding": [value, 1.0, 2.0]}]}
+        monkeypatch.setattr(transport, "post_json", lambda *args, **kwargs: (payload, 1))
+        remote = RemoteHttpConfig(endpoint="http://127.0.0.1:9/v1/embeddings", model="stub")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # rejected before the cast, so no overflow warning
+            with pytest.raises(EmbedError, match="beyond float32's range"):
+                embed_texts(remote, ["CCO"])
+            # the float64 query path keeps the value as it is
+            assert embed_text(remote, "CCO").tolist() == [value, 1.0, 2.0]
 
     def test_retries_recover_from_5xx(self, stub_embed_server, monkeypatch):
         import molcorr.transport as transport

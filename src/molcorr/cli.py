@@ -20,7 +20,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -102,8 +102,7 @@ _KEYS: Dict[str, Callable[[str], object]] = {
     **dict.fromkeys(("self_correction", "include_description", "audit_log"), _flag),
 }
 
-_RUN_KEYS = ("k", "self_correction", "regression_trigger_fraction", "token_budget", "seed",
-             "include_description", "jobs")
+_RUN_KEYS = tuple(f.name for f in fields(correct_mod.RunConfig) if f.name != "strategy")
 
 
 class Config(dict):
@@ -185,7 +184,7 @@ def _llm(config: Config) -> LlmBackendConfig:
         text = Path(config["scripted_responses"]).read_text(encoding="utf-8")
         try:
             return MockScripted(responses=json.loads(text))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, LlmError) as exc:
             raise ConfigError(f"config key 'scripted_responses': {exc}") from None
     if name == "remote":
         if not config.get("llm_endpoint") or not config.get("llm_model"):
@@ -405,7 +404,7 @@ def make_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--config", help="key=value configuration file")
         p.add_argument("--k", type=int)
-        p.add_argument("--strategy", choices=["topk", "jump", "random"])
+        p.add_argument("--strategy", choices=STRATEGY_NAMES)
         p.add_argument("--seed", type=int)
         p.add_argument("--backend", help="llm backend name (echo|perfect|noisy|scripted|remote)")
         p.add_argument("--jobs", type=int)
@@ -462,8 +461,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         transport.TransportError,
         correct_mod.CorrectionError,
         evaluate_mod.EvalError,
-        FileNotFoundError,
-        NotADirectoryError,
+        OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -68,6 +68,8 @@ class RunConfig:
             raise CorrectionError("trigger fraction must be positive")
         if self.k < 1:
             raise CorrectionError(f"k must be >= 1, got {self.k}")
+        if self.jobs < 1:
+            raise CorrectionError(f"jobs must be >= 1, got {self.jobs}")
 
 
 @dataclass(frozen=True)
@@ -251,37 +253,18 @@ def config_echo(
     cfg: RunConfig, embedder: EmbedderConfig, llm: LlmBackendConfig
 ) -> Dict:
     return {
-        "k": cfg.k,
+        **vars(cfg),
         "strategy": strategy_name(cfg.strategy),
-        "self_correction": cfg.self_correction,
-        "regression_trigger_fraction": cfg.regression_trigger_fraction,
-        "token_budget": cfg.token_budget,
-        "seed": cfg.seed,
-        "include_description": cfg.include_description,
-        "jobs": cfg.jobs,
         "embedder": embedder_fingerprint(embedder, cfg.include_description),
         "backend": backend_name(llm),
     }
 
 
 def outcome_to_dict(outcome: CorrectionOutcome) -> Dict:
-    initial = None
-    if outcome.initial is not None:
-        initial = {
-            "prediction": outcome.initial.prediction,
-            "probability": outcome.initial.probability,
-            "explanation": outcome.initial.explanation,
-            "strict": outcome.initial.strict,
-        }
     return {
-        "id": outcome.id,
-        "primary": outcome.primary,
-        "initial": initial,
-        "self_correction_invoked": outcome.self_correction_invoked,
-        "final": outcome.final,
-        "fallback_used": outcome.fallback_used,
+        **vars(outcome),
+        "initial": None if outcome.initial is None else dict(vars(outcome.initial)),
         "context_ids": list(outcome.context_ids),
-        "final_source": outcome.final_source,
     }
 
 

@@ -81,6 +81,12 @@ class MockNoisyOracle:
 class MockScripted:
     responses: Dict[str, str] = field(default_factory=dict)
 
+    def __post_init__(self):
+        if not isinstance(self.responses, dict) or not all(
+            isinstance(key, str) and isinstance(text, str) for key, text in self.responses.items()
+        ):
+            raise LlmError("scripted responses must map query ids to response texts")
+
 
 LlmBackendConfig = Union[
     RemoteChatConfig, MockEcho, MockPerfectOracle, MockNoisyOracle, MockScripted
@@ -117,28 +123,15 @@ class LlmExchange:
 def _echo_text(task: TaskSpec, meta: QueryMeta) -> str:
     if meta.primary is None:
         raise MissingTruth(f"echo backend needs a primary prediction for {meta.id!r}")
-    if task.is_classification:
-        label = 1.0 if meta.primary >= 0.5 else 0.0
-        return render_answer(
-            task, label, probability=meta.primary,
-            explanation="Keeping the model prediction unchanged.",
-        )
-    return render_answer(
-        task, meta.primary, explanation="Keeping the model prediction unchanged.",
-    )
+    label = float(meta.primary >= 0.5) if task.is_classification else meta.primary
+    return render_answer(task, label, meta.primary, "Keeping the model prediction unchanged.")
 
 
 def _oracle_text(task: TaskSpec, meta: QueryMeta) -> str:
     if meta.true_label is None:
         raise MissingTruth(f"oracle backend needs a true label for {meta.id!r}")
-    if task.is_classification:
-        return render_answer(
-            task, meta.true_label, probability=meta.true_label,
-            explanation="Recalling the reference label.",
-        )
-    return render_answer(
-        task, meta.true_label, explanation="Recalling the reference value.",
-    )
+    what = "label" if task.is_classification else "value"
+    return render_answer(task, meta.true_label, meta.true_label, f"Recalling the reference {what}.")
 
 
 def _remote_complete(cfg: RemoteChatConfig, prompt: PromptBundle) -> tuple[str, int]:

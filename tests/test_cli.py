@@ -496,8 +496,10 @@ class TestConfigHandling:
                  "llm_model": "m", "llm_key_env": "MOLCORR_TEST_UNSET_KEY"},
                 "MOLCORR_TEST_UNSET_KEY",
             ),
+            ({"jobs": "0"}, "jobs must be >= 1, got 0"),
         ],
-        ids=["non-integer", "malformed-scripted-json", "noisy-p-out-of-range", "unset-api-key"],
+        ids=["non-integer", "malformed-scripted-json", "noisy-p-out-of-range", "unset-api-key",
+             "jobs-below-one"],
     )
     def test_config_fault_exits_2(self, tmp_path, capsys, monkeypatch, extra, named):
         def no_request(*args, **kwargs):
@@ -515,3 +517,30 @@ class TestConfigHandling:
         assert named in err
         assert "Traceback" not in err
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "key, target", [("dataset", "."), ("output_dir", "dataset.csv")],
+        ids=["dataset-is-a-directory", "output-dir-is-a-file"],
+    )
+    def test_path_fault_exits_2(self, tmp_path, capsys, key, target):
+        _, cfg = write_workspace(tmp_path, **{key: tmp_path / target})
+        main(["build-db", "--config", cfg])
+        assert main(["correct", "--config", cfg, "--split", "test"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "responses", [{"m00028": 5}, ["Prediction: 1.0"]], ids=["non-text-reply", "json-list"]
+    )
+    def test_malformed_scripted_responses_exit_2(self, tmp_path, capsys, responses):
+        scripted = tmp_path / "scripted.json"
+        scripted.write_text(json.dumps(responses))
+        _, cfg = write_workspace(tmp_path)
+        main(["build-db", "--config", cfg])
+        write_workspace(tmp_path, llm_backend="scripted", scripted_responses=scripted)
+        assert main(["correct", "--config", cfg, "--split", "test"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: config key 'scripted_responses': ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()

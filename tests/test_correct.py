@@ -4,6 +4,7 @@ import threading
 import pytest
 
 from molcorr.correct import (
+    CorrectionOutcome,
     FingerprintMismatch,
     RunConfig,
     correct_one,
@@ -15,7 +16,7 @@ from molcorr.correct import (
 )
 from molcorr.embed import LocalHashConfig, embed_molecule
 from molcorr.ingest import CLASSIFICATION, REGRESSION, Split
-from molcorr.knowledge import build_database, retrieve
+from molcorr.knowledge import Jump, build_database, retrieve
 from molcorr import llmclient, transport
 from molcorr.llmclient import (
     AuditLog,
@@ -28,7 +29,7 @@ from molcorr.llmclient import (
     RemoteChatConfig,
     complete,
 )
-from molcorr.parse import render_answer
+from molcorr.parse import ParsedAnswer, render_answer
 from molcorr.prompt import PromptBundle, PromptKind, build_corrector_prompt
 from conftest import make_bundle, make_predictions
 
@@ -428,3 +429,42 @@ class TestSummaryAndSerialization:
             )
             write_outcomes(outs, tmp_path / name)
         assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
+
+    def test_record_bytes_are_pinned(self, tmp_path):
+        outs = [
+            CorrectionOutcome("m1", 0.25, ParsedAnswer(1.0, 0.875, "Two motifs.", False), True,
+                              0.875, False, ("m7", "m3"), "probability"),
+            CorrectionOutcome("m2", -1.5, None, False, -1.5, True, ("m4",)),
+        ]
+        write_outcomes(outs, tmp_path / "outcomes.jsonl")
+        assert (tmp_path / "outcomes.jsonl").read_text().splitlines() == [
+            '{"id":"m1","primary":0.25,"initial":{"prediction":1.0,"probability":0.875,'
+            '"explanation":"Two motifs.","strict":false},"self_correction_invoked":true,'
+            '"final":0.875,"fallback_used":false,"context_ids":["m7","m3"],'
+            '"final_source":"probability"}',
+            '{"id":"m2","primary":-1.5,"initial":null,"self_correction_invoked":false,'
+            '"final":-1.5,"fallback_used":true,"context_ids":["m4"],"final_source":null}',
+        ]
+        cfg = RunConfig(k=5, strategy=Jump())
+        assert list(run_summary(outs, cfg, EMB, MockPerfectOracle())["config"].items()) == [
+            ("k", 5), ("strategy", "jump"), ("self_correction", True),
+            ("regression_trigger_fraction", 0.2), ("token_budget", 3000), ("seed", 0),
+            ("include_description", False), ("jobs", 1),
+            ("embedder", "localhash:dim=32:ngram=3:desc=0"), ("backend", "perfect"),
+        ]
+        prompt = PromptBundle(kind=PromptKind.CORRECTOR, text="p", token_estimate=1)
+        answers = [
+            complete(backend, prompt, QueryMeta("m1", primary, label), task).response_text
+            for backend in (MockEcho(), MockPerfectOracle())
+            for task, primary, label in ((CLASSIFICATION, 0.7, 1.0), (CLASSIFICATION, 0.3, 0.0),
+                                         (REGRESSION, -0.5, -0.5))
+        ]
+        keep = "Explanation: Keeping the model prediction unchanged."
+        assert answers == [
+            f"Prediction: 1\nProbability: 0.7000\n{keep}",
+            f"Prediction: 0\nProbability: 0.3000\n{keep}",
+            f"Prediction: -0.5000\n{keep}",
+            "Prediction: 1\nProbability: 1.0000\nExplanation: Recalling the reference label.",
+            "Prediction: 0\nProbability: 0.0000\nExplanation: Recalling the reference label.",
+            "Prediction: -0.5000\nExplanation: Recalling the reference value.",
+        ]

@@ -544,3 +544,116 @@ class TestConfigHandling:
         assert err.startswith("error: config key 'scripted_responses': ")
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+
+class TestReportBytes:
+    """The bytes `correct` and `ablate` write and print for a report."""
+
+    def test_classification_report_with_score_sources(self, tmp_path):
+        bundle = make_bundle(CLASSIFICATION, n_train=20, n_valid=8, n_test=8, seed=3)
+        test_ids = [rec.id for rec in bundle.split_records(Split.TEST)]
+        # even queries answer with a probability, odd ones with a label only
+        replies = {
+            mol_id: f"Prediction: 1\nProbability: 0.{9 - n}000\nExplanation: x" if n % 2 == 0
+            else f"Prediction: {int(n % 3 == 0)}\nExplanation: y"
+            for n, mol_id in enumerate(test_ids)
+        }
+        scripted = tmp_path / "scripted.json"
+        scripted.write_text(json.dumps(replies))
+        _, cfg = write_workspace(
+            tmp_path, task=CLASSIFICATION, llm_backend="scripted", scripted_responses=scripted
+        )
+        main(["build-db", "--config", cfg])
+        assert main(["correct", "--config", cfg, "--split", "test"]) == EXIT_OK
+        assert (tmp_path / "out" / "report_test.json").read_text() == """\
+{
+  "config": {
+    "backend": "scripted",
+    "embedder": "localhash:dim=32:ngram=3:desc=0",
+    "include_description": false,
+    "jobs": 1,
+    "k": 5,
+    "regression_trigger_fraction": 0.2,
+    "seed": 0,
+    "self_correction": true,
+    "strategy": "topk",
+    "token_budget": 3000
+  },
+  "consistency": {
+    "rate": 1.0,
+    "strict": 8,
+    "total": 8
+  },
+  "metric": "roc_auc",
+  "score_sources": {
+    "label": 4,
+    "probability": 4
+  },
+  "splits": {
+    "test": {
+      "baseline": 1.0,
+      "corrected": 0.7333333333333333,
+      "improvement_pct": -26.7,
+      "n": 8
+    }
+  },
+  "task": "binary_classification"
+}
+"""
+
+    def test_regression_table_with_negative_improvement(self, tmp_path, capsys):
+        _, cfg = write_workspace(tmp_path, llm_backend="noisy", noisy_p="0.5")
+        main(["build-db", "--config", cfg])
+        capsys.readouterr()
+        assert main(["correct", "--config", cfg, "--split", "test"]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "metric: rmse\n"
+            "split       baseline   corrected\n"
+            "test          0.5108      0.2747\n"
+            "                          -46.2%\n"
+        )
+
+    def test_k_ablation_files(self, tmp_path, capsys):
+        _, cfg = write_workspace(tmp_path)
+        assert main(["ablate", "--config", cfg, "--axis", "k", "--k-values", "1,3"]) == EXIT_OK
+        tables = (
+            "[k=1]\nmetric: rmse\nsplit       baseline   corrected\n"
+            "test          0.5108      0.5108\n                           +0.0%\n\n"
+            "[k=3]\nmetric: rmse\nsplit       baseline   corrected\n"
+            "test          0.5108      0.5108\n                           +0.0%\n"
+        )
+        assert (tmp_path / "out" / "ablation_k.txt").read_text() == tables
+        assert capsys.readouterr().out == tables
+        assert (tmp_path / "out" / "ablation_k_0.json").read_text() == """\
+{
+  "config": {
+    "axis": "k",
+    "backend": "echo",
+    "embedder": "localhash:dim=32:ngram=3:desc=0",
+    "include_description": false,
+    "jobs": 1,
+    "k": 1,
+    "regression_trigger_fraction": 0.2,
+    "seed": 0,
+    "self_correction": true,
+    "strategy": "topk",
+    "token_budget": 3000,
+    "value": 1
+  },
+  "consistency": {
+    "rate": 1.0,
+    "strict": 8,
+    "total": 8
+  },
+  "metric": "rmse",
+  "splits": {
+    "test": {
+      "baseline": 0.5108013018777458,
+      "corrected": 0.5108013018777458,
+      "improvement_pct": 0.0,
+      "n": 8
+    }
+  },
+  "task": "regression"
+}
+"""

@@ -44,7 +44,7 @@ for i in range(22):
     if split is Split.VALID:
         val_preds[f"m{i}"] = round(label + rng.uniform(-1, 1), 4)
 
-bundle = DatasetBundle(REGRESSION, tuple(records), {})
+bundle = DatasetBundle(REGRESSION, tuple(records))
 db = build_database(bundle, PredictionSet(Split.VALID, val_preds), emb)
 print(f"\ndatabase: {len(db)} entries, fingerprint {db.fingerprint}")
 

@@ -37,7 +37,7 @@ for i in range(90):
     elif split is Split.TEST:
         test_preds[f"m{i}"] = noisy
 
-bundle = DatasetBundle(REGRESSION, tuple(records), {})
+bundle = DatasetBundle(REGRESSION, tuple(records))
 emb = LocalHashConfig(dim=64)
 db = build_database(bundle, PredictionSet(Split.VALID, val_preds), emb)
 cfg = RunConfig(k=8, seed=0)

@@ -36,7 +36,7 @@ for i in range(120):
     elif split is Split.TEST:
         test_preds[f"m{i}"] = noisy
 
-bundle = DatasetBundle(REGRESSION, tuple(records), {})
+bundle = DatasetBundle(REGRESSION, tuple(records))
 emb = LocalHashConfig(dim=64)
 cfg = RunConfig(k=5, seed=1)
 llm = MockNoisyOracle(p=0.6, seed=9)
@@ -58,9 +58,9 @@ for axis_name, values in axes.items():
     points = ablation_points(axis_name, cfg, emb, values)
     reports = run_ablation(points, bundle, val_set, Split.TEST, test_set, llm)
     for report in reports:
-        cmp = report.splits["test"]
+        row = report["splits"]["test"]
         print(
-            f"  {report.config['axis']}={report.config['value']!s:<12} "
-            f"baseline {cmp.baseline.value:.4f}  corrected {cmp.corrected.value:.4f}  "
-            f"({cmp.improvement_pct:+.1f}%)"
+            f"  {report['config']['axis']}={report['config']['value']!s:<12} "
+            f"baseline {row['baseline']:.4f}  corrected {row['corrected']:.4f}  "
+            f"({row['improvement_pct']:+.1f}%)"
         )

@@ -26,10 +26,10 @@ from .embed import (
     embedder_fingerprint,
 )
 from .evaluate import (
-    EvalReport,
     MetricValue,
     ablation_points,
     improvement_pct,
+    report_table,
     rmse,
     roc_auc,
     run_ablation,

@@ -31,7 +31,9 @@ from .embed import EmbedError, EmbedderConfig, LocalHashConfig, RemoteHttpConfig
 from .ingest import (
     CLASSIFICATION,
     REGRESSION,
+    DatasetBundle,
     IngestError,
+    MoleculeRecord,
     Split,
     TaskSpec,
     load_molecules,
@@ -213,6 +215,17 @@ def build_runtime(config: Config) -> Runtime:
     return Runtime(config, tasks[task], _embedder(config), _llm(config), run)
 
 
+def _split_records(bundle: DatasetBundle, split: Split) -> Tuple[MoleculeRecord, ...]:
+    records = bundle.split_records(split)
+    if not records:
+        raise ConfigError(f"split {split.value} is empty")
+    return records
+
+
+def _write_json(path: Path, record: Dict) -> None:
+    path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
 def _output_dir(rt: Runtime) -> Path:
     out_dir = Path(rt.config.get("output_dir", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -255,9 +268,7 @@ def cmd_build_db(rt: Runtime) -> int:
 
 def cmd_correct(rt: Runtime, split: Split) -> int:
     bundle = load_molecules(rt.config["dataset"], rt.task)
-    records = bundle.split_records(split)
-    if not records:
-        raise ConfigError(f"split {split.value} is empty")
+    records = _split_records(bundle, split)
     preds = load_predictions(rt.config[f"{split.value}_predictions"], bundle, split)
     db = load_database(rt.config["database_dir"])
     out_dir = _output_dir(rt)
@@ -267,15 +278,11 @@ def cmd_correct(rt: Runtime, split: Split) -> int:
         )
     correct_mod.write_outcomes(outcomes, out_dir / f"outcomes_{split.value}.jsonl")
     summary = correct_mod.run_summary(outcomes, rt.run, rt.embedder, rt.llm)
-    (out_dir / f"summary_{split.value}.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json(out_dir / f"summary_{split.value}.json", summary)
     if all(rec.label is not None for rec in records):
-        report = evaluate_mod.evaluate_run(bundle, split, outcomes, rt.run, rt.embedder, rt.llm)
-        (out_dir / f"report_{split.value}.json").write_text(
-            report.to_json() + "\n", encoding="utf-8"
-        )
-        print(report.to_text_table())
+        report = evaluate_mod.evaluate_run(bundle, split, outcomes, summary)
+        _write_json(out_dir / f"report_{split.value}.json", report)
+        print(evaluate_mod.report_table(report))
     else:
         print(f"corrected {len(outcomes)} queries (no labels; metrics skipped)")
     fallbacks = summary["fallbacks"]
@@ -287,9 +294,7 @@ def cmd_correct(rt: Runtime, split: Split) -> int:
 
 def cmd_predict(rt: Runtime, kind: PromptKind, split: Split, shots: int) -> int:
     bundle = load_molecules(rt.config["dataset"], rt.task)
-    records = bundle.split_records(split)
-    if not records:
-        raise ConfigError(f"split {split.value} is empty")
+    records = _split_records(bundle, split)
     examples = None
     if kind is PromptKind.FEW_SHOT:
         train = bundle.split_records(Split.TRAIN)
@@ -343,9 +348,7 @@ def cmd_predict(rt: Runtime, kind: PromptKind, split: Split, shots: int) -> int:
         print(f"{kind.value} on {split.value}: {metric.metric.value} = {metric.value:.4f}")
     else:
         print(f"{kind.value} on {split.value}: {len(records)} queries, no metric")
-    (out_dir / f"{stem}.json").write_text(
-        json.dumps(result, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json(out_dir / f"{stem}.json", result)
     return EXIT_PARTIAL if failures else EXIT_OK
 
 
@@ -354,6 +357,10 @@ def cmd_ablate(
 ) -> int:
     db_dir = rt.config["database_dir"]
     bundle = load_molecules(rt.config["dataset"], rt.task)
+    # every point is scored, so a split without labels fails before the first query
+    for rec in _split_records(bundle, split):
+        if rec.label is None:
+            raise ConfigError(f"record {rec.id!r} has no label; cannot evaluate")
     val_preds = load_predictions(rt.config["valid_predictions"], bundle, Split.VALID)
     split_preds = load_predictions(rt.config[f"{split.value}_predictions"], bundle, split)
     values: Tuple = ()
@@ -379,11 +386,9 @@ def cmd_ablate(
     out_dir = _output_dir(rt)
     tables = []
     for i, report in enumerate(reports):
-        (out_dir / f"ablation_{axis_name}_{i}.json").write_text(
-            report.to_json() + "\n", encoding="utf-8"
-        )
-        point = f"{report.config.get('axis')}={report.config.get('value')}"
-        tables.append(f"[{point}]\n{report.to_text_table()}")
+        _write_json(out_dir / f"ablation_{axis_name}_{i}.json", report)
+        point = f"{report['config']['axis']}={report['config']['value']}"
+        tables.append(f"[{point}]\n{evaluate_mod.report_table(report)}")
     combined = "\n\n".join(tables) + "\n"
     (out_dir / f"ablation_{axis_name}.txt").write_text(combined, encoding="utf-8")
     print(combined, end="")

@@ -8,11 +8,15 @@ raw signed relative change ``100 * (new - old) / old`` rounded
 half-away-from-zero to one decimal, matching how published comparison
 tables print them: a positive value means the corrected metric is higher,
 whatever the metric's preferred direction.
+
+A report is the plain dict that is written as ``report_<split>.json``
+or ``ablation_<axis>_<i>.json``: the two metrics come from the split's
+labels, and its ``config``, ``consistency`` and ``score_sources`` from
+the run summary the caller already holds.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -87,109 +91,46 @@ def improvement_pct(old: float, new: float) -> float:
     return math.copysign(math.floor(abs(raw) * 10.0 + 0.5), raw) / 10.0 + 0.0
 
 
-@dataclass(frozen=True)
-class SplitComparison:
-    baseline: MetricValue
-    corrected: MetricValue
-    improvement_pct: float
-
-
-@dataclass(frozen=True)
-class EvalReport:
-    task: TaskSpec
-    splits: Dict[str, SplitComparison]
-    config: Dict
-    consistency: Dict
-    score_sources: Dict = None  # classification: probability- vs label-scored counts
-
-    def to_json_dict(self) -> Dict:
-        blob = {
-            "task": self.task.kind.value,
-            "metric": self.task.metric.value,
-            "splits": {
-                name: {
-                    "baseline": cmp.baseline.value,
-                    "corrected": cmp.corrected.value,
-                    "improvement_pct": cmp.improvement_pct,
-                    "n": cmp.baseline.n,
-                }
-                for name, cmp in self.splits.items()
-            },
-            "config": self.config,
-            "consistency": self.consistency,
-        }
-        if self.score_sources is not None:
-            blob["score_sources"] = self.score_sources
-        return blob
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
-
-    def to_text_table(self) -> str:
-        """Aligned table: corrected value with its improvement beneath."""
-        lines = [f"metric: {self.task.metric.value}"]
-        lines.append(f"{'split':<8}{'baseline':>12}{'corrected':>12}")
-        for name, cmp in self.splits.items():
-            lines.append(
-                f"{name:<8}{cmp.baseline.value:>12.4f}{cmp.corrected.value:>12.4f}"
-            )
-            lines.append(f"{'':<8}{'':>12}{_pct_text(cmp.improvement_pct):>12}")
-        return "\n".join(lines)
-
-
-def _pct_text(pct: float) -> str:
-    return f"{pct:+.1f}%"
-
-
-def compare_outcomes(
-    task: TaskSpec,
-    outcomes: Sequence[CorrectionOutcome],
-    truths: Sequence[float],
-) -> SplitComparison:
-    """Score base-model predictions against refined ones on one split."""
-    baseline = score(task, [o.primary for o in outcomes], truths)
-    corrected = score(task, [o.final for o in outcomes], truths)
-    return SplitComparison(
-        baseline=baseline,
-        corrected=corrected,
-        improvement_pct=improvement_pct(baseline.value, corrected.value),
-    )
-
-
-def split_truths(bundle: DatasetBundle, split: Split) -> List[float]:
-    truths = []
-    for rec in bundle.records:
-        if rec.split is split:
-            if rec.label is None:
-                raise EvalError(f"record {rec.id!r} has no label; cannot evaluate")
-            truths.append(rec.label)
-    return truths
-
-
 def evaluate_run(
-    bundle: DatasetBundle,
-    split: Split,
-    outcomes: Sequence[CorrectionOutcome],
-    cfg: RunConfig,
-    embedder: EmbedderConfig,
-    llm: LlmBackendConfig,
-) -> EvalReport:
-    """Build the report for one corrected split (labels required)."""
-    comparison = compare_outcomes(bundle.task, outcomes, split_truths(bundle, split))
-    summary = run_summary(outcomes, cfg, embedder, llm)
-    score_sources = None
-    if bundle.task.is_classification:
-        score_sources = {
+    bundle: DatasetBundle, split: Split, outcomes: Sequence[CorrectionOutcome], summary: Dict
+) -> Dict:
+    """The report of one corrected split (labels required), as it is written:
+    both metrics and their improvement, and the run summary's ``config``,
+    ``consistency`` and, for classification, ``final_from_*`` counts."""
+    truths = []
+    for rec in bundle.split_records(split):
+        if rec.label is None:
+            raise EvalError(f"record {rec.id!r} has no label; cannot evaluate")
+        truths.append(rec.label)
+    baseline = score(bundle.task, [o.primary for o in outcomes], truths)
+    corrected = score(bundle.task, [o.final for o in outcomes], truths)
+    report = {
+        "task": bundle.task.kind.value,
+        "metric": bundle.task.metric.value,
+        "splits": {split.value: {
+            "baseline": baseline.value,
+            "corrected": corrected.value,
+            "improvement_pct": improvement_pct(baseline.value, corrected.value),
+            "n": baseline.n,
+        }},
+        "config": summary["config"],
+        "consistency": summary["consistency"],
+    }
+    if bundle.task.is_classification:  # probability- vs label-scored counts
+        report["score_sources"] = {
             "probability": summary["final_from_probability"],
             "label": summary["final_from_label"],
         }
-    return EvalReport(
-        task=bundle.task,
-        splits={split.value: comparison},
-        config=summary["config"],
-        consistency=summary["consistency"],
-        score_sources=score_sources,
-    )
+    return report
+
+
+def report_table(report: Dict) -> str:
+    """Aligned table: each split's corrected value with its improvement beneath."""
+    lines = [f"metric: {report['metric']}", f"{'split':<8}{'baseline':>12}{'corrected':>12}"]
+    for name, row in report["splits"].items():
+        lines.append(f"{name:<8}{row['baseline']:>12.4f}{row['corrected']:>12.4f}")
+        lines.append(f"{'':<20}{row['improvement_pct']:>+11.1f}%")
+    return "\n".join(lines)
 
 
 ABLATION_AXES = ("k", "strategy", "self-correction", "embedder")
@@ -236,7 +177,7 @@ def run_ablation(
     split_predictions: PredictionSet,
     llm: LlmBackendConfig,
     db: Optional[KnowledgeDatabase] = None,
-) -> List[EvalReport]:
+) -> List[Dict]:
     """One report per point, in point order, each with its echo merged
     into the report's config.
 
@@ -256,6 +197,7 @@ def run_ablation(
         outcomes = correct_split(
             split, bundle, split_predictions, db, point_cfg, point_embedder, llm
         )
-        report = evaluate_run(bundle, split, outcomes, point_cfg, point_embedder, llm)
-        reports.append(replace(report, config={**report.config, **point_echo}))
+        summary = run_summary(outcomes, point_cfg, point_embedder, llm)
+        summary["config"].update(point_echo)
+        reports.append(evaluate_run(bundle, split, outcomes, summary))
     return reports

@@ -19,7 +19,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Dict, NamedTuple, Optional, Tuple, Union
@@ -129,7 +130,11 @@ class PredictionSet:
 class DatasetBundle:
     task: TaskSpec
     records: Tuple[MoleculeRecord, ...]
-    counts: Dict[Split, int] = field(default_factory=dict)
+
+    @property
+    def counts(self) -> Dict[Split, int]:
+        tally = Counter(rec.split for rec in self.records)
+        return {s: tally[s] for s in Split}
 
     def split_records(self, split: Split) -> Tuple[MoleculeRecord, ...]:
         return tuple(r for r in self.records if r.split is split)
@@ -193,10 +198,7 @@ def load_molecules(path: Union[str, Path], task: TaskSpec) -> DatasetBundle:
                     f"{path}:{lineno}: id {mol_id!r} in split {split.value} has no label"
                 )
             records.append(MoleculeRecord(mol_id, smiles, description or None, split, label))
-    counts = {s: 0 for s in Split}
-    for rec in records:
-        counts[rec.split] += 1
-    return DatasetBundle(task=task, records=tuple(records), counts=counts)
+    return DatasetBundle(task=task, records=tuple(records))
 
 
 def save_molecules(bundle: DatasetBundle, path: Union[str, Path]) -> None:

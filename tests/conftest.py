@@ -89,8 +89,7 @@ def make_bundle(
                     records[i].id, records[i].smiles, records[i].description,
                     records[i].split, flipped,
                 )
-    counts = {s: sum(1 for r in records if r.split is s) for s in Split}
-    return DatasetBundle(task=task, records=tuple(records), counts=counts)
+    return DatasetBundle(task=task, records=tuple(records))
 
 
 def make_predictions(

@@ -446,6 +446,29 @@ class TestAblate:
         report = json.loads((tmp_path / "out" / "ablation_embedder_0.json").read_text())
         assert "dim=16" in report["config"]["value"]
 
+    @pytest.mark.parametrize(
+        "test_labels, n_test, message",
+        [(False, 8, "error: record 'm00028' has no label; cannot evaluate\n"),
+         (True, 0, "error: split test is empty\n")],
+        ids=["unlabeled", "empty"],
+    )
+    def test_unscorable_split_exits_2_before_any_query(
+        self, tmp_path, capsys, monkeypatch, test_labels, n_test, message
+    ):
+        import molcorr.correct as correct_mod
+
+        calls, complete = [], correct_mod.complete
+        monkeypatch.setattr(
+            correct_mod, "complete", lambda *args: calls.append(args) or complete(*args)
+        )
+        _, cfg = write_workspace(tmp_path, n_test=n_test)
+        bundle = make_bundle(REGRESSION, n_train=20, n_valid=8, n_test=n_test, seed=3,
+                             test_labels=test_labels)
+        write_dataset_csv(bundle, tmp_path / "dataset.csv")
+        assert main(["ablate", "--config", cfg, "--axis", "k", "--k-values", "1,3"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == message
+        assert calls == []
+
 
 class TestConfigHandling:
     def test_flags_override_config(self, tmp_path):

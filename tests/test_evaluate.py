@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from molcorr import evaluate
-from molcorr.correct import RunConfig, correct_split
+from molcorr.correct import RunConfig, correct_split, run_summary
 from molcorr.embed import LocalHashConfig
 from molcorr.evaluate import (
     DegenerateLabels,
@@ -16,6 +16,7 @@ from molcorr.evaluate import (
     ablation_points,
     evaluate_run,
     improvement_pct,
+    report_table,
     rmse,
     roc_auc,
     run_ablation,
@@ -154,31 +155,35 @@ def make_run(task, llm, n_test=20, seed=3, cfg=None):
 class TestReports:
     def test_echo_report_zero_improvement(self):
         bundle, _, _, _, cfg, outs = make_run(REGRESSION, MockEcho())
-        report = evaluate_run(bundle, Split.TEST, outs, cfg, EMB, MockEcho())
-        cmp = report.splits["test"]
-        assert cmp.corrected.value == cmp.baseline.value
-        assert cmp.improvement_pct == 0.0
-        assert report.consistency["rate"] == 1.0
+        report = evaluate_run(bundle, Split.TEST, outs, run_summary(outs, cfg, EMB, MockEcho()))
+        cmp = report["splits"]["test"]
+        assert cmp["corrected"] == cmp["baseline"]
+        assert cmp["improvement_pct"] == 0.0
+        assert report["consistency"]["rate"] == 1.0
 
     def test_oracle_report_classification(self):
         bundle, _, _, _, cfg, outs = make_run(CLASSIFICATION, MockPerfectOracle())
-        report = evaluate_run(bundle, Split.TEST, outs, cfg, EMB, MockPerfectOracle())
-        assert report.splits["test"].corrected.value == 1.0
+        report = evaluate_run(
+            bundle, Split.TEST, outs, run_summary(outs, cfg, EMB, MockPerfectOracle())
+        )
+        assert report["splits"]["test"]["corrected"] == 1.0
 
     def test_oracle_report_regression(self):
         bundle, _, _, _, cfg, outs = make_run(REGRESSION, MockPerfectOracle())
-        report = evaluate_run(bundle, Split.TEST, outs, cfg, EMB, MockPerfectOracle())
-        assert report.splits["test"].corrected.value == 0.0
+        report = evaluate_run(
+            bundle, Split.TEST, outs, run_summary(outs, cfg, EMB, MockPerfectOracle())
+        )
+        assert report["splits"]["test"]["corrected"] == 0.0
 
     def test_json_and_table_render(self):
         import json
 
         bundle, _, _, _, cfg, outs = make_run(REGRESSION, MockEcho())
-        report = evaluate_run(bundle, Split.TEST, outs, cfg, EMB, MockEcho())
-        blob = json.loads(report.to_json())
+        report = evaluate_run(bundle, Split.TEST, outs, run_summary(outs, cfg, EMB, MockEcho()))
+        blob = json.loads(json.dumps(report))
         assert blob["metric"] == "rmse"
         assert "test" in blob["splits"]
-        table = report.to_text_table()
+        table = report_table(report)
         assert "baseline" in table and "corrected" in table
         assert "+0.0%" in table
 
@@ -213,8 +218,8 @@ class TestAblation:
             test_preds, MockEcho(), db=db,
         )
         assert len(reports) == 3
-        assert [r.config["value"] for r in reports] == [1, 3, 10]
-        assert all(r.config["axis"] == "k" for r in reports)
+        assert [r["config"]["value"] for r in reports] == [1, 3, 10]
+        assert all(r["config"]["axis"] == "k" for r in reports)
 
     def test_strategy_sweep_fixed_order(self):
         bundle, val_preds, test_preds, db, cfg, _ = make_run(REGRESSION, MockEcho())
@@ -222,7 +227,7 @@ class TestAblation:
             ablation_points("strategy", cfg, EMB), bundle, val_preds, Split.TEST, test_preds,
             MockEcho(), db=db,
         )
-        assert [r.config["value"] for r in reports] == ["topk", "jump", "random"]
+        assert [r["config"]["value"] for r in reports] == ["topk", "jump", "random"]
 
     def test_strategy_sweep_oracle_reaches_bound(self):
         bundle, val_preds, test_preds, db, cfg, _ = make_run(
@@ -232,7 +237,7 @@ class TestAblation:
             ablation_points("strategy", cfg, EMB), bundle, val_preds, Split.TEST, test_preds,
             MockPerfectOracle(), db=db,
         )
-        assert all(r.splits["test"].corrected.value == 1.0 for r in reports)
+        assert all(r["splits"]["test"]["corrected"] == 1.0 for r in reports)
 
     def test_self_correction_toggle(self):
         bundle, val_preds, test_preds, db, cfg, _ = make_run(REGRESSION, MockEcho())
@@ -240,7 +245,7 @@ class TestAblation:
             ablation_points("self-correction", cfg, EMB), bundle, val_preds, Split.TEST,
             test_preds, MockEcho(), db=db,
         )
-        assert [r.config["value"] for r in reports] == [True, False]
+        assert [r["config"]["value"] for r in reports] == [True, False]
 
     def test_embedder_sweep_rebuilds_db(self):
         bundle, val_preds, test_preds, db, cfg, _ = make_run(REGRESSION, MockEcho())
@@ -248,11 +253,11 @@ class TestAblation:
             "embedder", cfg, EMB, (LocalHashConfig(dim=16), LocalHashConfig(dim=64))
         )
         reports = run_ablation(sweep, bundle, val_preds, Split.TEST, test_preds, MockEcho())
-        assert [r.config["value"] for r in reports] == [
+        assert [r["config"]["value"] for r in reports] == [
             "localhash:dim=16:ngram=3",
             "localhash:dim=64:ngram=3",
         ]
-        assert [r.config["embedder"] for r in reports] == [
+        assert [r["config"]["embedder"] for r in reports] == [
             "localhash:dim=16:ngram=3:desc=0",
             "localhash:dim=64:ngram=3:desc=0",
         ]
@@ -264,7 +269,7 @@ class TestAblation:
             ablation_points("k", cfg, EMB, (1, 2)), bundle, val_preds, Split.TEST, test_preds,
             MockEcho(), db=db,
         )
-        assert all(r.config["seed"] == 77 for r in reports)
+        assert all(r["config"]["seed"] == 77 for r in reports)
 
     @pytest.mark.parametrize(
         "axis, values, given_db, built_dims",

@@ -216,9 +216,14 @@ def build_runtime(config: Config) -> Runtime:
 
 
 def _split_records(bundle: DatasetBundle, split: Split) -> Tuple[MoleculeRecord, ...]:
+    """The split's records. A fully labeled classification split is scored
+    by ROC-AUC, so one with a single class fails here, before any query."""
     records = bundle.split_records(split)
     if not records:
         raise ConfigError(f"split {split.value} is empty")
+    labels = {rec.label for rec in records}
+    if bundle.task.is_classification and len(labels) == 1 and None not in labels:
+        raise ConfigError("need at least one positive and one negative label")
     return records
 
 

@@ -48,10 +48,6 @@ class CorrectionError(RuntimeError):
     pass
 
 
-class FingerprintMismatch(CorrectionError):
-    pass
-
-
 @dataclass(frozen=True)
 class RunConfig:
     k: int = 10
@@ -114,10 +110,10 @@ def final_value(task: TaskSpec, answer: ParsedAnswer) -> Tuple[float, Optional[s
 def check_fingerprint(
     fingerprint: str, embedder: EmbedderConfig, include_description: bool
 ) -> None:
-    """Raise FingerprintMismatch unless the configured embedder made ``fingerprint``."""
+    """Raise CorrectionError unless the configured embedder made ``fingerprint``."""
     expected = embedder_fingerprint(embedder, include_description)
     if fingerprint != expected:
-        raise FingerprintMismatch(
+        raise CorrectionError(
             f"database fingerprint {fingerprint!r} does not match "
             f"configured embedder {expected!r}"
         )

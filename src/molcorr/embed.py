@@ -42,10 +42,6 @@ class EmbedError(ValueError):
     pass
 
 
-class DimensionMismatch(EmbedError):
-    pass
-
-
 @dataclass(frozen=True)
 class LocalHashConfig:
     """Deterministic n-gram feature-hashing embedder."""
@@ -247,7 +243,7 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
-        raise DimensionMismatch(f"dim mismatch: {a.shape} vs {b.shape}")
+        raise EmbedError(f"dim mismatch: {a.shape} vs {b.shape}")
     na = math.sqrt(float(np.dot(a, a)))
     nb = math.sqrt(float(np.dot(b, b)))
     if na == 0.0 or nb == 0.0:

@@ -34,10 +34,6 @@ class EvalError(ValueError):
     pass
 
 
-class DegenerateLabels(EvalError):
-    pass
-
-
 @dataclass(frozen=True)
 class MetricValue:
     metric: Metric
@@ -57,7 +53,7 @@ def roc_auc(scores: Sequence[float], labels: Sequence[float]) -> MetricValue:
     pos = np.sort(scores[labels == 1.0])
     neg = np.sort(scores[labels == 0.0])
     if len(pos) == 0 or len(neg) == 0:
-        raise DegenerateLabels("need at least one positive and one negative label")
+        raise EvalError("need at least one positive and one negative label")
     below = np.searchsorted(neg, pos, side="left")
     ties = np.searchsorted(neg, pos, side="right") - below
     numerator = float(below.sum()) + 0.5 * float(ties.sum())

@@ -30,46 +30,6 @@ class IngestError(ValueError):
     """Base class for dataset/prediction loading failures."""
 
 
-class DuplicateId(IngestError):
-    pass
-
-
-class MissingLabel(IngestError):
-    pass
-
-
-class InvalidLabel(IngestError):
-    pass
-
-
-class EmptySmiles(IngestError):
-    pass
-
-
-class UnknownSplit(IngestError):
-    pass
-
-
-class BadHeader(IngestError):
-    pass
-
-
-class MissingPrediction(IngestError):
-    pass
-
-
-class UnknownPredictionId(IngestError):
-    pass
-
-
-class DuplicatePrediction(IngestError):
-    pass
-
-
-class OutOfRangeProbability(IngestError):
-    pass
-
-
 class TaskKind(str, Enum):
     BINARY_CLASSIFICATION = "binary_classification"
     REGRESSION = "regression"
@@ -149,21 +109,20 @@ def _parse_label(raw: str, is_classification: bool, row_id: str) -> float:
     try:
         value = float(raw)
     except ValueError as exc:
-        raise InvalidLabel(f"row {row_id!r}: label {raw!r} is not a number") from exc
+        raise IngestError(f"row {row_id!r}: label {raw!r} is not a number") from exc
     if not math.isfinite(value):
-        raise InvalidLabel(f"row {row_id!r}: label {raw!r} is not finite")
+        raise IngestError(f"row {row_id!r}: label {raw!r} is not finite")
     if is_classification and value not in (0.0, 1.0):
-        raise InvalidLabel(
-            f"row {row_id!r}: classification label must be 0 or 1, got {raw!r}"
-        )
+        raise IngestError(f"row {row_id!r}: classification label must be 0 or 1, got {raw!r}")
     return value
 
 
 def load_molecules(path: Union[str, Path], task: TaskSpec) -> DatasetBundle:
     """Load and validate a molecule CSV into a DatasetBundle.
 
-    Record order is preserved from the file. Raises IngestError subclasses
-    on duplicate ids, missing required labels, out-of-domain classification
+    Record order is preserved from the file. Raises IngestError, its
+    message naming the failed check, on a bad header or row width,
+    duplicate ids, missing required labels, out-of-domain classification
     labels, empty SMILES or unknown split tokens.
     """
     path = Path(path)
@@ -175,26 +134,26 @@ def load_molecules(path: Union[str, Path], task: TaskSpec) -> DatasetBundle:
         try:
             header = next(reader)
         except StopIteration:
-            raise BadHeader(f"{path}: empty file") from None
+            raise IngestError(f"{path}: empty file") from None
         if header != CSV_HEADER:
-            raise BadHeader(f"{path}: expected header {CSV_HEADER}, got {header}")
+            raise IngestError(f"{path}: expected header {CSV_HEADER}, got {header}")
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != len(CSV_HEADER):
-                raise BadHeader(f"{path}:{lineno}: expected {len(CSV_HEADER)} cells")
+                raise IngestError(f"{path}:{lineno}: expected {len(CSV_HEADER)} cells")
             mol_id, smiles, description, label_raw, split_raw = row
             if mol_id in seen:
-                raise DuplicateId(f"{path}:{lineno}: duplicate id {mol_id!r}")
+                raise IngestError(f"{path}:{lineno}: duplicate id {mol_id!r}")
             seen.add(mol_id)
             if not smiles:
-                raise EmptySmiles(f"{path}:{lineno}: empty SMILES for id {mol_id!r}")
+                raise IngestError(f"{path}:{lineno}: empty SMILES for id {mol_id!r}")
             split = _SPLIT_TOKENS.get(split_raw)
             if split is None:
-                raise UnknownSplit(f"{path}:{lineno}: unknown split {split_raw!r}")
+                raise IngestError(f"{path}:{lineno}: unknown split {split_raw!r}")
             label = _parse_label(label_raw, is_classification, mol_id) if label_raw else None
             if label is None and split is not Split.TEST:
-                raise MissingLabel(
+                raise IngestError(
                     f"{path}:{lineno}: id {mol_id!r} in split {split.value} has no label"
                 )
             records.append(MoleculeRecord(mol_id, smiles, description or None, split, label))
@@ -228,8 +187,8 @@ def load_predictions(
 ) -> PredictionSet:
     """Load a JSON-lines prediction file covering one split exactly.
 
-    Every id of the split must appear exactly once; ids outside the split
-    are rejected. Predictions must be finite, and classification
+    Ids are strings; every id of the split must appear exactly once, and
+    ids outside the split are rejected. Predictions must be finite, and classification
     predictions must be probabilities in [0, 1].
     """
     path = Path(path)
@@ -246,23 +205,25 @@ def load_predictions(
                 value = float(obj["prediction"])
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise IngestError(f"{path}:{lineno}: malformed prediction line") from exc
+            if not isinstance(mol_id, str):
+                raise IngestError(f"{path}:{lineno}: id {mol_id!r} is not a string")
             if not math.isfinite(value):
                 raise IngestError(f"{path}:{lineno}: prediction {value} is not finite")
             if mol_id not in wanted:
-                raise UnknownPredictionId(
+                raise IngestError(
                     f"{path}:{lineno}: id {mol_id!r} is not in the {split.value} split"
                 )
             if mol_id in entries:
-                raise DuplicatePrediction(f"{path}:{lineno}: duplicate id {mol_id!r}")
+                raise IngestError(f"{path}:{lineno}: duplicate id {mol_id!r}")
             if bundle.task.is_classification and not 0.0 <= value <= 1.0:
-                raise OutOfRangeProbability(
+                raise IngestError(
                     f"{path}:{lineno}: probability {value} outside [0, 1] for {mol_id!r}"
                 )
             entries[mol_id] = value
     missing = wanted - entries.keys()
     if missing:
         shown = sorted(missing)[:5]
-        raise MissingPrediction(
+        raise IngestError(
             f"{path}: {len(missing)} {split.value} id(s) without predictions, "
             f"e.g. {shown}"
         )

@@ -76,34 +76,6 @@ class KnowledgeError(ValueError):
     pass
 
 
-class EmptyPool(KnowledgeError):
-    pass
-
-
-class RetrievalDimMismatch(KnowledgeError):
-    pass
-
-
-class PersistenceError(KnowledgeError):
-    pass
-
-
-class MagicMismatch(PersistenceError):
-    pass
-
-
-class DimMismatch(PersistenceError):
-    pass
-
-
-class CountMismatch(PersistenceError):
-    pass
-
-
-class TruncatedEmbeddings(PersistenceError):
-    pass
-
-
 @dataclass(frozen=True)
 class TopK:
     pass
@@ -460,13 +432,11 @@ def retrieve(
         raise KnowledgeError(f"k must be >= 1, got {k}")
     q = np.asarray(query_vec, dtype=np.float64)
     if q.shape != (db.dim,):
-        raise RetrievalDimMismatch(
-            f"query dim {q.shape} does not match database dim {db.dim}"
-        )
+        raise KnowledgeError(f"query dim {q.shape} does not match database dim {db.dim}")
     excluded = db._index_of.get(exclude_id)
     n = len(db) - (excluded is not None)
     if n == 0:
-        raise EmptyPool("retrieval pool is empty")
+        raise KnowledgeError("retrieval pool is empty")
     qn = float(np.linalg.norm(q))
     picked = _top_k(db, q, qn, k, excluded) if isinstance(strategy, TopK) and k < n else None
     if picked is None:
@@ -523,17 +493,17 @@ def save_database(db: KnowledgeDatabase, directory: Union[str, Path]) -> None:
 
 
 def _read_header(meta_path: Path, line: str) -> Tuple[TaskSpec, str, int, int]:
-    """Task, fingerprint, dim and entry count from the metadata header line."""
+    """Task, fingerprint, dim and entry count from the metadata header line;
+    dim and count must be JSON integers."""
     try:
         header = json.loads(line)
-        return (
-            TaskSpec(TaskKind(header["task"])),
-            header["fingerprint"],
-            int(header["dim"]),
-            int(header["entries"]),
-        )
+        task = TaskSpec(TaskKind(header["task"]))
+        fingerprint, dim, count = header["fingerprint"], header["dim"], header["entries"]
+        if type(dim) is not int or type(count) is not int:
+            raise TypeError(f"dim {dim!r} and entries {count!r} must be integers")
+        return task, fingerprint, dim, count
     except (KeyError, TypeError, ValueError) as exc:
-        raise PersistenceError(
+        raise KnowledgeError(
             f"{meta_path}:1: corrupt metadata ({type(exc).__name__}: {exc})"
         ) from exc
 
@@ -546,7 +516,9 @@ def stored_fingerprint(directory: Union[str, Path]) -> str:
 
 
 def load_database(directory: Union[str, Path]) -> KnowledgeDatabase:
-    """Load a saved database; save -> load round-trips bit for bit."""
+    """Load a saved database; save -> load round-trips bit for bit. The
+    text fields of each entry must be JSON strings (the description may be
+    null), so a hand-edited file fails here rather than in a later stage."""
     directory = Path(directory)
     meta_path = directory / METADATA_FILE
     sidecar_path = directory / SIDECAR_FILE
@@ -554,50 +526,50 @@ def load_database(directory: Union[str, Path]) -> KnowledgeDatabase:
     task, fingerprint, dim, count = _read_header(meta_path, lines[0] if lines else "")
     records = [(lineno, line) for lineno, line in enumerate(lines[1:], 2) if line.strip()]
     if len(records) != count:
-        raise CountMismatch(
-            f"{meta_path}: header says {count} entries, found {len(records)}"
-        )
+        raise KnowledgeError(f"{meta_path}: header says {count} entries, found {len(records)}")
 
     raw = sidecar_path.read_bytes()
     if raw[:4] != MAGIC:
-        raise MagicMismatch(f"{sidecar_path}: bad magic {raw[:4]!r}")
+        raise KnowledgeError(f"{sidecar_path}: bad magic {raw[:4]!r}")
     if len(raw) < 12:
-        raise TruncatedEmbeddings(f"{sidecar_path}: missing header")
+        raise KnowledgeError(f"{sidecar_path}: missing header")
     side_dim, side_count = struct.unpack("<II", raw[4:12])
     if side_dim != dim:
-        raise DimMismatch(
-            f"{sidecar_path}: sidecar dim {side_dim} != metadata dim {dim}"
-        )
+        raise KnowledgeError(f"{sidecar_path}: sidecar dim {side_dim} != metadata dim {dim}")
     if side_count != count:
-        raise CountMismatch(
+        raise KnowledgeError(
             f"{sidecar_path}: sidecar count {side_count} != metadata count {count}"
         )
     expected = 4 * dim * count
     if len(raw) - 12 != expected:
-        raise TruncatedEmbeddings(
+        raise KnowledgeError(
             f"{sidecar_path}: expected {expected} payload bytes, got {len(raw) - 12}"
         )
     matrix = np.frombuffer(raw, dtype="<f4", offset=12).reshape(count, dim)
     if not np.isfinite(matrix).all():
-        raise PersistenceError(f"{sidecar_path}: non-finite embedding value")
+        raise KnowledgeError(f"{sidecar_path}: non-finite embedding value")
 
     rows = []
     for lineno, line in records:
         try:
             rec = json.loads(line)
+            id, smiles, description = rec["id"], rec["smiles"], rec["description"]
+            texts = (id, smiles) if description is None else (id, smiles, description)
+            if not all(isinstance(text, str) for text in texts):
+                raise TypeError("id, smiles and a non-null description must be strings")
             prediction = rec["primary_prediction"]
             rows.append(
                 check_entry(
-                    rec["id"],
-                    rec["smiles"],
-                    rec["description"],
+                    id,
+                    smiles,
+                    description,
                     float(rec["label"]),
                     float(prediction) if prediction is not None else None,
                     Split(rec["source"]),
                 )
             )
         except (KeyError, TypeError, ValueError) as exc:
-            raise PersistenceError(
+            raise KnowledgeError(
                 f"{meta_path}:{lineno}: corrupt metadata ({type(exc).__name__}: {exc})"
             ) from exc
     return KnowledgeDatabase(task=task, fingerprint=fingerprint, rows=tuple(rows), embeddings=matrix)

@@ -34,14 +34,6 @@ class LlmError(RuntimeError):
     pass
 
 
-class MissingTruth(LlmError):
-    pass
-
-
-class ScriptedResponseMissing(LlmError):
-    pass
-
-
 @dataclass(frozen=True)
 class RemoteChatConfig:
     """Common chat-completion wire shape.
@@ -122,14 +114,14 @@ class LlmExchange:
 
 def _echo_text(task: TaskSpec, meta: QueryMeta) -> str:
     if meta.primary is None:
-        raise MissingTruth(f"echo backend needs a primary prediction for {meta.id!r}")
+        raise LlmError(f"echo backend needs a primary prediction for {meta.id!r}")
     label = float(meta.primary >= 0.5) if task.is_classification else meta.primary
     return render_answer(task, label, meta.primary, "Keeping the model prediction unchanged.")
 
 
 def _oracle_text(task: TaskSpec, meta: QueryMeta) -> str:
     if meta.true_label is None:
-        raise MissingTruth(f"oracle backend needs a true label for {meta.id!r}")
+        raise LlmError(f"oracle backend needs a true label for {meta.id!r}")
     what = "label" if task.is_classification else "value"
     return render_answer(task, meta.true_label, meta.true_label, f"Recalling the reference {what}.")
 
@@ -176,7 +168,7 @@ def complete(
             text = _echo_text(task, meta)
     elif isinstance(cfg, MockScripted):
         if meta.id not in cfg.responses:
-            raise ScriptedResponseMissing(f"no scripted response for {meta.id!r}")
+            raise LlmError(f"no scripted response for {meta.id!r}")
         text = cfg.responses[meta.id]
     else:
         try:

@@ -31,14 +31,6 @@ class ParseError(ValueError):
     pass
 
 
-class NoPredictionFound(ParseError):
-    pass
-
-
-class InvalidClassificationLabel(ParseError):
-    pass
-
-
 @dataclass(frozen=True)
 class ParsedAnswer:
     prediction: float
@@ -136,10 +128,8 @@ def _salvage_parse(text: str, task: TaskSpec) -> ParsedAnswer:
             value = label
         return ParsedAnswer(prediction=value, strict=False)
     if found_any:
-        raise InvalidClassificationLabel(
-            "no standalone 0 or 1 found in a classification response"
-        )
-    raise NoPredictionFound("no prediction found in response")
+        raise ParseError("no standalone 0 or 1 found in a classification response")
+    raise ParseError("no prediction found in response")
 
 
 def parse_response(text: str, task: TaskSpec) -> ParsedAnswer:

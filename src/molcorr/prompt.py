@@ -39,14 +39,6 @@ class PromptError(ValueError):
     pass
 
 
-class MissingDescription(PromptError):
-    pass
-
-
-class BudgetTooSmall(PromptError):
-    pass
-
-
 class PromptKind(str, Enum):
     CORRECTOR = "corrector"
     SELF_CORRECTION = "self_correction"
@@ -195,7 +187,7 @@ def build_corrector_prompt(
     kept = len(homes)
     while (estimate := math.ceil(size / 4)) > token_budget:
         if not kept:
-            raise BudgetTooSmall(
+            raise PromptError(
                 f"token budget {token_budget} cannot hold the zero-context "
                 f"prompt ({estimate} tokens)"
             )
@@ -284,9 +276,7 @@ def build_predictor_prompt(
     question = [QUESTION_HEADER, f"SMILES: {record.smiles}"]
     if kind in (PromptKind.IPD, PromptKind.IED):
         if not record.description:
-            raise MissingDescription(
-                f"{kind.value} prompt requires a description for id {record.id!r}"
-            )
+            raise PromptError(f"{kind.value} prompt requires a description for id {record.id!r}")
         question.append(f"Description: {record.description}")
     question.append("Predict the target property for this molecule.")
     if kind in (PromptKind.IE, PromptKind.IED):

@@ -31,11 +31,6 @@ _in_flight = threading.Semaphore(MAX_IN_FLIGHT)
 class TransportError(RuntimeError):
     """Remote request failed after exhausting retries."""
 
-    def __init__(self, message: str, attempts: int = 0, status: Optional[int] = None):
-        super().__init__(message)
-        self.attempts = attempts
-        self.status = status
-
 
 class MissingApiKey(TransportError):
     pass
@@ -77,7 +72,6 @@ def post_json(
     if api_key:
         headers["Authorization"] = f"Bearer {api_key}"
     last_error = "no attempt made"
-    last_status: Optional[int] = None
     delays = backoff_delays(MAX_ATTEMPTS)
     for attempt in range(1, MAX_ATTEMPTS + 1):
         try:
@@ -86,26 +80,15 @@ def post_json(
             status = getattr(resp, "status_code", 0)
             if status == 429 or status >= 500:
                 last_error = f"status {status}"
-                last_status = status
             elif status >= 400:
-                raise TransportError(
-                    f"request to {url} failed with status {status}",
-                    attempts=attempt,
-                    status=status,
-                )
+                raise TransportError(f"request to {url} failed with status {status}")
             else:
                 try:
                     return resp.json(), attempt
                 except ValueError:
                     last_error = "malformed JSON body"
-                    last_status = status
         except requests.RequestException as exc:
             last_error = f"transport error: {type(exc).__name__}"
-            last_status = None
         if attempt < MAX_ATTEMPTS:
             sleep(delays[attempt - 1])
-    raise TransportError(
-        f"request to {url} failed after {MAX_ATTEMPTS} attempts ({last_error})",
-        attempts=MAX_ATTEMPTS,
-        status=last_status,
-    )
+    raise TransportError(f"request to {url} failed after {MAX_ATTEMPTS} attempts ({last_error})")

@@ -6,7 +6,7 @@ import pytest
 
 from molcorr import transport
 from molcorr.cli import EXIT_CONFIG, EXIT_OK, main
-from molcorr.ingest import CLASSIFICATION, REGRESSION, Split
+from molcorr.ingest import CLASSIFICATION, REGRESSION, DatasetBundle, Split
 from conftest import make_bundle, make_predictions, write_dataset_csv, write_predictions_jsonl
 
 
@@ -110,6 +110,19 @@ class TestBuildDb:
         err = capsys.readouterr().err
         assert "embeddings.lcdb" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("mol_id", [[1], {"x": 1}], ids=["list", "dict"])
+    def test_non_text_prediction_id_exits_2(self, tmp_path, capsys, mol_id):
+        _, cfg = write_workspace(tmp_path)
+        assert main(["build-db", "--config", cfg]) == EXIT_OK
+        lines = (tmp_path / "test.jsonl").read_text().splitlines()
+        lines[0] = json.dumps({"id": mol_id, "prediction": 0.5})
+        (tmp_path / "test.jsonl").write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["correct", "--config", cfg, "--split", "test"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'test.jsonl'}:1: id {mol_id!r} is not a string\n"
+        )
 
 
 class TestCorrect:
@@ -228,6 +241,32 @@ class TestCorrect:
         assert "'binary_classification'" in err and "'regression'" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out" / "report_test.json").exists()
+
+    @pytest.mark.parametrize(
+        "command",
+        [["correct"], ["ablate", "--axis", "k", "--k-values", "1,3"], ["predict", "--prompt", "ip"]],
+        ids=["correct", "ablate", "predict"],
+    )
+    def test_one_class_split_exits_2_before_any_query(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        import molcorr.correct as correct_mod
+
+        calls, complete = [], correct_mod.complete
+        monkeypatch.setattr(
+            correct_mod, "complete", lambda *args: calls.append(args) or complete(*args)
+        )
+        bundle, cfg = write_workspace(tmp_path, task=CLASSIFICATION)
+        assert main(["build-db", "--config", cfg]) == EXIT_OK
+        records = [r._replace(label=1.0) if r.split is Split.TEST else r for r in bundle.records]
+        write_dataset_csv(DatasetBundle(bundle.task, tuple(records)), tmp_path / "dataset.csv")
+        capsys.readouterr()
+        assert main([*command, "--config", cfg, "--split", "test"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: need at least one positive and one negative label\n"
+        )
+        assert calls == []
+        assert list((tmp_path / "out").glob("*")) == []
 
     def test_non_finite_prediction(self, tmp_path, capsys):
         _, cfg = write_workspace(tmp_path)

@@ -4,8 +4,8 @@ import threading
 import pytest
 
 from molcorr.correct import (
+    CorrectionError,
     CorrectionOutcome,
-    FingerprintMismatch,
     RunConfig,
     correct_one,
     correct_split,
@@ -145,7 +145,7 @@ class TestCorrectOne:
         def post_json(*args, **kwargs):
             calls.append(args)
             if len(calls) == failing_call:
-                raise transport.TransportError("request failed after 5 attempts", attempts=5)
+                raise transport.TransportError("request failed after 5 attempts")
             return {"choices": [{"message": {"content": reply}}]}, 1
 
         monkeypatch.setattr(transport, "post_json", post_json)
@@ -196,7 +196,7 @@ class TestCorrectOne:
 
     def test_fingerprint_mismatch(self):
         bundle, _, test_preds, db = setup_pipeline()
-        with pytest.raises(FingerprintMismatch):
+        with pytest.raises(CorrectionError, match="does not match configured embedder"):
             correct_split(
                 Split.TEST, bundle, test_preds, db, CFG, LocalHashConfig(dim=64), MockEcho()
             )

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from molcorr import embed
 from molcorr.embed import (
-    DimensionMismatch,
     EmbedError,
     LocalHashConfig,
     RemoteHttpConfig,
@@ -170,7 +169,7 @@ class TestCosine:
         assert cosine_similarity(np.zeros(3), np.array([1.0, 2.0, 3.0])) == 0.0
 
     def test_dim_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(EmbedError, match="dim mismatch"):
             cosine_similarity(np.zeros(3), np.zeros(4))
 
     @given(

@@ -10,7 +10,6 @@ from molcorr import evaluate
 from molcorr.correct import RunConfig, correct_split, run_summary
 from molcorr.embed import LocalHashConfig
 from molcorr.evaluate import (
-    DegenerateLabels,
     EvalError,
     Metric,
     ablation_points,
@@ -59,7 +58,7 @@ class TestRocAuc:
         assert roc_auc([0.1, 0.2, 0.8, 0.9], [0, 0, 1, 1]).value == 1.0
 
     def test_degenerate_labels(self):
-        with pytest.raises(DegenerateLabels):
+        with pytest.raises(EvalError, match="at least one positive and one negative"):
             roc_auc([0.1, 0.9], [1, 1])
 
     def test_bad_labels(self):

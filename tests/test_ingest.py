@@ -3,24 +3,17 @@ import pytest
 from molcorr.ingest import (
     CLASSIFICATION,
     REGRESSION,
-    DuplicateId,
     IngestError,
-    DuplicatePrediction,
-    EmptySmiles,
-    InvalidLabel,
     Metric,
-    MissingLabel,
-    MissingPrediction,
-    OutOfRangeProbability,
     Split,
     TaskKind,
     TaskSpec,
-    UnknownPredictionId,
-    UnknownSplit,
     load_molecules,
     load_predictions,
     save_molecules,
 )
+from molcorr.llmclient import LlmError, MockEcho, MockPerfectOracle, QueryMeta, complete
+from molcorr.prompt import PromptBundle, PromptKind
 from conftest import make_bundle, make_predictions, write_predictions_jsonl
 
 HEADER = "id,smiles,description,label,split\n"
@@ -63,19 +56,19 @@ def test_molbace_shaped_counts(tmp_path):
 
 def test_unknown_split_token(tmp_path):
     path = write_csv(tmp_path / "d.csv", ["m1,CCO,,1,dev"])
-    with pytest.raises(UnknownSplit):
+    with pytest.raises(IngestError, match="unknown split 'dev'"):
         load_molecules(path, CLASSIFICATION)
 
 
 def test_duplicate_id(tmp_path):
     path = write_csv(tmp_path / "d.csv", ["m1,CCO,,1,train", "m1,CCN,,0,train"])
-    with pytest.raises(DuplicateId):
+    with pytest.raises(IngestError, match="duplicate id 'm1'"):
         load_molecules(path, CLASSIFICATION)
 
 
 def test_missing_required_label(tmp_path):
     path = write_csv(tmp_path / "d.csv", ["m1,CCO,,,valid"])
-    with pytest.raises(MissingLabel):
+    with pytest.raises(IngestError, match="in split valid has no label"):
         load_molecules(path, CLASSIFICATION)
 
 
@@ -87,15 +80,48 @@ def test_test_split_label_optional(tmp_path):
 
 def test_classification_label_domain(tmp_path):
     path = write_csv(tmp_path / "d.csv", ["m1,CCO,,0.7,train"])
-    with pytest.raises(InvalidLabel):
+    with pytest.raises(IngestError, match="label must be 0 or 1, got '0.7'"):
         load_molecules(path, CLASSIFICATION)
     # the same label is fine for regression
     assert load_molecules(path, REGRESSION).records[0].label == 0.7
 
 
+PROMPT = PromptBundle(kind=PromptKind.CORRECTOR, text="stub prompt", token_estimate=3)
+
+
+def load_text(tmp_path, text):
+    path = tmp_path / "d.csv"
+    path.write_text(text, encoding="utf-8")
+    return load_molecules(path, CLASSIFICATION)
+
+
+# each fault raises its module's one error type, so the message is all
+# that tells one check from another
+@pytest.mark.parametrize(
+    "fault, error, message",
+    [
+        (lambda tmp: load_text(tmp, ""), IngestError, r"d\.csv: empty file"),
+        (lambda tmp: load_text(tmp, "id,smiles,label,split\n"), IngestError,
+         r"d\.csv: expected header \['id', 'smiles', 'description', 'label', 'split'\], "
+         r"got \['id', 'smiles', 'label', 'split'\]"),
+        (lambda tmp: load_text(tmp, HEADER + "m1,CCO,,1\n"), IngestError,
+         r"d\.csv:2: expected 5 cells"),
+        (lambda tmp: complete(MockEcho(), PROMPT, QueryMeta(id="a"), REGRESSION), LlmError,
+         "echo backend needs a primary prediction for 'a'"),
+        (lambda tmp: complete(
+            MockPerfectOracle(), PROMPT, QueryMeta(id="a", primary=0.5), CLASSIFICATION
+        ), LlmError, "oracle backend needs a true label for 'a'"),
+    ],
+    ids=["empty-csv", "wrong-header", "wrong-cell-count", "echo-no-primary", "oracle-no-label"],
+)
+def test_each_fault_names_its_check(tmp_path, fault, error, message):
+    with pytest.raises(error, match=message):
+        fault(tmp_path)
+
+
 def test_empty_smiles(tmp_path):
     path = write_csv(tmp_path / "d.csv", ["m1,,,1,train"])
-    with pytest.raises(EmptySmiles):
+    with pytest.raises(IngestError, match="empty SMILES for id 'm1'"):
         load_molecules(path, CLASSIFICATION)
 
 
@@ -146,7 +172,7 @@ class TestLoadPredictions:
         with path.open("w") as fh:
             for mol_id, v in dropped.items():
                 fh.write('{"id": "%s", "prediction": %s}\n' % (mol_id, v))
-        with pytest.raises(MissingPrediction):
+        with pytest.raises(IngestError, match=r"1 valid id\(s\) without predictions"):
             load_predictions(path, regression_bundle, Split.VALID)
 
     def test_unknown_id(self, tmp_path, regression_bundle):
@@ -155,7 +181,7 @@ class TestLoadPredictions:
         write_predictions_jsonl(preds, path)
         with path.open("a") as fh:
             fh.write('{"id": "ghost", "prediction": 1.0}\n')
-        with pytest.raises(UnknownPredictionId):
+        with pytest.raises(IngestError, match="id 'ghost' is not in the valid split"):
             load_predictions(path, regression_bundle, Split.VALID)
 
     def test_wrong_split_id(self, tmp_path, regression_bundle):
@@ -165,7 +191,7 @@ class TestLoadPredictions:
         test_id = regression_bundle.split_records(Split.TEST)[0].id
         with path.open("a") as fh:
             fh.write('{"id": "%s", "prediction": 1.0}\n' % test_id)
-        with pytest.raises(UnknownPredictionId):
+        with pytest.raises(IngestError, match=f"id '{test_id}' is not in the valid split"):
             load_predictions(path, regression_bundle, Split.VALID)
 
     def test_duplicate_line(self, tmp_path, regression_bundle):
@@ -175,7 +201,7 @@ class TestLoadPredictions:
         first = sorted(preds.entries)[0]
         with path.open("a") as fh:
             fh.write('{"id": "%s", "prediction": 0.5}\n' % first)
-        with pytest.raises(DuplicatePrediction):
+        with pytest.raises(IngestError, match=f"duplicate id '{first}'"):
             load_predictions(path, regression_bundle, Split.VALID)
 
     def test_out_of_range_probability(self, tmp_path):
@@ -183,7 +209,7 @@ class TestLoadPredictions:
         valid_id = bundle.split_records(Split.VALID)[0].id
         path = tmp_path / "p.jsonl"
         path.write_text('{"id": "%s", "prediction": 1.2}\n' % valid_id)
-        with pytest.raises(OutOfRangeProbability):
+        with pytest.raises(IngestError, match=r"probability 1.2 outside \[0, 1\]"):
             load_predictions(path, bundle, Split.VALID)
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", '"nan"', "1e999"])

@@ -21,20 +21,13 @@ from molcorr.ingest import (
     Split,
 )
 from molcorr.knowledge import (
-    CountMismatch,
-    DimMismatch,
-    EmptyPool,
     Jump,
     KnowledgeDatabase,
     KnowledgeError,
-    MagicMismatch,
     METADATA_FILE,
-    PersistenceError,
     Random,
-    RetrievalDimMismatch,
     SIDECAR_FILE,
     TopK,
-    TruncatedEmbeddings,
     build_database,
     check_entry,
     load_database,
@@ -250,12 +243,12 @@ class TestRetrieve:
         bundle = make_bundle(REGRESSION, n_train=0, n_valid=1, n_test=0)
         db = build_database(bundle, make_predictions(bundle, Split.VALID), EMB)
         only_id = db.entries[0].id
-        with pytest.raises(EmptyPool):
+        with pytest.raises(KnowledgeError, match="retrieval pool is empty"):
             retrieve(db, embed_text(EMB, "CCO"), k=1, exclude_id=only_id)
 
     def test_dim_mismatch(self):
         bundle, _, db = build_db()
-        with pytest.raises(RetrievalDimMismatch):
+        with pytest.raises(KnowledgeError, match="does not match database dim"):
             retrieve(db, np.zeros(7), k=1)
 
     def test_tie_break_by_ascending_id(self):
@@ -287,7 +280,7 @@ class TestPersistence:
         save_database(db, tmp_path / "db")
         sidecar = tmp_path / "db" / SIDECAR_FILE
         sidecar.write_bytes(sidecar.read_bytes()[:-4])
-        with pytest.raises(TruncatedEmbeddings):
+        with pytest.raises(KnowledgeError, match="payload bytes, got"):
             load_database(tmp_path / "db")
 
     def test_magic_mismatch(self, tmp_path):
@@ -296,7 +289,7 @@ class TestPersistence:
         sidecar = tmp_path / "db" / SIDECAR_FILE
         raw = sidecar.read_bytes()
         sidecar.write_bytes(b"NOPE" + raw[4:])
-        with pytest.raises(MagicMismatch):
+        with pytest.raises(KnowledgeError, match="bad magic b'NOPE'"):
             load_database(tmp_path / "db")
 
     def test_dim_mismatch_header(self, tmp_path):
@@ -309,7 +302,7 @@ class TestPersistence:
         header = json.loads(lines[0])
         header["dim"] = 256
         meta.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
-        with pytest.raises(DimMismatch):
+        with pytest.raises(KnowledgeError, match="!= metadata dim 256"):
             load_database(tmp_path / "db")
 
     def test_count_mismatch(self, tmp_path):
@@ -318,7 +311,7 @@ class TestPersistence:
         meta = tmp_path / "db" / METADATA_FILE
         lines = meta.read_text().splitlines()
         meta.write_text("\n".join(lines[:-1]) + "\n")
-        with pytest.raises(CountMismatch):
+        with pytest.raises(KnowledgeError, match="header says 5 entries, found 4"):
             load_database(tmp_path / "db")
 
     @pytest.mark.parametrize(
@@ -331,10 +324,17 @@ class TestPersistence:
             # lines 2-4 hold the 3 train entries, lines 5-6 the 2 valid ones
             (5, lambda line: json.dumps({**json.loads(line), "primary_prediction": float("nan")})),
             (3, lambda line: json.dumps({**json.loads(line), "source": "test"})),
+            (1, lambda line: json.dumps({**json.loads(line), "entries": 5.7})),
+            (1, lambda line: json.dumps({**json.loads(line), "dim": "32"})),
+            (2, lambda line: json.dumps({**json.loads(line), "id": {"x": 1}})),
+            (3, lambda line: json.dumps({**json.loads(line), "smiles": 5})),
+            (4, lambda line: json.dumps({**json.loads(line), "description": False})),
         ],
         ids=[
             "header-not-json", "header-without-fingerprint", "entry-not-json",
             "entry-nan-label", "entry-nan-prediction", "entry-test-source",
+            "header-fractional-entries", "header-text-dim", "entry-dict-id",
+            "entry-number-smiles", "entry-bool-description",
         ],
     )
     def test_corrupt_metadata_names_file_and_line(self, tmp_path, lineno, corrupt):
@@ -345,10 +345,10 @@ class TestPersistence:
         lines = meta.read_text().splitlines()
         lines[lineno - 1] = corrupt(lines[lineno - 1])
         meta.write_text("\n".join(lines) + "\n")
-        with pytest.raises(PersistenceError, match=f"{METADATA_FILE}:{lineno}: "):
+        with pytest.raises(KnowledgeError, match=f"{METADATA_FILE}:{lineno}: "):
             load_database(tmp_path / "db")
         if lineno == 1:
-            with pytest.raises(PersistenceError, match=f"{METADATA_FILE}:1: "):
+            with pytest.raises(KnowledgeError, match=f"{METADATA_FILE}:1: "):
                 stored_fingerprint(tmp_path / "db")
 
     @pytest.mark.parametrize("value", [float("nan"), float("-inf")], ids=["nan", "-inf"])
@@ -360,7 +360,7 @@ class TestPersistence:
         # the 7th float32 of the payload, after the 12-byte header
         raw[12 + 4 * 6 : 12 + 4 * 7] = np.array([value], dtype="<f4").tobytes()
         sidecar.write_bytes(bytes(raw))
-        with pytest.raises(PersistenceError, match=f"{SIDECAR_FILE}: non-finite"):
+        with pytest.raises(KnowledgeError, match=f"{SIDECAR_FILE}: non-finite"):
             load_database(tmp_path / "db")
 
     def test_retrieval_is_read_only(self, tmp_path):

@@ -15,7 +15,6 @@ from molcorr.llmclient import (
     MockScripted,
     QueryMeta,
     RemoteChatConfig,
-    ScriptedResponseMissing,
     complete,
 )
 from molcorr.prompt import PromptBundle, PromptKind
@@ -80,7 +79,7 @@ class TestMocks:
         cfg = MockScripted(responses={"a": "Prediction: 9.0"})
         ex = complete(cfg, PROMPT, QueryMeta(id="a"), REGRESSION)
         assert ex.response_text == "Prediction: 9.0"
-        with pytest.raises(ScriptedResponseMissing):
+        with pytest.raises(LlmError, match="no scripted response for 'b'"):
             complete(cfg, PROMPT, QueryMeta(id="b"), REGRESSION)
 
     def test_invalid_p(self):
@@ -110,7 +109,9 @@ class TestRetryPolicy:
                 sleep=sleeps.append, post=fake_post,
             )
         assert len(calls) == 5
-        assert err.value.attempts == 5
+        assert str(err.value) == (
+            "request to http://example.invalid/chat failed after 5 attempts (status 503)"
+        )
         assert sleeps == [0.5, 1.0, 2.0, 4.0]
 
     def test_recovers_midway(self):
@@ -134,16 +135,22 @@ class TestRetryPolicy:
         assert attempts == 3
 
     def test_4xx_fails_immediately(self):
+        calls = []
+
         class Resp:
             status_code = 400
             text = "bad request"
 
-        with pytest.raises(transport.TransportError) as err:
+        def fake_post(url, **kwargs):
+            calls.append(url)
+            return Resp()
+
+        with pytest.raises(transport.TransportError, match="failed with status 400"):
             transport.post_json(
                 "http://example.invalid/chat", {},
-                sleep=lambda s: None, post=lambda *a, **k: Resp(),
+                sleep=lambda s: None, post=fake_post,
             )
-        assert err.value.attempts == 1
+        assert len(calls) == 1
 
 
 class _StubChatHandler(BaseHTTPRequestHandler):

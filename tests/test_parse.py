@@ -5,8 +5,6 @@ from hypothesis import strategies as st
 from molcorr.ingest import CLASSIFICATION, REGRESSION
 from molcorr.parse import (
     ConsistencyStats,
-    InvalidClassificationLabel,
-    NoPredictionFound,
     ParseError,
     ParsedAnswer,
     consistency_rate,
@@ -73,11 +71,11 @@ class TestSalvage:
 
 class TestErrors:
     def test_no_prediction(self):
-        with pytest.raises(NoPredictionFound):
+        with pytest.raises(ParseError, match="no prediction found"):
             parse_response("No idea.", REGRESSION)
 
     def test_classification_without_binary_value(self):
-        with pytest.raises(InvalidClassificationLabel):
+        with pytest.raises(ParseError, match="no standalone 0 or 1"):
             parse_response("Prediction: 0.7", CLASSIFICATION)
 
     def test_empty_text(self):
@@ -86,7 +84,7 @@ class TestErrors:
 
     def test_overflowing_number_is_no_number(self):
         # 1e999 reads as inf: strict parsing rejects it and salvage skips it
-        with pytest.raises(NoPredictionFound):
+        with pytest.raises(ParseError, match="no prediction found"):
             parse_response("Prediction: 1e999", REGRESSION)
         answer = parse_response("Prediction: 1e999\nor rather 2.5", REGRESSION)
         assert answer == ParsedAnswer(prediction=2.5, strict=False)

@@ -14,8 +14,6 @@ from molcorr.prompt import (
     QUESTION_HEADER,
     TRAIN_CONTEXT_HEADER,
     VALID_CONTEXT_HEADER,
-    BudgetTooSmall,
-    MissingDescription,
     PromptError,
     PromptKind,
     _context_line,
@@ -132,7 +130,7 @@ class TestCorrector:
         assert estimate_tokens(overfull.text) > 200
 
     def test_budget_too_small(self):
-        with pytest.raises(BudgetTooSmall):
+        with pytest.raises(PromptError, match="cannot hold the zero-context prompt"):
             build_corrector_prompt(
                 QUERY, 1.5, RetrievedContext(items=()), REGRESSION, token_budget=10
             )
@@ -181,7 +179,7 @@ class TestPredictor:
         assert "Explain the reasoning behind your prediction." in bundle.text
 
     def test_ipd_missing_description(self):
-        with pytest.raises(MissingDescription):
+        with pytest.raises(PromptError, match="ipd prompt requires a description"):
             build_predictor_prompt(PromptKind.IPD, QUERY, CLASSIFICATION)
 
     def test_few_shot_exact_line_count(self):
@@ -219,7 +217,7 @@ class TestPredictor:
 
 # Reference trimming: re-render the whole prompt after every dropped
 # entry. build_corrector_prompt renders once and counts bytes instead, and
-# must give the same text, estimate, ids and BudgetTooSmall message.
+# must give the same text, estimate, ids and too-small-budget message.
 def reference_render(task, record, primary, items):
     train_lines = []
     valid_lines = []
@@ -254,7 +252,7 @@ def reference_corrector_prompt(record, primary, ctx, task, token_budget):
         if estimate <= token_budget:
             break
         if not items:
-            raise BudgetTooSmall(
+            raise PromptError(
                 f"token budget {token_budget} cannot hold the zero-context "
                 f"prompt ({estimate} tokens)"
             )
@@ -298,8 +296,8 @@ def test_corrector_matches_drop_one_reference(case, token_budget):
     task, record, primary, ctx = case
     try:
         want = reference_corrector_prompt(record, primary, ctx, task, token_budget)
-    except BudgetTooSmall as exc:
-        with pytest.raises(BudgetTooSmall) as got:
+    except PromptError as exc:
+        with pytest.raises(PromptError, match="cannot hold the zero-context prompt") as got:
             build_corrector_prompt(record, primary, ctx, task, token_budget=token_budget)
         assert str(got.value) == str(exc)
         return

@@ -19,7 +19,6 @@ from .correct import (
 from .embed import (
     LocalHashConfig,
     RemoteHttpConfig,
-    cosine_similarity,
     embed_molecule,
     embed_text,
     embed_texts,
@@ -46,7 +45,6 @@ from .ingest import (
     TaskSpec,
     load_molecules,
     load_predictions,
-    save_molecules,
 )
 from .knowledge import (
     Entry,

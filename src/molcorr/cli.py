@@ -327,8 +327,8 @@ def cmd_predict(rt: Runtime, kind: PromptKind, split: Split, shots: int) -> int:
     stem = f"predict_{kind.value}{shots if kind is PromptKind.FEW_SHOT else ''}_{split.value}"
     with _audit_log(rt, out_dir, stem) as audit:
         answers = correct_mod.run_queries(
-            lambda rec, prompt: correct_mod.ask(
-                rt.llm, prompt, rec, primaries.get(rec.id), rt.task, audit,
+            lambda rec, prompt, log: correct_mod.ask(
+                rt.llm, prompt, rec, primaries.get(rec.id), rt.task, log,
                 "query %s: backend error, no prediction (%s)",
             ),
             queries, rt.run.jobs, audit,
@@ -346,8 +346,10 @@ def cmd_predict(rt: Runtime, kind: PromptKind, split: Split, shots: int) -> int:
         "failures": failures,
         "consistency": consistency_rate(answers).to_dict(),
     }
-    if failures < len(records) and all(rec.label is not None for rec in records):
-        scored = [(v, rec.label) for v, rec in zip(values, records) if v is not None]
+    scored = [(v, rec.label) for v, rec in zip(values, records) if v is not None]
+    # ROC-AUC needs both classes among the answered rows, RMSE one answered row
+    scorable = len({label for _, label in scored}) >= (2 if rt.task.is_classification else 1)
+    if scorable and all(rec.label is not None for rec in records):
         metric = evaluate_mod.score(rt.task, [v for v, _ in scored], [t for _, t in scored])
         result["metric"] = {"name": metric.metric.value, "value": metric.value, "n": metric.n}
         print(f"{kind.value} on {split.value}: {metric.metric.value} = {metric.value:.4f}")

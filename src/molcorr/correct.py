@@ -1,9 +1,10 @@
 """End-to-end correction of one query or one split.
 
-Per query: embed, retrieve context (excluding the query's own entry when
-it comes from the validation split), render the corrector prompt, send it,
-parse the response, optionally run one self-correction round, and record
-the refined prediction.
+A split embeds every query, retrieves its context (excluding the query's
+own entry when it comes from the validation split) and renders its
+corrector prompt before the first request, so a prompt fault sends
+nothing. Then, per query: send the prompt, parse the response, optionally
+run one self-correction round, and record the refined prediction.
 
 Self-correction fires when the proposed correction deviates strongly from
 the base model: a flipped label for classification, or a relative change
@@ -19,8 +20,8 @@ Every LLM call goes through ``ask`` and every split through ``run_queries``;
 Nothing depends on worker count or call order: the noisy mock's coin
 flip derives from (its seed, query id), and the random strategy's draw
 from the run seed and the pool size alone, so every query of a split
-takes the same rank positions. Outcomes, and the audit log once a split
-is done, are in dataset order.
+takes the same rank positions. Outcomes and audit-log lines are in
+dataset order.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .embed import EmbedderConfig, embed_molecule, embedder_fingerprint
 from .ingest import DatasetBundle, MoleculeRecord, PredictionSet, Split, TaskSpec
 from .knowledge import KnowledgeDatabase, RetrievalStrategy, TopK, retrieve, strategy_name
-from .llmclient import AuditLog, LlmBackendConfig, LlmError, QueryMeta, backend_name, complete
+from .llmclient import (AuditLog, LlmBackendConfig, LlmError, LlmExchange, QueryMeta,
+                        backend_name, complete)
 from .parse import ParseError, ParsedAnswer, consistency_rate, parse_response
 from .prompt import (DEFAULT_TOKEN_BUDGET, PromptBundle, build_corrector_prompt,
                      build_self_correction_prompt)
@@ -121,20 +123,20 @@ def check_fingerprint(
 
 def ask(
     llm: LlmBackendConfig, prompt: PromptBundle, record: MoleculeRecord,
-    primary: Optional[float], task: TaskSpec, audit: Optional[AuditLog],
+    primary: Optional[float], task: TaskSpec, log: List[LlmExchange],
     backend_warning: str = "query %s: backend error, falling back (%s)",
 ) -> Optional[ParsedAnswer]:
-    """Send one prompt about ``record``, log the exchange and parse the
-    reply; None when the backend fails (logged as ``backend_warning`` with
-    the query id and the error) or the reply does not parse."""
+    """Send one prompt about ``record``, add the exchange to ``log`` and
+    parse the reply; None when the backend fails (logged as
+    ``backend_warning`` with the query id and the error) or the reply
+    does not parse."""
     meta = QueryMeta(id=record.id, primary=primary, true_label=record.label)
     try:
         exchange = complete(llm, prompt, meta, task)
     except LlmError as exc:
         logger.warning(backend_warning, record.id, exc)
         return None
-    if audit is not None:
-        audit.append(record.id, exchange)
+    log.append(exchange)
     try:
         return parse_response(exchange.response_text, task)
     except ParseError:
@@ -142,38 +144,45 @@ def ask(
 
 
 def run_queries(
-    step: Callable, queries: Sequence[Tuple[MoleculeRecord, object]], jobs: int,
-    audit: Optional[AuditLog],
+    step: Callable, queries: Sequence[tuple], jobs: int, audit: Optional[AuditLog]
 ) -> List:
-    """``step(record, value)`` for each ``(record, value)`` query, in query
-    order, on up to ``jobs`` workers; then the audit log is rewritten in
-    query order, so neither results nor log depend on the worker count."""
-    if jobs <= 1 or len(queries) <= 1:
-        results = [step(rec, value) for rec, value in queries]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(step, *zip(*queries)))
-    if audit is not None:
-        audit.reorder([rec.id for rec, _ in queries])
+    """``step(*query, log)`` for each query, a tuple of arguments whose
+    first is the query's record, on up to ``jobs`` workers; ``step`` adds
+    its exchanges to the list ``log``. Results are taken in query order,
+    each query's exchanges going to ``audit`` as its result is taken, so
+    neither results nor log depend on the worker count, and a crash keeps
+    the lines of every query taken before it."""
+
+    def run(query):
+        log: List[LlmExchange] = []
+        return step(*query, log), log
+
+    results = []
+    pool = ThreadPoolExecutor(max_workers=jobs)  # starts no thread before the first submit
+    try:
+        taken = pool.map(run, queries) if jobs > 1 else map(run, queries)
+        for query, (result, log) in zip(queries, taken):
+            if audit is not None:
+                for exchange in log:
+                    audit.append(query[0].id, exchange)
+            results.append(result)
+    finally:
+        pool.shutdown(cancel_futures=True)  # after a fault, start no further query
     return results
 
 
 def correct_one(
     record: MoleculeRecord,
     primary: float,
-    db: KnowledgeDatabase,
+    prompt: PromptBundle,
+    task: TaskSpec,
     cfg: RunConfig,
-    embedder: EmbedderConfig,
     llm: LlmBackendConfig,
-    audit: Optional[AuditLog] = None,
+    log: List[LlmExchange],
 ) -> CorrectionOutcome:
-    """Run the full correction pipeline for a single query."""
-    task = db.task
-    query_vec = embed_molecule(embedder, record, cfg.include_description)
-    exclude = record.id if record.split is Split.VALID else None
-    ctx = retrieve(db, query_vec, cfg.k, cfg.strategy, exclude_id=exclude)
-    prompt = build_corrector_prompt(record, primary, ctx, task, cfg.token_budget)
-    initial = ask(llm, prompt, record, primary, task, audit)
+    """Ask the corrector ``prompt`` about one query and, when the trigger
+    fires, ask once more for self-correction; exchanges go to ``log``."""
+    initial = ask(llm, prompt, record, primary, task, log)
     invoked = (
         initial is not None
         and cfg.self_correction
@@ -184,7 +193,7 @@ def correct_one(
         sc_prompt = build_self_correction_prompt(
             record, primary, initial.prediction, task, prior_explanation=initial.explanation
         )
-        answer = ask(llm, sc_prompt, record, primary, task, audit,
+        answer = ask(llm, sc_prompt, record, primary, task, log,
                      "query %s: self-correction backend error (%s)") or initial
     final, source = (primary, None) if answer is None else final_value(task, answer)
     return CorrectionOutcome(
@@ -209,10 +218,11 @@ def correct_split(
     llm: LlmBackendConfig,
     audit: Optional[AuditLog] = None,
 ) -> List[CorrectionOutcome]:
-    """Correct every molecule of a split through ``run_queries``, outcomes
-    in dataset order. The leakage guard applies only to validation
-    queries. A database built for another task or embedder raises
-    CorrectionError.
+    """Correct every molecule of a split, outcomes in dataset order.
+
+    Every corrector prompt is rendered before ``run_queries`` sends the
+    first one. The leakage guard applies only to validation queries. A
+    database built for another task or embedder raises CorrectionError.
     """
     if db.task != bundle.task:
         raise CorrectionError(
@@ -220,11 +230,15 @@ def correct_split(
             f"configured task {bundle.task.kind.value!r}"
         )
     check_fingerprint(db.fingerprint, embedder, cfg.include_description)
-    queries = [(rec, predictions.entries[rec.id]) for rec in bundle.split_records(split)]
-    return run_queries(
-        lambda rec, primary: correct_one(rec, primary, db, cfg, embedder, llm, audit=audit),
-        queries, cfg.jobs, audit,
-    )
+    queries = []
+    for rec in bundle.split_records(split):
+        primary = predictions.entries[rec.id]
+        query_vec = embed_molecule(embedder, rec, cfg.include_description)
+        exclude = rec.id if rec.split is Split.VALID else None
+        ctx = retrieve(db, query_vec, cfg.k, cfg.strategy, exclude_id=exclude)
+        prompt = build_corrector_prompt(rec, primary, ctx, db.task, cfg.token_budget)
+        queries.append((rec, primary, prompt, db.task, cfg, llm))
+    return run_queries(correct_one, queries, cfg.jobs, audit)
 
 
 def run_summary(

@@ -236,16 +236,3 @@ def embedder_fingerprint(cfg: EmbedderConfig, include_description: bool) -> str:
     knowledge database and checked before querying it."""
     suffix = ":desc=1" if include_description else ":desc=0"
     return cfg.fingerprint + suffix
-
-
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity in [-1, 1]; 0 when either vector is all-zero."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise EmbedError(f"dim mismatch: {a.shape} vs {b.shape}")
-    na = math.sqrt(float(np.dot(a, a)))
-    nb = math.sqrt(float(np.dot(b, b)))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.dot(a, b)) / (na * nb)

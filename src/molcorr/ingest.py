@@ -160,28 +160,6 @@ def load_molecules(path: Union[str, Path], task: TaskSpec) -> DatasetBundle:
     return DatasetBundle(task=task, records=tuple(records))
 
 
-def save_molecules(bundle: DatasetBundle, path: Union[str, Path]) -> None:
-    """Write a bundle back to CSV; reloading yields an identical bundle.
-
-    Labels use shortest round-trip decimal rendering (repr), so the float
-    value survives the trip exactly.
-    """
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for rec in bundle.records:
-            writer.writerow(
-                [
-                    rec.id,
-                    rec.smiles,
-                    rec.description or "",
-                    repr(rec.label) if rec.label is not None else "",
-                    rec.split.value,
-                ]
-            )
-
-
 def load_predictions(
     path: Union[str, Path], bundle: DatasetBundle, split: Split
 ) -> PredictionSet:

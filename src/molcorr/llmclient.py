@@ -18,7 +18,6 @@ in the environment and never appear in exchanges, logs or errors.
 from __future__ import annotations
 
 import json
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Union
@@ -187,40 +186,19 @@ def complete(
 
 class AuditLog:
     """JSON-lines log of exchanges (id, kind, attempts, latency in ms,
-    response text), appended as calls complete. Thread-safe. The first
+    response text). ``run_queries`` appends each query's exchanges in
+    query order, from the thread that takes the results. The first
     append opens the file, line-buffered, so every line is on disk when
-    ``append`` returns; ``reorder`` and ``close`` close it."""
+    ``append`` returns; ``close`` closes it."""
 
     def __init__(self, path):
         self.path = path
-        self._lock = threading.Lock()
         self._fh = None
 
     def close(self) -> None:
-        with self._lock:
-            self._close()
-
-    def _close(self) -> None:
         if self._fh is not None:
             self._fh.close()
             self._fh = None
-
-    def reorder(self, query_ids) -> None:
-        """Rewrite the log grouped by ``query_ids`` order. Lines of one id
-        keep the order they were appended in; lines of ids not in
-        ``query_ids`` (an earlier split's) stay ahead, in their order. A
-        log nothing was appended to has no file and is left as it is."""
-        rank = {query_id: i for i, query_id in enumerate(query_ids)}
-        with self._lock:
-            self._close()
-            try:
-                with open(self.path, encoding="utf-8") as fh:
-                    lines = fh.readlines()
-            except FileNotFoundError:
-                return
-            lines.sort(key=lambda line: rank.get(json.loads(line)["id"], -1))
-            with open(self.path, "w", encoding="utf-8") as fh:
-                fh.writelines(lines)
 
     def append(self, query_id: str, exchange: LlmExchange) -> None:
         line = json.dumps(
@@ -233,7 +211,6 @@ class AuditLog:
             },
             separators=(",", ":"),
         )
-        with self._lock:
-            if self._fh is None:
-                self._fh = open(self.path, "a", encoding="utf-8", buffering=1)
-            self._fh.write(line + "\n")
+        if self._fh is None:
+            self._fh = open(self.path, "a", encoding="utf-8", buffering=1)
+        self._fh.write(line + "\n")

@@ -1,4 +1,5 @@
-"""Shared synthetic-data builders for the test suite.
+"""Shared synthetic-data builders for the test suite, plus the dataset
+CSV writer and a reference cosine similarity, which only tests use.
 
 All generated labels and predictions are rounded to 4 decimals, matching
 the 4-decimal number rendering of prompts and mock responses, so
@@ -7,15 +8,19 @@ echo/oracle round trips are exact.
 
 from __future__ import annotations
 
+import csv
 import json
+import math
 import random
 from pathlib import Path
 from typing import List, Optional
 
+import numpy as np
 import pytest
 
 from molcorr.ingest import (
     CLASSIFICATION,
+    CSV_HEADER,
     REGRESSION,
     DatasetBundle,
     MoleculeRecord,
@@ -113,9 +118,28 @@ def make_predictions(
 
 
 def write_dataset_csv(bundle: DatasetBundle, path: Path) -> None:
-    from molcorr.ingest import save_molecules
+    """Write a bundle as the dataset CSV ``load_molecules`` reads; reloading
+    yields an identical bundle, since labels use the shortest round-trip
+    decimal rendering (repr)."""
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_HEADER)
+        for rec in bundle.records:
+            label = "" if rec.label is None else repr(rec.label)
+            writer.writerow([rec.id, rec.smiles, rec.description or "", label, rec.split.value])
 
-    save_molecules(bundle, path)
+
+def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
+    """Reference cosine similarity in [-1, 1]; 0 when either vector is all-zero."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise ValueError(f"dim mismatch: {a.shape} vs {b.shape}")
+    na = math.sqrt(float(np.dot(a, a)))
+    nb = math.sqrt(float(np.dot(b, b)))
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    return float(np.dot(a, b)) / (na * nb)
 
 
 def write_predictions_jsonl(preds: PredictionSet, path: Path) -> None:

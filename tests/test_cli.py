@@ -7,6 +7,8 @@ import pytest
 from molcorr import transport
 from molcorr.cli import EXIT_CONFIG, EXIT_OK, main
 from molcorr.ingest import CLASSIFICATION, REGRESSION, DatasetBundle, Split
+from molcorr.knowledge import RetrievedContext
+from molcorr.prompt import build_corrector_prompt
 from conftest import make_bundle, make_predictions, write_dataset_csv, write_predictions_jsonl
 
 
@@ -303,6 +305,39 @@ class TestCorrect:
         assert [row["fallback_used"] for row in rows] == [True] + [False] * 7
 
 
+    def test_budget_fault_sends_nothing(self, tmp_path, capsys, monkeypatch):
+        # the budget holds the first query's zero-context prompt but not the
+        # longest one, so only rendering every prompt first sends nothing
+        import molcorr.correct as correct_mod
+
+        calls, complete = [], correct_mod.complete
+        monkeypatch.setattr(
+            correct_mod, "complete", lambda *args: calls.append(args) or complete(*args)
+        )
+        bundle, cfg = write_workspace(tmp_path, audit_log="true")
+        assert main(["build-db", "--config", cfg]) == EXIT_OK
+        rows = [json.loads(line) for line in (tmp_path / "test.jsonl").read_text().splitlines()]
+        primaries = {row["id"]: row["prediction"] for row in rows}
+        sizes = [
+            build_corrector_prompt(
+                rec, primaries[rec.id], RetrievedContext(items=()), REGRESSION, 10**6
+            ).token_estimate
+            for rec in bundle.split_records(Split.TEST)
+        ]
+        budget = max(sizes) - 1
+        assert sizes[0] <= budget
+        Path(cfg).write_text(Path(cfg).read_text() + f"token_budget={budget}\n")
+        capsys.readouterr()
+        assert main(["correct", "--config", cfg, "--split", "test"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: token budget {budget} cannot hold the zero-context prompt "
+            f"({max(sizes)} tokens)\n"
+        )
+        assert calls == []
+        assert not (tmp_path / "out" / "outcomes_test.jsonl").exists()
+        assert (tmp_path / "out" / "audit_test.jsonl").read_text() == ""
+
+
 class TestPredict:
     def test_ip_with_perfect_oracle_auc_one(self, tmp_path, capsys):
         _, cfg = write_workspace(tmp_path, task=CLASSIFICATION, llm_backend="perfect")
@@ -440,6 +475,29 @@ class TestPredict:
         result = json.loads((tmp_path / "out" / "predict_ip_test.json").read_text())
         assert result["failures"] == 1
         assert result["metric"]["n"] == 7
+
+
+    def test_answered_rows_of_one_class_give_no_metric(self, tmp_path, capsys):
+        # both classes are in the split, but only label-1 queries are answered
+        bundle = make_bundle(CLASSIFICATION, n_train=20, n_valid=8, n_test=8, seed=3)
+        positives = [r.id for r in bundle.split_records(Split.TEST) if r.label == 1.0]
+        assert 0 < len(positives) < 8
+        scripted = tmp_path / "scripted.json"
+        reply = "Prediction: 1\nProbability: 0.9000\nExplanation: x"
+        scripted.write_text(json.dumps(dict.fromkeys(positives, reply)))
+        _, cfg = write_workspace(
+            tmp_path, task=CLASSIFICATION, llm_backend="scripted", scripted_responses=scripted
+        )
+        code = main(["predict", "--config", cfg, "--prompt", "ip", "--split", "test"])
+        assert code == 1
+        assert capsys.readouterr().out == "ip on test: 8 queries, no metric\n"
+        result = json.loads((tmp_path / "out" / "predict_ip_test.json").read_text())
+        assert "metric" not in result
+        assert result["failures"] == 8 - len(positives)
+        rows = (tmp_path / "out" / "predict_ip_test.jsonl").read_text().splitlines()
+        assert [json.loads(row)["prediction"] is not None for row in rows] == [
+            r.id in positives for r in bundle.split_records(Split.TEST)
+        ]
 
 
 class TestAblate:

@@ -1,5 +1,6 @@
 import json
 import threading
+import time
 
 import pytest
 
@@ -17,6 +18,7 @@ from molcorr.correct import (
 from molcorr.embed import LocalHashConfig, embed_molecule
 from molcorr.ingest import CLASSIFICATION, REGRESSION, Split
 from molcorr.knowledge import Jump, build_database, retrieve
+from molcorr import correct as correct_mod
 from molcorr import llmclient, transport
 from molcorr.llmclient import (
     AuditLog,
@@ -43,6 +45,14 @@ def setup_pipeline(task=REGRESSION, n_train=20, n_valid=8, n_test=8, seed=3):
     test_preds = make_predictions(bundle, Split.TEST, seed=seed + 2)
     db = build_database(bundle, val_preds, EMB)
     return bundle, val_preds, test_preds, db
+
+
+def correct_query(rec, primary, db, cfg, llm, log=None):
+    """``correct_one`` on the corrector prompt ``correct_split`` renders for ``rec``."""
+    exclude = rec.id if rec.split is Split.VALID else None
+    ctx = retrieve(db, embed_molecule(EMB, rec), cfg.k, cfg.strategy, exclude_id=exclude)
+    prompt = build_corrector_prompt(rec, primary, ctx, db.task, cfg.token_budget)
+    return correct_one(rec, primary, prompt, db.task, cfg, llm, [] if log is None else log)
 
 
 class TestTrigger:
@@ -80,7 +90,7 @@ class TestCorrectOne:
         bundle, _, test_preds, db = setup_pipeline()
         rec = bundle.split_records(Split.TEST)[0]
         primary = test_preds.entries[rec.id]
-        out = correct_one(rec, primary, db, CFG, EMB, MockEcho())
+        out = correct_query(rec, primary, db, CFG, MockEcho())
         assert out.final == primary
         assert not out.self_correction_invoked
         assert not out.fallback_used
@@ -91,7 +101,7 @@ class TestCorrectOne:
         rec = next(
             r for r in bundle.split_records(Split.TEST) if r.label == 0.0
         )
-        out = correct_one(rec, 0.9, db, CFG, EMB, MockPerfectOracle())
+        out = correct_query(rec, 0.9, db, CFG, MockPerfectOracle())
         assert out.self_correction_invoked
         assert out.final == 0.0
         assert out.final_source == "probability"
@@ -101,7 +111,7 @@ class TestCorrectOne:
         rec = bundle.split_records(Split.TEST)[0]
         primary = test_preds.entries[rec.id]
         llm = MockScripted(responses={rec.id: "garbage"})
-        out = correct_one(rec, primary, db, CFG, EMB, llm)
+        out = correct_query(rec, primary, db, CFG, llm)
         assert out.fallback_used
         assert out.final == primary
         assert out.initial is None
@@ -126,14 +136,14 @@ class TestCorrectOne:
         bundle, _, test_preds, db = setup_pipeline()
         rec = bundle.split_records(Split.TEST)[0]
         primary = test_preds.entries[rec.id]
-        out = correct_one(rec, primary, db, CFG, EMB, llm)
+        out = correct_query(rec, primary, db, CFG, llm)
         assert out.fallback_used
         assert out.final == primary
 
     def test_unmapped_scripted_id_falls_back(self):
         bundle, _, test_preds, db = setup_pipeline()
         rec = bundle.split_records(Split.TEST)[0]
-        out = correct_one(rec, test_preds.entries[rec.id], db, CFG, EMB, MockScripted())
+        out = correct_query(rec, test_preds.entries[rec.id], db, CFG, MockScripted())
         assert out.fallback_used
 
     @staticmethod
@@ -151,37 +161,33 @@ class TestCorrectOne:
         monkeypatch.setattr(transport, "post_json", post_json)
         return calls
 
-    def test_corrector_request_failure_falls_back(self, monkeypatch, caplog, tmp_path):
+    def test_corrector_request_failure_falls_back(self, monkeypatch, caplog):
         bundle, _, test_preds, db = setup_pipeline()
         rec = bundle.split_records(Split.TEST)[0]
         primary = test_preds.entries[rec.id]
         calls = self.failing_transport(monkeypatch, 1, "Prediction: 1.0")
-        path = tmp_path / "audit.jsonl"
-        path.write_text("")
+        log = []
         llm = RemoteChatConfig(endpoint="http://127.0.0.1:9/v1/chat", model="m")
         with caplog.at_level("WARNING", logger="molcorr.correct"):
-            out = correct_one(rec, primary, db, CFG, EMB, llm, audit=AuditLog(path))
+            out = correct_query(rec, primary, db, CFG, llm, log)
         assert len(calls) == 1
         assert out.fallback_used and out.initial is None
         assert out.final == primary and not out.self_correction_invoked
         assert [r.getMessage() for r in caplog.records] == [
             f"query {rec.id}: backend error, falling back (request failed after 5 attempts)"
         ]
-        assert path.read_text() == ""
+        assert log == []
 
-    def test_self_correction_request_failure_keeps_initial(self, monkeypatch, caplog, tmp_path):
+    def test_self_correction_request_failure_keeps_initial(self, monkeypatch, caplog):
         bundle, _, _, db = setup_pipeline(task=CLASSIFICATION, seed=9)
         rec = bundle.split_records(Split.TEST)[0]
         # a flipped label triggers self-correction, whose request then fails
         reply = render_answer(CLASSIFICATION, 0.0, probability=0.2, explanation="flip")
         calls = self.failing_transport(monkeypatch, 2, reply)
-        path = tmp_path / "audit.jsonl"
-        path.write_text("")
+        log = []
         llm = RemoteChatConfig(endpoint="http://127.0.0.1:9/v1/chat", model="m")
-        audit = AuditLog(path)
         with caplog.at_level("WARNING", logger="molcorr.correct"):
-            out = correct_one(rec, 0.9, db, CFG, EMB, llm, audit=audit)
-        audit.close()
+            out = correct_query(rec, 0.9, db, CFG, llm, log)
         assert len(calls) == 2
         assert out.self_correction_invoked and not out.fallback_used
         assert out.initial is not None and out.initial.prediction == 0.0
@@ -189,9 +195,8 @@ class TestCorrectOne:
         assert [r.getMessage() for r in caplog.records] == [
             f"query {rec.id}: self-correction backend error (request failed after 5 attempts)"
         ]
-        lines = [json.loads(line) for line in path.read_text().splitlines()]
-        assert [(row["id"], row["kind"], row["response"]) for row in lines] == [
-            (rec.id, "corrector", reply)
+        assert [(ex.prompt.kind, ex.response_text) for ex in log] == [
+            (PromptKind.CORRECTOR, reply)
         ]
 
     def test_fingerprint_mismatch(self):
@@ -207,11 +212,11 @@ class TestCorrectOne:
         # and the outcome lists only the ids that reached the prompt
         bundle, _, test_preds, db = setup_pipeline(n_train=40, n_valid=10)
         cfg = RunConfig(k=40, token_budget=400)
-        for rec in bundle.split_records(Split.TEST):
+        outs = correct_split(Split.TEST, bundle, test_preds, db, cfg, EMB, llm)
+        for rec, out in zip(bundle.split_records(Split.TEST), outs, strict=True):
             primary = test_preds.entries[rec.id]
             ctx = retrieve(db, embed_molecule(EMB, rec), cfg.k, cfg.strategy)
             prompt = build_corrector_prompt(rec, primary, ctx, db.task, cfg.token_budget)
-            out = correct_one(rec, primary, db, cfg, EMB, llm)
             assert out.fallback_used is isinstance(llm, MockScripted)
             assert out.context_ids == prompt.context_ids
             assert 0 < len(out.context_ids) < 40 == len(ctx)
@@ -220,7 +225,7 @@ class TestCorrectOne:
         bundle, _, _, db = setup_pipeline(task=CLASSIFICATION, seed=9)
         rec = next(r for r in bundle.split_records(Split.TEST) if r.label == 0.0)
         cfg = RunConfig(k=5, self_correction=False)
-        out = correct_one(rec, 0.9, db, cfg, EMB, MockPerfectOracle())
+        out = correct_query(rec, 0.9, db, cfg, MockPerfectOracle())
         assert not out.self_correction_invoked
         assert out.final == 0.0  # initial oracle answer still wins
 
@@ -228,7 +233,7 @@ class TestCorrectOne:
         bundle, _, test_preds, db = setup_pipeline(seed=21)
         for rec in bundle.split_records(Split.TEST):
             primary = test_preds.entries[rec.id]
-            out = correct_one(rec, primary, db, CFG, EMB, MockPerfectOracle())
+            out = correct_query(rec, primary, db, CFG, MockPerfectOracle())
             assert out.initial is not None
             want = should_self_correct(REGRESSION, primary, out.initial.prediction, CFG)
             assert out.self_correction_invoked == want
@@ -277,41 +282,70 @@ class TestCorrectSplit:
         )
         assert serial == parallel
 
-    def test_audit_log_in_dataset_order(self, tmp_path):
-        # the first query's lines are held back until the third query has
-        # logged, so at jobs=3 the calls complete out of dataset order
+    def test_audit_log_in_dataset_order(self, tmp_path, monkeypatch):
+        # at jobs=3 the first query's request is held back until the third
+        # query's has returned, so the calls complete out of dataset order
         bundle, _, test_preds, db = setup_pipeline(n_test=8)
         first, _, third = [r.id for r in bundle.split_records(Split.TEST)][:3]
-        third_logged = threading.Event()
+        third_returned = threading.Event()
+        completed = []
 
-        class HeldBackLog(AuditLog):
-            def append(self, query_id, exchange):
-                if query_id == first:
-                    assert third_logged.wait(timeout=10)
-                super().append(query_id, exchange)
-                if query_id == third:
-                    third_logged.set()
+        def held_back(llm, prompt, meta, task):
+            if meta.id == first:
+                assert third_returned.wait(timeout=10)
+            exchange = complete(llm, prompt, meta, task)
+            completed.append(meta.id)
+            if meta.id == third:
+                third_returned.set()
+            return exchange
 
         logs = {}
         for jobs in (1, 3):
-            third_logged.clear()
+            if jobs > 1:
+                monkeypatch.setattr(correct_mod, "complete", held_back)
             path = tmp_path / f"audit_{jobs}.jsonl"
-            path.write_text("")
-            log = HeldBackLog(path) if jobs > 1 else AuditLog(path)
+            log = AuditLog(path)
             correct_split(
                 Split.TEST, bundle, test_preds, db, RunConfig(k=5, jobs=jobs), EMB,
                 MockNoisyOracle(p=0.5, seed=11), audit=log,
             )
+            log.close()
             logs[jobs] = [json.loads(line) for line in path.read_text().splitlines()]
             for row in logs[jobs]:
                 del row["latency_ms"]
+        assert completed.index(third) < completed.index(first)
         assert logs[3] == logs[1]
         assert [row["kind"] for row in logs[1]].count("self_correction") > 0
         want = [r.id for r in bundle.split_records(Split.TEST)]
         assert list(dict.fromkeys(row["id"] for row in logs[1])) == want
 
+    def test_audit_fault_starts_no_further_query(self, tmp_path, monkeypatch):
+        # the first query's log line cannot be written while both workers
+        # are busy with later queries: the queries not yet started are not sent
+        bundle, _, test_preds, db = setup_pipeline(n_test=8)
+        first = bundle.split_records(Split.TEST)[0].id
+        calls = []
+
+        def slow_after_first(llm, prompt, meta, task):
+            calls.append(meta.id)
+            if meta.id != first:
+                time.sleep(0.5)
+            return complete(llm, prompt, meta, task)
+
+        class FullDisk(AuditLog):
+            def append(self, query_id, exchange):
+                raise OSError("No space left on device")
+
+        monkeypatch.setattr(correct_mod, "complete", slow_after_first)
+        with pytest.raises(OSError, match="No space left"):
+            correct_split(
+                Split.TEST, bundle, test_preds, db, RunConfig(k=5, jobs=2), EMB, MockEcho(),
+                audit=FullDisk(tmp_path / "audit.jsonl"),
+            )
+        assert len(calls) <= 3
+
     def test_audit_log_bytes_unchanged_at_one_job(self, tmp_path):
-        # the dataset-order rewrite leaves a serial run's log as appended
+        # nothing rewrites the log after its last append
         bundle, _, test_preds, db = setup_pipeline(n_test=6)
         path = tmp_path / "audit.jsonl"
         appended = []
@@ -322,15 +356,16 @@ class TestCorrectSplit:
                 appended.append(path.read_bytes())
 
         path.write_text("")
+        log = Recording(path)
         correct_split(
             Split.TEST, bundle, test_preds, db, RunConfig(k=5), EMB,
-            MockNoisyOracle(p=0.5, seed=11), audit=Recording(path),
+            MockNoisyOracle(p=0.5, seed=11), audit=log,
         )
+        log.close()
         assert path.read_bytes() == appended[-1]
 
     def test_audit_log_opens_its_file_once(self, tmp_path, monkeypatch):
-        # one append handle for the whole split, then the reorder's read
-        # and rewrite
+        # one append handle for the whole split
         bundle, _, test_preds, db = setup_pipeline(n_test=6)
         path = tmp_path / "audit.jsonl"
         path.write_text("")
@@ -341,21 +376,25 @@ class TestCorrectSplit:
             return open(file, mode, *args, **kwargs)
 
         monkeypatch.setattr(llmclient, "open", counting_open, raising=False)
+        log = AuditLog(path)
         correct_split(
             Split.TEST, bundle, test_preds, db, RunConfig(k=5), EMB,
-            MockNoisyOracle(p=0.5, seed=11), audit=AuditLog(path),
+            MockNoisyOracle(p=0.5, seed=11), audit=log,
         )
+        log.close()
         assert len(path.read_text().splitlines()) >= 6
-        assert modes == ["a", "r", "w"]
+        assert modes == ["a"]
 
     def test_audit_log_without_any_reply(self, tmp_path):
         # every query fails before a reply is logged, so the log's file is
         # never created; the split still yields its outcomes
         bundle, _, test_preds, db = setup_pipeline()
         path = tmp_path / "audit.jsonl"
+        log = AuditLog(path)
         outs = correct_split(
-            Split.TEST, bundle, test_preds, db, CFG, EMB, MockScripted(), audit=AuditLog(path)
+            Split.TEST, bundle, test_preds, db, CFG, EMB, MockScripted(), audit=log
         )
+        log.close()
         assert len(outs) == bundle.counts[Split.TEST]
         assert all(o.fallback_used for o in outs)
         assert not path.exists()

@@ -14,12 +14,12 @@ from molcorr.embed import (
     EmbedError,
     LocalHashConfig,
     RemoteHttpConfig,
-    cosine_similarity,
     embed_molecule,
     embed_text,
     embed_texts,
 )
 from molcorr.ingest import MoleculeRecord, Split
+from conftest import cosine_similarity
 
 # Independent reimplementation of the pinned hashing recipe, used to
 # freeze expected vectors. Kept deliberately separate from the library's
@@ -169,7 +169,7 @@ class TestCosine:
         assert cosine_similarity(np.zeros(3), np.array([1.0, 2.0, 3.0])) == 0.0
 
     def test_dim_mismatch(self):
-        with pytest.raises(EmbedError, match="dim mismatch"):
+        with pytest.raises(ValueError, match="dim mismatch"):
             cosine_similarity(np.zeros(3), np.zeros(4))
 
     @given(

@@ -10,11 +10,10 @@ from molcorr.ingest import (
     TaskSpec,
     load_molecules,
     load_predictions,
-    save_molecules,
 )
 from molcorr.llmclient import LlmError, MockEcho, MockPerfectOracle, QueryMeta, complete
 from molcorr.prompt import PromptBundle, PromptKind
-from conftest import make_bundle, make_predictions, write_predictions_jsonl
+from conftest import make_bundle, make_predictions, write_dataset_csv, write_predictions_jsonl
 
 HEADER = "id,smiles,description,label,split\n"
 
@@ -136,14 +135,14 @@ def test_quoted_fields_round_trip(tmp_path):
 
 def test_csv_round_trip_identical(tmp_path, regression_bundle):
     out = tmp_path / "again.csv"
-    save_molecules(regression_bundle, out)
+    write_dataset_csv(regression_bundle, out)
     reloaded = load_molecules(out, REGRESSION)
     assert reloaded == regression_bundle
 
 
 def test_load_is_deterministic(tmp_path, classification_bundle):
     out = tmp_path / "d.csv"
-    save_molecules(classification_bundle, out)
+    write_dataset_csv(classification_bundle, out)
     assert load_molecules(out, CLASSIFICATION) == load_molecules(out, CLASSIFICATION)
 
 

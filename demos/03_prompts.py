@@ -28,8 +28,7 @@ query = MoleculeRecord(
 
 
 def entry(mol_id, smiles, label, prediction=None):
-    source = Split.VALID if prediction is not None else Split.TRAIN
-    return Entry(mol_id, smiles, None, label, prediction, source, embed_text(emb, smiles))
+    return Entry(mol_id, smiles, label, prediction, embed_text(emb, smiles))
 
 
 ctx = RetrievedContext(

@@ -19,10 +19,9 @@ import argparse
 import json
 import math
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import correct as correct_mod
 from . import evaluate as evaluate_mod
@@ -38,6 +37,7 @@ from .ingest import (
     TaskSpec,
     load_molecules,
     load_predictions,
+    open_utf8,
 )
 from .knowledge import (
     KnowledgeError,
@@ -119,7 +119,10 @@ def read_config(path: Optional[str], overrides: Dict[str, object]) -> Config:
     """Read a ``key=value`` file (``#`` starts a comment), then apply the
     flag overrides that were given."""
     config = Config()
-    lines = Path(path).read_text(encoding="utf-8").splitlines() if path else []
+    lines = []
+    if path:
+        with open_utf8(path) as fh:
+            lines = fh.read().splitlines()
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -183,10 +186,11 @@ def _llm(config: Config) -> LlmBackendConfig:
     if name == "scripted":
         if not config.get("scripted_responses"):
             raise ConfigError("scripted backend needs scripted_responses (a JSON file)")
-        text = Path(config["scripted_responses"]).read_text(encoding="utf-8")
+        with open_utf8(config["scripted_responses"]) as fh:
+            text = fh.read()
         try:
             return MockScripted(responses=json.loads(text))
-        except (json.JSONDecodeError, LlmError) as exc:
+        except (json.JSONDecodeError, RecursionError, LlmError) as exc:
             raise ConfigError(f"config key 'scripted_responses': {exc}") from None
     if name == "remote":
         if not config.get("llm_endpoint") or not config.get("llm_model"):
@@ -237,19 +241,9 @@ def _output_dir(rt: Runtime) -> Path:
     return out_dir
 
 
-@contextmanager
-def _audit_log(rt: Runtime, out_dir: Path, stem: str) -> Iterator[Optional[AuditLog]]:
-    """An emptied ``audit_<stem>.jsonl`` log, closed on exit, when ``audit_log`` is set."""
-    if not rt.config.get("audit_log"):
-        yield None
-        return
-    path = out_dir / f"audit_{stem}.jsonl"
-    path.write_text("", encoding="utf-8")
-    audit = AuditLog(path)
-    try:
-        yield audit
-    finally:
-        audit.close()
+def _audit_log(rt: Runtime, out_dir: Path, stem: str) -> Optional[AuditLog]:
+    """The ``audit_<stem>.jsonl`` log, when ``audit_log`` is set."""
+    return AuditLog(out_dir / f"audit_{stem}.jsonl") if rt.config.get("audit_log") else None
 
 
 def cmd_build_db(rt: Runtime) -> int:
@@ -277,10 +271,10 @@ def cmd_correct(rt: Runtime, split: Split) -> int:
     preds = load_predictions(rt.config[f"{split.value}_predictions"], bundle, split)
     db = load_database(rt.config["database_dir"])
     out_dir = _output_dir(rt)
-    with _audit_log(rt, out_dir, split.value) as audit:
-        outcomes = correct_mod.correct_split(
-            split, bundle, preds, db, rt.run, rt.embedder, rt.llm, audit=audit
-        )
+    audit = _audit_log(rt, out_dir, split.value)
+    outcomes = correct_mod.correct_split(
+        split, bundle, preds, db, rt.run, rt.embedder, rt.llm, audit=audit
+    )
     correct_mod.write_outcomes(outcomes, out_dir / f"outcomes_{split.value}.jsonl")
     summary = correct_mod.run_summary(outcomes, rt.run, rt.embedder, rt.llm)
     _write_json(out_dir / f"summary_{split.value}.json", summary)
@@ -325,14 +319,13 @@ def cmd_predict(rt: Runtime, kind: PromptKind, split: Split, shots: int) -> int:
     ]
     out_dir = _output_dir(rt)
     stem = f"predict_{kind.value}{shots if kind is PromptKind.FEW_SHOT else ''}_{split.value}"
-    with _audit_log(rt, out_dir, stem) as audit:
-        answers = correct_mod.run_queries(
-            lambda rec, prompt, log: correct_mod.ask(
-                rt.llm, prompt, rec, primaries.get(rec.id), rt.task, log,
-                "query %s: backend error, no prediction (%s)",
-            ),
-            queries, rt.run.jobs, audit,
-        )
+    answers = correct_mod.run_queries(
+        lambda rec, prompt, log: correct_mod.ask(
+            rt.llm, prompt, rec, primaries.get(rec.id), rt.task, log,
+            "query %s: backend error, no prediction (%s)",
+        ),
+        queries, rt.run.jobs, _audit_log(rt, out_dir, stem),
+    )
     values = [None if a is None else correct_mod.final_value(rt.task, a)[0] for a in answers]
     with (out_dir / f"{stem}.jsonl").open("w", encoding="utf-8") as fh:
         for rec, answer, value in zip(records, answers, values):

@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -148,7 +149,8 @@ def run_queries(
 ) -> List:
     """``step(*query, log)`` for each query, a tuple of arguments whose
     first is the query's record, on up to ``jobs`` workers; ``step`` adds
-    its exchanges to the list ``log``. Results are taken in query order,
+    its exchanges to the list ``log``. ``audit`` is entered, which empties
+    its file, before the first query. Results are taken in query order,
     each query's exchanges going to ``audit`` as its result is taken, so
     neither results nor log depend on the worker count, and a crash keeps
     the lines of every query taken before it."""
@@ -160,12 +162,13 @@ def run_queries(
     results = []
     pool = ThreadPoolExecutor(max_workers=jobs)  # starts no thread before the first submit
     try:
-        taken = pool.map(run, queries) if jobs > 1 else map(run, queries)
-        for query, (result, log) in zip(queries, taken):
-            if audit is not None:
-                for exchange in log:
-                    audit.append(query[0].id, exchange)
-            results.append(result)
+        with audit if audit is not None else nullcontext():
+            taken = pool.map(run, queries) if jobs > 1 else map(run, queries)
+            for query, (result, log) in zip(queries, taken):
+                if audit is not None:
+                    for exchange in log:
+                        audit.append(query[0].id, exchange)
+                results.append(result)
     finally:
         pool.shutdown(cancel_futures=True)  # after a fault, start no further query
     return results

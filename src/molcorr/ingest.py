@@ -20,14 +20,27 @@ import csv
 import json
 import math
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Dict, NamedTuple, Optional, Tuple, Union
+from typing import Dict, Iterator, NamedTuple, Optional, TextIO, Tuple, Union
 
 
 class IngestError(ValueError):
     """Base class for dataset/prediction loading failures."""
+
+
+@contextmanager
+def open_utf8(path: Union[str, Path]) -> Iterator[TextIO]:
+    """``path`` opened as UTF-8 text with newlines untranslated, as the csv
+    module needs; a byte that does not decode is an IngestError naming the
+    file, wherever the reader hits it."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise IngestError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 class TaskKind(str, Enum):
@@ -129,7 +142,7 @@ def load_molecules(path: Union[str, Path], task: TaskSpec) -> DatasetBundle:
     records = []
     seen = set()
     is_classification = task.is_classification
-    with path.open(newline="", encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -172,7 +185,7 @@ def load_predictions(
     path = Path(path)
     wanted = {r.id for r in bundle.records if r.split is split}
     entries: Dict[str, float] = {}
-    with path.open(encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -181,7 +194,7 @@ def load_predictions(
                 obj = json.loads(line)
                 mol_id = obj["id"]
                 value = float(obj["prediction"])
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, RecursionError) as exc:
                 raise IngestError(f"{path}:{lineno}: malformed prediction line") from exc
             if not isinstance(mol_id, str):
                 raise IngestError(f"{path}:{lineno}: id {mol_id!r} is not a string")

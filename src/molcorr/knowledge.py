@@ -1,10 +1,10 @@
 """Contextual knowledge database: build, persist, query.
 
 The database pools the labeled training molecules with the validation
-molecules (which additionally carry the base model's prediction). In
-memory it is an exact flat inner-product index: a tuple of metadata
-rows (id, smiles, description, label, prediction, source) over one
-``(count, dim)`` float32 matrix holding every embedding, row i for
+molecules, which also carry the base model's prediction: an entry is a
+validation entry exactly when it has one. In memory it is an exact flat
+inner-product index: metadata rows (id, smiles, label, prediction) over
+one ``(count, dim)`` float32 matrix holding every embedding, row i for
 entry i, as ``embed_texts`` returns it or as the sidecar file holds it.
 ``db[i]`` attaches a view of matrix row i to its metadata as an
 ``Entry``; nothing copies the vectors per entry, and no whole-pool
@@ -55,7 +55,7 @@ import numpy as np
 
 from .embed import EmbedderConfig, compose_molecule_text, embed_texts, embedder_fingerprint
 from .hashing import SplitMix64
-from .ingest import DatasetBundle, PredictionSet, Split, TaskKind, TaskSpec
+from .ingest import DatasetBundle, PredictionSet, Split, TaskKind, TaskSpec, open_utf8
 
 MAGIC = b"LCDB"
 METADATA_FILE = "metadata.jsonl"
@@ -102,17 +102,15 @@ def strategy_name(strategy: RetrievalStrategy) -> str:
 
 
 class Entry(NamedTuple):
-    """One database row with its embedding attached: molecule text, label,
-    the base model's prediction (validation entries only) and source.
-    Two entries are equal when their metadata fields are equal and their
-    embeddings hold the same values."""
+    """One database row with its embedding attached: the molecule's id and
+    SMILES, its label and the base model's prediction, which only
+    validation entries carry. Two entries are equal when their metadata
+    fields are equal and their embeddings hold the same values."""
 
     id: str
     smiles: str
-    description: Optional[str]
     label: float
     primary_prediction: Optional[float]
-    source: Split
     embedding: np.ndarray
 
     def __eq__(self, other) -> bool:
@@ -125,25 +123,15 @@ class Entry(NamedTuple):
         return equal if equal is NotImplemented else not equal
 
 
-# an Entry without its embedding: (id, smiles, description, label,
-# primary_prediction, source)
-Row = Tuple[str, str, Optional[str], float, Optional[float], Split]
+# an Entry without its embedding: (id, smiles, label, primary_prediction)
+Row = Tuple[str, str, float, Optional[float]]
 
 
 def check_entry(
-    id: str,
-    smiles: str,
-    description: Optional[str],
-    label: float,
-    primary_prediction: Optional[float],
-    source: Split,
+    id: str, smiles: str, label: float, primary_prediction: Optional[float]
 ) -> Row:
-    """The row for one entry, once its label and prediction are finite and
-    its source is train (no prediction) or valid (with one). The row holds
-    them as Python floats, whatever number type they came in as."""
-    train = source is Split.TRAIN
-    if not train and source is not Split.VALID:
-        raise KnowledgeError(f"entry {id!r} has source {source.value!r}, not train or valid")
+    """The row for one entry, once its label and prediction are finite. The
+    row holds them as Python floats, whatever number type they came in as."""
     if not math.isfinite(label):
         raise KnowledgeError(f"entry {id!r} has a non-finite label {label!r}")
     if primary_prediction is not None:
@@ -151,12 +139,8 @@ def check_entry(
             raise KnowledgeError(
                 f"entry {id!r} has a non-finite prediction {primary_prediction!r}"
             )
-        if train:
-            raise KnowledgeError(f"train entry {id!r} must not carry a prediction")
         primary_prediction = float(primary_prediction)
-    elif not train:
-        raise KnowledgeError(f"valid entry {id!r} must carry a prediction")
-    return (id, smiles, description, float(label), primary_prediction, source)
+    return (id, smiles, float(label), primary_prediction)
 
 
 class KnowledgeDatabase:
@@ -316,7 +300,7 @@ def build_database(
             continue
         if rec.label is None:
             raise KnowledgeError(f"knowledge entry {rec.id!r} has no label")
-        rows.append(check_entry(rec.id, rec.smiles, rec.description, rec.label, prediction, split))
+        rows.append(check_entry(rec.id, rec.smiles, rec.label, prediction))
         texts.append(compose_molecule_text(rec, include_description))
     return KnowledgeDatabase(
         task=bundle.task,
@@ -465,12 +449,9 @@ def _metadata_lines(rows: Sequence[Row]) -> List[str]:
     quote = json.encoder.encode_basestring_ascii
     number = float.__repr__
     return [
-        f'{{"id":{quote(id)},"smiles":{quote(smiles)},'
-        f'"description":{"null" if description is None else quote(description)},'
-        f'"label":{number(label)},'
-        f'"primary_prediction":{"null" if prediction is None else number(prediction)},'
-        f'"source":{quote(source.value)}}}'
-        for id, smiles, description, label, prediction, source in rows
+        f'{{"id":{quote(id)},"smiles":{quote(smiles)},"label":{number(label)},'
+        f'"primary_prediction":{"null" if prediction is None else number(prediction)}}}'
+        for id, smiles, label, prediction in rows
     ]
 
 
@@ -502,7 +483,7 @@ def _read_header(meta_path: Path, line: str) -> Tuple[TaskSpec, str, int, int]:
         if type(dim) is not int or type(count) is not int:
             raise TypeError(f"dim {dim!r} and entries {count!r} must be integers")
         return task, fingerprint, dim, count
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise KnowledgeError(
             f"{meta_path}:1: corrupt metadata ({type(exc).__name__}: {exc})"
         ) from exc
@@ -511,18 +492,20 @@ def _read_header(meta_path: Path, line: str) -> Tuple[TaskSpec, str, int, int]:
 def stored_fingerprint(directory: Union[str, Path]) -> str:
     """The fingerprint of a saved database, read from its header line only."""
     meta_path = Path(directory) / METADATA_FILE
-    with meta_path.open(encoding="utf-8") as fh:
+    with open_utf8(meta_path) as fh:
         return _read_header(meta_path, fh.readline())[1]
 
 
 def load_database(directory: Union[str, Path]) -> KnowledgeDatabase:
-    """Load a saved database; save -> load round-trips bit for bit. The
-    text fields of each entry must be JSON strings (the description may be
-    null), so a hand-edited file fails here rather than in a later stage."""
+    """Load a saved database; save -> load round-trips bit for bit. Each
+    entry line's id and SMILES must be JSON strings, so a hand-edited file
+    fails here rather than in a later stage; keys other than id, smiles,
+    label and primary_prediction are ignored."""
     directory = Path(directory)
     meta_path = directory / METADATA_FILE
     sidecar_path = directory / SIDECAR_FILE
-    lines = meta_path.read_text(encoding="utf-8").splitlines()
+    with open_utf8(meta_path) as fh:
+        lines = fh.read().splitlines()
     task, fingerprint, dim, count = _read_header(meta_path, lines[0] if lines else "")
     records = [(lineno, line) for lineno, line in enumerate(lines[1:], 2) if line.strip()]
     if len(records) != count:
@@ -553,22 +536,12 @@ def load_database(directory: Union[str, Path]) -> KnowledgeDatabase:
     for lineno, line in records:
         try:
             rec = json.loads(line)
-            id, smiles, description = rec["id"], rec["smiles"], rec["description"]
-            texts = (id, smiles) if description is None else (id, smiles, description)
-            if not all(isinstance(text, str) for text in texts):
-                raise TypeError("id, smiles and a non-null description must be strings")
-            prediction = rec["primary_prediction"]
-            rows.append(
-                check_entry(
-                    id,
-                    smiles,
-                    description,
-                    float(rec["label"]),
-                    float(prediction) if prediction is not None else None,
-                    Split(rec["source"]),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            id, smiles, prediction = rec["id"], rec["smiles"], rec["primary_prediction"]
+            if not (isinstance(id, str) and isinstance(smiles, str)):
+                raise TypeError("id and smiles must be strings")
+            prediction = None if prediction is None else float(prediction)
+            rows.append(check_entry(id, smiles, float(rec["label"]), prediction))
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise KnowledgeError(
                 f"{meta_path}:{lineno}: corrupt metadata ({type(exc).__name__}: {exc})"
             ) from exc

@@ -186,19 +186,20 @@ def complete(
 
 class AuditLog:
     """JSON-lines log of exchanges (id, kind, attempts, latency in ms,
-    response text). ``run_queries`` appends each query's exchanges in
-    query order, from the thread that takes the results. The first
-    append opens the file, line-buffered, so every line is on disk when
-    ``append`` returns; ``close`` closes it."""
+    response text). Entering it creates or empties the file, opened
+    line-buffered so every line is on disk when ``append`` returns;
+    leaving it closes the file. ``run_queries`` enters it before its
+    first query and appends each query's exchanges in query order."""
 
     def __init__(self, path):
         self.path = path
-        self._fh = None
 
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+    def __enter__(self) -> AuditLog:
+        self._fh = open(self.path, "w", encoding="utf-8", buffering=1)
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._fh.close()
 
     def append(self, query_id: str, exchange: LlmExchange) -> None:
         line = json.dumps(
@@ -211,6 +212,4 @@ class AuditLog:
             },
             separators=(",", ":"),
         )
-        if self._fh is None:
-            self._fh = open(self.path, "a", encoding="utf-8", buffering=1)
         self._fh.write(line + "\n")

@@ -85,7 +85,7 @@ def post_json(
             else:
                 try:
                     return resp.json(), attempt
-                except ValueError:
+                except (ValueError, RecursionError):
                     last_error = "malformed JSON body"
         except requests.RequestException as exc:
             last_error = f"transport error: {type(exc).__name__}"

@@ -335,7 +335,7 @@ class TestCorrect:
         )
         assert calls == []
         assert not (tmp_path / "out" / "outcomes_test.jsonl").exists()
-        assert (tmp_path / "out" / "audit_test.jsonl").read_text() == ""
+        assert not (tmp_path / "out" / "audit_test.jsonl").exists()
 
 
 class TestPredict:
@@ -663,6 +663,49 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert err.startswith("error: config key 'scripted_responses': ")
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "name", ["molcorr.cfg", "dataset.csv", "test.jsonl", "db/metadata.jsonl", "scripted.json"]
+    )
+    def test_undecodable_input_exits_2(self, tmp_path, capsys, name):
+        scripted = tmp_path / "scripted.json"
+        scripted.write_text("{}")
+        _, cfg = write_workspace(tmp_path, llm_backend="scripted", scripted_responses=scripted)
+        assert main(["build-db", "--config", cfg]) == EXIT_OK
+        path = tmp_path / name
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+        capsys.readouterr()
+        assert main(["correct", "--config", cfg, "--split", "test"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {path}: not UTF-8 text (invalid start byte)\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("test.jsonl", "{path}:9: malformed prediction line\n"),
+            ("db/metadata.jsonl", "{path}:29: corrupt metadata (RecursionError: "),
+            ("scripted.json", "config key 'scripted_responses': "),
+        ],
+    )
+    def test_json_nested_too_deep_exits_2(self, tmp_path, capsys, name, message):
+        # json.loads raises RecursionError on it, not a JSONDecodeError
+        scripted = tmp_path / "scripted.json"
+        scripted.write_text("{}")
+        _, cfg = write_workspace(tmp_path, llm_backend="scripted", scripted_responses=scripted)
+        assert main(["build-db", "--config", cfg]) == EXIT_OK
+        path = tmp_path / name
+        lines = path.read_text().splitlines()
+        if name == "test.jsonl":
+            lines.append("[" * 100_000)
+        else:
+            lines[-1] = "[" * 100_000
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["correct", "--config", cfg, "--split", "test"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + message.format(path=path))
+        assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
 

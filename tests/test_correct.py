@@ -304,12 +304,10 @@ class TestCorrectSplit:
             if jobs > 1:
                 monkeypatch.setattr(correct_mod, "complete", held_back)
             path = tmp_path / f"audit_{jobs}.jsonl"
-            log = AuditLog(path)
             correct_split(
                 Split.TEST, bundle, test_preds, db, RunConfig(k=5, jobs=jobs), EMB,
-                MockNoisyOracle(p=0.5, seed=11), audit=log,
+                MockNoisyOracle(p=0.5, seed=11), audit=AuditLog(path),
             )
-            log.close()
             logs[jobs] = [json.loads(line) for line in path.read_text().splitlines()]
             for row in logs[jobs]:
                 del row["latency_ms"]
@@ -355,20 +353,16 @@ class TestCorrectSplit:
                 super().append(query_id, exchange)
                 appended.append(path.read_bytes())
 
-        path.write_text("")
-        log = Recording(path)
         correct_split(
             Split.TEST, bundle, test_preds, db, RunConfig(k=5), EMB,
-            MockNoisyOracle(p=0.5, seed=11), audit=log,
+            MockNoisyOracle(p=0.5, seed=11), audit=Recording(path),
         )
-        log.close()
         assert path.read_bytes() == appended[-1]
 
     def test_audit_log_opens_its_file_once(self, tmp_path, monkeypatch):
-        # one append handle for the whole split
+        # one handle for the whole split
         bundle, _, test_preds, db = setup_pipeline(n_test=6)
         path = tmp_path / "audit.jsonl"
-        path.write_text("")
         modes = []
 
         def counting_open(file, mode="r", *args, **kwargs):
@@ -376,47 +370,43 @@ class TestCorrectSplit:
             return open(file, mode, *args, **kwargs)
 
         monkeypatch.setattr(llmclient, "open", counting_open, raising=False)
-        log = AuditLog(path)
         correct_split(
             Split.TEST, bundle, test_preds, db, RunConfig(k=5), EMB,
-            MockNoisyOracle(p=0.5, seed=11), audit=log,
+            MockNoisyOracle(p=0.5, seed=11), audit=AuditLog(path),
         )
-        log.close()
         assert len(path.read_text().splitlines()) >= 6
-        assert modes == ["a"]
+        assert modes == ["w"]
 
     def test_audit_log_without_any_reply(self, tmp_path):
-        # every query fails before a reply is logged, so the log's file is
-        # never created; the split still yields its outcomes
+        # every query fails before a reply is logged, so the lines of an
+        # older log are gone and none take their place; the split still
+        # yields its outcomes
         bundle, _, test_preds, db = setup_pipeline()
         path = tmp_path / "audit.jsonl"
-        log = AuditLog(path)
+        path.write_text('{"id":"old"}\n')
         outs = correct_split(
-            Split.TEST, bundle, test_preds, db, CFG, EMB, MockScripted(), audit=log
+            Split.TEST, bundle, test_preds, db, CFG, EMB, MockScripted(), audit=AuditLog(path)
         )
-        log.close()
         assert len(outs) == bundle.counts[Split.TEST]
         assert all(o.fallback_used for o in outs)
-        assert not path.exists()
+        assert path.read_text() == ""
 
-    def test_audit_log_shared_by_two_splits(self, tmp_path):
-        # one log for the valid split, then the test split: the valid lines
-        # stay ahead, in their order, and each split's lines are its own log's
+    def test_audit_log_rewritten_by_each_split(self, tmp_path):
+        # one log for the valid split, then the test split: it ends holding
+        # the test split's lines alone, as a log of the test split does
         bundle, val_preds, test_preds, db = setup_pipeline()
         llm = MockNoisyOracle(p=0.5, seed=11)
         logs = {}
-        for name, splits in (("shared", ("valid", "test")), ("valid", ("valid",)),
-                             ("test", ("test",))):
+        for name, splits in (("shared", ("valid", "test")), ("test", ("test",))):
             log = AuditLog(tmp_path / f"{name}.jsonl")
             for split in splits:
                 preds = val_preds if split == "valid" else test_preds
                 correct_split(Split(split), bundle, preds, db, CFG, EMB, llm, audit=log)
-            log.close()
             logs[name] = [json.loads(line) for line in log.path.read_text().splitlines()]
             for row in logs[name]:
                 del row["latency_ms"]
-        assert logs["valid"] and logs["test"]
-        assert logs["shared"] == logs["valid"] + logs["test"]
+        assert logs["test"]
+        assert logs["shared"] == logs["test"]
 
     def test_every_query_yields_final(self):
         # even a backend that errors on every query never drops one

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import shutil
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -111,9 +112,8 @@ class TestBuild:
     def test_counts_and_predictions(self):
         bundle, val_preds, db = build_db(n_train=12, n_valid=5)
         assert len(db) == 17
-        with_preds = [e for e in db.entries if e.primary_prediction is not None]
-        assert len(with_preds) == 5
-        assert all(e.source is Split.VALID for e in with_preds)
+        with_preds = [e.id for e in db.entries if e.primary_prediction is not None]
+        assert with_preds == [rec.id for rec in bundle.split_records(Split.VALID)]
 
     def test_degenerate_valid_only(self):
         bundle = make_bundle(REGRESSION, n_train=0, n_valid=1, n_test=0)
@@ -128,10 +128,13 @@ class TestBuild:
             build_database(bundle, PredictionSet(Split.VALID, {}), EMB)
 
     def test_entry_invariants(self):
-        with pytest.raises(KnowledgeError):
-            check_entry("a", "CCO", None, 1.0, 0.5, Split.TRAIN)
-        with pytest.raises(KnowledgeError):
-            check_entry("a", "CCO", None, 1.0, None, Split.VALID)
+        with pytest.raises(KnowledgeError, match=r"^entry 'a' has a non-finite label nan$"):
+            check_entry("a", "CCO", float("nan"), 0.5)
+        with pytest.raises(KnowledgeError, match=r"^entry 'a' has a non-finite prediction inf$"):
+            check_entry("a", "CCO", 1.0, float("inf"))
+        row = check_entry("a", "CCO", np.float64(1.0), np.float32(0.5))
+        assert row == ("a", "CCO", 1.0, 0.5)
+        assert type(row[2]) is float and type(row[3]) is float
 
     def test_embeddings_match_embed_molecule(self):
         bundle, _, db = build_db()
@@ -150,7 +153,7 @@ class TestRetrieve:
             vec = np.zeros(4, dtype=np.float64)
             vec[0] = cos_target
             vec[1] = np.sqrt(1 - cos_target**2)
-            rows.append((f"e{i}", f"C{i}", None, 0.0, None, Split.TRAIN))
+            rows.append((f"e{i}", f"C{i}", 0.0, None))
             vecs.append(vec)
         db = KnowledgeDatabase(REGRESSION, "test", tuple(rows), np.array(vecs, np.float32))
         query = np.array([1.0, 0.0, 0.0, 0.0])
@@ -229,15 +232,11 @@ class TestRetrieve:
         query = embed_text(EMB, "CNC")
         ctx = retrieve(db, query, k=12)
         combined = list(ctx.ids)
-        train_items = [e for e in ctx.items if e.source is Split.TRAIN]
-        valid_items = [e for e in ctx.items if e.source is Split.VALID]
-        train_ids = [e.id for e in train_items]
-        valid_ids = [e.id for e in valid_items]
+        train_ids = [e.id for e in ctx.items if e.primary_prediction is None]
+        valid_ids = [e.id for e in ctx.items if e.primary_prediction is not None]
         assert [i for i in combined if i in set(train_ids)] == train_ids
         assert [i for i in combined if i in set(valid_ids)] == valid_ids
-        assert valid_items and all(
-            e.primary_prediction is not None for e in valid_items
-        )
+        assert valid_ids and set(valid_ids) <= {r.id for r in bundle.split_records(Split.VALID)}
 
     def test_empty_pool(self):
         bundle = make_bundle(REGRESSION, n_train=0, n_valid=1, n_test=0)
@@ -253,7 +252,7 @@ class TestRetrieve:
 
     def test_tie_break_by_ascending_id(self):
         vec = embed_text(EMB, "CCO")
-        rows = tuple((mol_id, "CCO", None, 1.0, None, Split.TRAIN) for mol_id in ("z", "a", "m"))
+        rows = tuple((mol_id, "CCO", 1.0, None) for mol_id in ("z", "a", "m"))
         db = KnowledgeDatabase(REGRESSION, "test", rows, np.array([vec] * 3, np.float32))
         ctx = retrieve(db, vec.astype(np.float64), k=3)
         assert ctx.ids == ("a", "m", "z")
@@ -323,18 +322,16 @@ class TestPersistence:
             (2, lambda line: json.dumps({**json.loads(line), "label": float("nan")})),
             # lines 2-4 hold the 3 train entries, lines 5-6 the 2 valid ones
             (5, lambda line: json.dumps({**json.loads(line), "primary_prediction": float("nan")})),
-            (3, lambda line: json.dumps({**json.loads(line), "source": "test"})),
             (1, lambda line: json.dumps({**json.loads(line), "entries": 5.7})),
             (1, lambda line: json.dumps({**json.loads(line), "dim": "32"})),
             (2, lambda line: json.dumps({**json.loads(line), "id": {"x": 1}})),
             (3, lambda line: json.dumps({**json.loads(line), "smiles": 5})),
-            (4, lambda line: json.dumps({**json.loads(line), "description": False})),
         ],
         ids=[
             "header-not-json", "header-without-fingerprint", "entry-not-json",
-            "entry-nan-label", "entry-nan-prediction", "entry-test-source",
+            "entry-nan-label", "entry-nan-prediction",
             "header-fractional-entries", "header-text-dim", "entry-dict-id",
-            "entry-number-smiles", "entry-bool-description",
+            "entry-number-smiles",
         ],
     )
     def test_corrupt_metadata_names_file_and_line(self, tmp_path, lineno, corrupt):
@@ -350,6 +347,35 @@ class TestPersistence:
         if lineno == 1:
             with pytest.raises(KnowledgeError, match=f"{METADATA_FILE}:1: "):
                 stored_fingerprint(tmp_path / "db")
+
+    def test_lines_with_description_and_source_load_the_same(self, tmp_path):
+        # entry lines that also hold the molecule's description and split,
+        # byte for byte as earlier versions saved them, load to the same
+        # rows; saving them again writes the current lines
+        bundle = make_bundle(REGRESSION, n_train=4, n_valid=3, n_test=0, with_descriptions=True)
+        db = build_database(bundle, make_predictions(bundle, Split.VALID), EMB)
+        save_database(db, tmp_path / "new")
+        by_id = {rec.id: rec for rec in bundle.records}
+        header, *lines = (tmp_path / "new" / METADATA_FILE).read_text().splitlines()
+        old = [header]
+        for line in lines:
+            entry = json.loads(line)
+            rec = by_id[entry["id"]]
+            old.append(json.dumps(
+                {"id": rec.id, "smiles": rec.smiles, "description": rec.description,
+                 "label": entry["label"], "primary_prediction": entry["primary_prediction"],
+                 "source": rec.split.value},
+                separators=(",", ":"),
+            ))
+        assert any(rec.description for rec in bundle.records)
+        shutil.copytree(tmp_path / "new", tmp_path / "old")
+        (tmp_path / "old" / METADATA_FILE).write_text("\n".join(old) + "\n")
+        loaded = load_database(tmp_path / "old")
+        assert loaded == db
+        save_database(loaded, tmp_path / "again")
+        for name in (METADATA_FILE, SIDECAR_FILE):
+            again, new = (tmp_path / d / name for d in ("again", "new"))
+            assert again.read_bytes() == new.read_bytes()
 
     @pytest.mark.parametrize("value", [float("nan"), float("-inf")], ids=["nan", "-inf"])
     def test_non_finite_embedding_names_sidecar(self, tmp_path, value):
@@ -458,7 +484,7 @@ class TestStore:
             assert store.embeddings.shape == (9, EMB.dim)
             for i in range(len(store)):
                 assert np.shares_memory(store[i].embedding, store.embeddings)
-                assert store[i][:6] == store.rows[i] == store.entries[i][:6]
+                assert store[i][:4] == store.rows[i] == store.entries[i][:4]
             ctx = retrieve(store, embed_text(EMB, "CCO"), k=3)
             assert all(np.shares_memory(e.embedding, store.embeddings) for e in ctx.items)
 
@@ -474,26 +500,20 @@ meta_numbers = (
     | finite_floats.map(np.float64)
     | st.sampled_from([-0.0, 5e-324, 1e16, 1e-7, 3.0, np.float64(3.0)])
 )
-metadata_rows = st.tuples(
-    meta_texts, meta_texts, st.none() | meta_texts, meta_numbers, st.none() | meta_numbers,
-    st.sampled_from([Split.TRAIN, Split.VALID]),
-)
+metadata_rows = st.tuples(meta_texts, meta_texts, meta_numbers, st.none() | meta_numbers)
 
 
 @given(st.lists(metadata_rows, max_size=4))
 @example([
-    ('q"uote\\back', "\x01\n\t😀", "", -0.0, 5e-324, Split.VALID),
-    ("漢字", "C", None, np.float64(3.0), None, Split.TRAIN),
-    ("x", "CC", "𝔘", 1e16, 1e-7, Split.VALID),
+    ('q"uote\\back', "\x01\n\t😀", -0.0, 5e-324),
+    ("漢字", "C", np.float64(3.0), None),
+    ("x", "𝔘", 1e16, 1e-7),
 ])
 @settings(max_examples=200, deadline=None)
 def test_metadata_lines_equal_json_dumps(rows):
     want = [
         json.dumps(
-            {
-                "id": row[0], "smiles": row[1], "description": row[2], "label": row[3],
-                "primary_prediction": row[4], "source": row[5].value,
-            },
+            {"id": row[0], "smiles": row[1], "label": row[2], "primary_prediction": row[3]},
             separators=(",", ":"),
         )
         for row in rows
@@ -511,8 +531,8 @@ def test_int_numbers_save_the_same_bytes_after_a_reload(tmp_path):
     )
     val_preds = PredictionSet(Split.VALID, {"b": 2, "c": np.float64(0.25)})
     db = build_database(DatasetBundle(REGRESSION, records), val_preds, EMB)
-    assert all(type(row[3]) is float for row in db.rows)
-    assert all(type(row[4]) is float for row in db.rows if row[4] is not None)
+    assert all(type(row[2]) is float for row in db.rows)
+    assert all(type(row[3]) is float for row in db.rows if row[3] is not None)
     save_database(db, tmp_path / "a")
     save_database(load_database(tmp_path / "a"), tmp_path / "b")
     for name in (METADATA_FILE, SIDECAR_FILE):
@@ -560,7 +580,7 @@ def test_pinned_pool_bytes(tmp_path):
         for name in (METADATA_FILE, SIDECAR_FILE)
     }
     assert digests == {
-        METADATA_FILE: "0a6a7f3fed1a610783f7fc5fc9bb02fbc1dcd0293f8aa9d22c9f64f3ae38a694",
+        METADATA_FILE: "eaef38e978b3af6035bcb44aa26ceb71b88c441c7b698c39590c10493996d9f7",
         SIDECAR_FILE: "b7a9832ba188b3b3e9822bf6fc5e729ae19b465c186f1ee94f7e11d27ea882c1",
     }
 
@@ -592,7 +612,7 @@ def _matrix_db(count, dim, seed, zero_rows):
     scales = 10.0 ** rng.uniform(-3, 3, size=(count, 1))
     matrix = (rng.standard_normal((count, dim)) * scales).astype(np.float32)
     matrix[rng.random(count) < zero_rows] = 0.0
-    rows = tuple(check_entry(f"m{i:05d}", "C", None, 0.0, None, Split.TRAIN) for i in range(count))
+    rows = tuple(check_entry(f"m{i:05d}", "C", 0.0, None) for i in range(count))
     return KnowledgeDatabase(REGRESSION, "fp", rows, matrix)
 
 
@@ -704,7 +724,7 @@ def _tied_db(count, dim, distinct, zero_rows, seed, spread=1.0):
     matrix = vectors[rng.integers(0, distinct, size=count)]
     matrix[rng.random(count) < zero_rows] = 0.0
     ids = rng.permutation(count)
-    rows = tuple(check_entry(f"t{i:05d}", "C", None, 0.0, None, Split.TRAIN) for i in ids)
+    rows = tuple(check_entry(f"t{i:05d}", "C", 0.0, None) for i in ids)
     return KnowledgeDatabase(REGRESSION, "fp", rows, matrix), vectors
 
 

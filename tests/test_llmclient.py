@@ -134,6 +134,27 @@ class TestRetryPolicy:
         assert body == {"ok": True}
         assert attempts == 3
 
+    def test_reply_nested_too_deep_is_malformed(self):
+        # decoding such a body raises RecursionError; it is retried like
+        # any other malformed body, then fails as one
+        calls = []
+
+        class Resp:
+            status_code = 200
+
+            def json(self):
+                return json.loads("[" * 100_000)
+
+        def fake_post(url, **kwargs):
+            calls.append(url)
+            return Resp()
+
+        with pytest.raises(transport.TransportError, match=r"\(malformed JSON body\)$"):
+            transport.post_json(
+                "http://example.invalid/chat", {}, sleep=lambda s: None, post=fake_post
+            )
+        assert len(calls) == 5
+
     def test_4xx_fails_immediately(self):
         calls = []
 
@@ -211,10 +232,9 @@ class TestRemoteChat:
         assert "sk-super-secret-value" not in ex.response_text
         assert "sk-super-secret-value" not in ex.prompt.text
         log_path = tmp_path / "audit.jsonl"
-        audit = AuditLog(log_path)
-        audit.append("a", ex)
+        with AuditLog(log_path) as audit:
+            audit.append("a", ex)
         assert "sk-super-secret-value" not in log_path.read_text()
-        audit.close()
 
     def test_missing_key_env(self, stub_chat_server, monkeypatch):
         monkeypatch.delenv("NOPE_KEY", raising=False)
@@ -227,16 +247,15 @@ class TestRemoteChat:
 
 def test_audit_log_fields(tmp_path):
     log_path = tmp_path / "audit.jsonl"
-    audit = AuditLog(log_path)
     ex = complete(MockEcho(), PROMPT, QueryMeta(id="mol-1", primary=2.0), REGRESSION)
-    audit.append("mol-1", ex)
-    row = json.loads(log_path.read_text().strip())
+    with AuditLog(log_path) as audit:
+        audit.append("mol-1", ex)
+        row = json.loads(log_path.read_text().strip())
     assert row["id"] == "mol-1"
     assert row["kind"] == "corrector"
     assert row["attempts"] == 1
     assert "latency_ms" in row
     assert "Prediction: 2.0000" in row["response"]
-    audit.close()
 
 
 class _FakeResponse:

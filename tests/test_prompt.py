@@ -34,8 +34,7 @@ QUERY_DESCRIBED = MoleculeRecord(
 
 
 def context_entry(mol_id, smiles, label, prediction=None):
-    source = Split.VALID if prediction is not None else Split.TRAIN
-    return Entry(mol_id, smiles, None, label, prediction, source, embed_text(EMB, smiles))
+    return Entry(mol_id, smiles, label, prediction, embed_text(EMB, smiles))
 
 
 def make_ctx(n_train=1, n_valid=1):
@@ -89,13 +88,9 @@ class TestCorrector:
         assert not re.search(r"^\d+\. SMILES:", bundle.text, re.MULTILINE)
 
     def test_descriptions_never_included(self):
-        entry = Entry(
-            "t0", "CCO", "a described molecule", 1.0, None, Split.TRAIN,
-            embed_text(EMB, "CCO"),
-        )
-        ctx = RetrievedContext(items=(entry,))
+        ctx = RetrievedContext(items=(context_entry("t0", "CCO", 1.0),))
         bundle = build_corrector_prompt(QUERY_DESCRIBED, 1.0, ctx, REGRESSION)
-        assert "described" not in bundle.text
+        assert QUERY_DESCRIBED.description not in bundle.text
         assert "Description:" not in bundle.text
 
     def test_deterministic_bytes(self):
@@ -278,10 +273,7 @@ def corrector_cases(draw):
     for i in range(k):
         label = float(draw(st.integers(0, 1))) if task is CLASSIFICATION else draw(FINITE)
         prediction = draw(st.one_of(st.none(), FINITE))
-        source = Split.TRAIN if prediction is None else Split.VALID
-        items.append(
-            Entry(f"m{i}", draw(SMILES_TEXT), None, label, prediction, source, np.zeros(1))
-        )
+        items.append(Entry(f"m{i}", draw(SMILES_TEXT), label, prediction, np.zeros(1)))
     record = MoleculeRecord("q", draw(SMILES_TEXT), None, Split.TEST, None)
     return task, record, draw(FINITE), RetrievedContext(items=tuple(items))
 

@@ -17,11 +17,11 @@ matrix, the knowledge database's storage type: the local recipe runs
 per block of 1,024 texts (every n-gram of a block at once in numpy
 uint64 arithmetic), and each float64 block is rounded into its rows of
 the matrix, so at most one block is held in float64. The block path
-hashes n bytes from every gram's start in the block's concatenated,
-zero-padded bytes; a text shorter than n has read past its own end, so
-its one gram is hashed again over its own bytes alone. The bucket sums
-are small integers, so the two paths must and do agree bit for bit in
-float64.
+hashes the n bytes from every byte of the block's concatenated,
+zero-padded bytes and keeps the windows that start a gram; a text
+shorter than n has read past its own end, so its one gram is hashed
+again over its own bytes alone. The bucket sums are small integers, so
+the two paths must and do agree bit for bit in float64.
 """
 
 from __future__ import annotations
@@ -91,7 +91,6 @@ REMOTE_BATCH_TEXTS = 128
 # promotion rules cannot change the result
 _FNV_OFFSET64 = np.uint64(FNV_OFFSET)
 _FNV_PRIME64 = np.uint64(FNV_PRIME)
-_SIGN_BIT64 = np.uint64(1 << 63)
 
 
 def _local_hash_vector(cfg: LocalHashConfig, text: str) -> np.ndarray:
@@ -121,18 +120,20 @@ def _local_hash_block(cfg: LocalHashConfig, texts: Sequence[str]) -> np.ndarray:
     n = cfg.ngram
     # a text shorter than n has one gram, the whole string; an empty text none
     counts = np.where(lengths >= n, lengths - n + 1, np.minimum(lengths, 1))
-    rows = np.repeat(np.arange(len(data)), counts)
     text_starts = np.cumsum(lengths) - lengths
     first_grams = np.cumsum(counts) - counts
-    starts = np.arange(len(rows)) + np.repeat(text_starts - first_grams, counts)
-    # n zero bytes of padding keep every n-byte gather in range
+    starts = np.arange(counts.sum()) + np.repeat(text_starts - first_grams, counts)
+    # n zero bytes of padding keep every n-byte window in range
     buf = np.frombuffer(b"".join(data) + bytes(n), dtype=np.uint8)
-    # hash n bytes from every gram start; the one gram of a text shorter
-    # than n read bytes past its end, so it is hashed again over its own
-    h = np.full(len(rows), _FNV_OFFSET64, dtype=np.uint64)
+    # hash n bytes from every byte of the block, then keep the gram starts;
+    # the one gram of a text shorter than n read bytes past its end, so it
+    # is hashed again over its own
+    windows = len(buf) - n
+    h = np.full(windows, _FNV_OFFSET64, dtype=np.uint64)
     for j in range(n):
-        h ^= buf[starts + j]
+        h ^= buf[j : j + windows]
         h *= _FNV_PRIME64
+    h = h[starts]
     short = np.flatnonzero((lengths > 0) & (lengths < n))
     if short.size:
         short_starts, short_lengths = text_starts[short], lengths[short]
@@ -140,8 +141,10 @@ def _local_hash_block(cfg: LocalHashConfig, texts: Sequence[str]) -> np.ndarray:
         for j in range(n - 1):
             hs = np.where(short_lengths > j, (hs ^ buf[short_starts + j]) * _FNV_PRIME64, hs)
         h[first_grams[short]] = hs
-    signs = np.where(h < _SIGN_BIT64, 1.0, -1.0)
-    slots = rows * cfg.dim + (h % np.uint64(cfg.dim)).astype(np.int64)
+    # bit 63 is the int64 sign: shifting it down gives 0 or -1, so +1 or -1
+    signs = (h.view(np.int64) >> 63) | 1
+    buckets = (h % np.uint64(cfg.dim)).astype(np.int64)
+    slots = np.repeat(np.arange(len(data)) * cfg.dim, counts) + buckets
     # bincount returns int64 when the block holds no gram at all
     sums = np.bincount(slots, weights=signs, minlength=len(data) * cfg.dim)
     vecs = sums.astype(np.float64, copy=False).reshape(len(data), cfg.dim)

@@ -43,6 +43,18 @@ def open_utf8(path: Union[str, Path]) -> Iterator[TextIO]:
             raise IngestError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
+def json_number(value: object) -> float:
+    """A parsed JSON number as a float. A string or a boolean raises
+    TypeError (``bool`` is an ``int`` subclass, so the type is compared
+    exactly); an integer beyond the float range raises ValueError."""
+    if type(value) not in (int, float):
+        raise TypeError(f"{value!r} is not a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError("integer beyond the float range") from None
+
+
 class TaskKind(str, Enum):
     BINARY_CLASSIFICATION = "binary_classification"
     REGRESSION = "regression"
@@ -193,7 +205,7 @@ def load_predictions(
             try:
                 obj = json.loads(line)
                 mol_id = obj["id"]
-                value = float(obj["prediction"])
+                value = json_number(obj["prediction"])
             except (KeyError, TypeError, ValueError, RecursionError) as exc:
                 raise IngestError(f"{path}:{lineno}: malformed prediction line") from exc
             if not isinstance(mol_id, str):

@@ -55,7 +55,7 @@ import numpy as np
 
 from .embed import EmbedderConfig, compose_molecule_text, embed_texts, embedder_fingerprint
 from .hashing import SplitMix64
-from .ingest import DatasetBundle, PredictionSet, Split, TaskKind, TaskSpec, open_utf8
+from .ingest import DatasetBundle, PredictionSet, Split, TaskKind, TaskSpec, json_number, open_utf8
 
 MAGIC = b"LCDB"
 METADATA_FILE = "metadata.jsonl"
@@ -539,8 +539,8 @@ def load_database(directory: Union[str, Path]) -> KnowledgeDatabase:
             id, smiles, prediction = rec["id"], rec["smiles"], rec["primary_prediction"]
             if not (isinstance(id, str) and isinstance(smiles, str)):
                 raise TypeError("id and smiles must be strings")
-            prediction = None if prediction is None else float(prediction)
-            rows.append(check_entry(id, smiles, float(rec["label"]), prediction))
+            prediction = None if prediction is None else json_number(prediction)
+            rows.append(check_entry(id, smiles, json_number(rec["label"]), prediction))
         except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise KnowledgeError(
                 f"{meta_path}:{lineno}: corrupt metadata ({type(exc).__name__}: {exc})"

@@ -6,6 +6,9 @@ timeouts, 429 and 5xx. At most ``MAX_IN_FLIGHT`` (4) requests are in
 flight at once across every thread; a request waiting out its backoff
 holds no slot. API keys come from the environment and are never echoed
 into errors or logs.
+
+``requests`` is imported by ``post_json`` on the first remote request, so
+the local embedder and the mock chat backends never load the HTTP stack.
 """
 
 from __future__ import annotations
@@ -14,8 +17,6 @@ import os
 import threading
 import time
 from typing import Any, Callable, Optional
-
-import requests
 
 MAX_ATTEMPTS = 5
 BACKOFF_BASE_SECONDS = 0.5
@@ -64,6 +65,8 @@ def post_json(
     are injectable for tests. The key value is never interpolated into
     error messages.
     """
+    import requests
+
     if sleep is None:
         sleep = time.sleep
     if post is None:

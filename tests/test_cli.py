@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -707,6 +709,34 @@ class TestConfigHandling:
         assert err.startswith("error: " + message.format(path=path))
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+
+# runs argv lists through cli.main in a process where `import requests`
+# raises ImportError; prints each exit code
+_OFFLINE_SCRIPT = """
+import json, sys
+sys.modules["requests"] = None
+sys.path.insert(0, sys.argv[1])
+from molcorr.cli import main
+print(json.dumps([main(argv) for argv in json.loads(sys.argv[2])]))
+"""
+
+
+def test_offline_commands_never_import_requests(tmp_path):
+    # a fresh process: other tests have imported requests into this one
+    _, cfg = write_workspace(tmp_path, task=CLASSIFICATION)
+    commands = [
+        ["build-db", "--config", cfg],
+        ["correct", "--config", cfg, "--split", "test", "--backend", "echo"],
+        ["predict", "--config", cfg, "--prompt", "ip", "--split", "test", "--backend", "noisy"],
+    ]
+    src = str(Path(transport.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _OFFLINE_SCRIPT, src, json.dumps(commands)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0]", proc.stdout + proc.stderr
 
 
 class TestReportBytes:

@@ -211,7 +211,7 @@ class TestLoadPredictions:
         with pytest.raises(IngestError, match=r"probability 1.2 outside \[0, 1\]"):
             load_predictions(path, bundle, Split.VALID)
 
-    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", '"nan"', "1e999"])
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e999"])
     def test_non_finite_prediction(self, tmp_path, regression_bundle, value):
         preds = make_predictions(regression_bundle, Split.VALID)
         path = tmp_path / "p.jsonl"
@@ -220,3 +220,18 @@ class TestLoadPredictions:
                 fh.write('{"id": "%s", "prediction": %s}\n' % (mol_id, value if i == 1 else v))
         with pytest.raises(IngestError, match=r"p\.jsonl:2: .*not finite"):
             load_predictions(path, regression_bundle, Split.VALID)
+
+    @pytest.mark.parametrize(
+        "value",
+        ['"nan"', '"2.5"', "true", "false", "null", pytest.param("1" + "0" * 400, id="1e400-int")],
+    )
+    def test_non_number_prediction_is_malformed(self, tmp_path, regression_bundle, value):
+        # a JSON string or boolean is not a number, though float() takes it
+        preds = make_predictions(regression_bundle, Split.VALID)
+        path = tmp_path / "p.jsonl"
+        with path.open("w") as fh:
+            for i, (mol_id, v) in enumerate(preds.entries.items()):
+                fh.write('{"id": "%s", "prediction": %s}\n' % (mol_id, value if i == 1 else v))
+        with pytest.raises(IngestError) as info:
+            load_predictions(path, regression_bundle, Split.VALID)
+        assert str(info.value) == f"{path}:2: malformed prediction line"

@@ -348,6 +348,29 @@ class TestPersistence:
             with pytest.raises(KnowledgeError, match=f"{METADATA_FILE}:1: "):
                 stored_fingerprint(tmp_path / "db")
 
+    @pytest.mark.parametrize(
+        "lineno, key, value, message",
+        [
+            (2, "label", "1.0", "TypeError: '1.0' is not a number"),
+            (2, "label", True, "TypeError: True is not a number"),
+            (3, "label", 10**400, "ValueError: integer beyond the float range"),
+            (5, "primary_prediction", True, "TypeError: True is not a number"),
+            (6, "primary_prediction", "2.5", "TypeError: '2.5' is not a number"),
+        ],
+        ids=["text-label", "bool-label", "huge-int-label", "bool-prediction", "text-prediction"],
+    )
+    def test_non_number_value_is_corrupt(self, tmp_path, lineno, key, value, message):
+        # float() takes a JSON string or boolean, but neither is a number
+        bundle, _, db = build_db(n_train=3, n_valid=2)
+        save_database(db, tmp_path / "db")
+        meta = tmp_path / "db" / METADATA_FILE
+        lines = meta.read_text().splitlines()
+        lines[lineno - 1] = json.dumps({**json.loads(lines[lineno - 1]), key: value})
+        meta.write_text("\n".join(lines) + "\n")
+        with pytest.raises(KnowledgeError) as info:
+            load_database(tmp_path / "db")
+        assert str(info.value) == f"{meta}:{lineno}: corrupt metadata ({message})"
+
     def test_lines_with_description_and_source_load_the_same(self, tmp_path):
         # entry lines that also hold the molecule's description and split,
         # byte for byte as earlier versions saved them, load to the same

@@ -3,6 +3,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+import requests
 
 from molcorr import transport
 from molcorr.ingest import CLASSIFICATION, REGRESSION
@@ -298,7 +299,7 @@ def test_backoff_sleep_holds_no_slot(monkeypatch):
         release.wait(timeout=3.0)
         events.append("sleep ended")
 
-    monkeypatch.setattr(transport.requests, "post", fake_post)
+    monkeypatch.setattr(requests, "post", fake_post)
     monkeypatch.setattr(transport.time, "sleep", fake_sleep)
     cfg = RemoteChatConfig(endpoint="http://127.0.0.1:9/v1/chat/completions", model="m")
 

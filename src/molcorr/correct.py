@@ -15,13 +15,19 @@ parsed (or whose backend call fails outright) falls back to the base
 model's prediction, so every query always yields a final value.
 
 Every LLM call goes through ``ask`` and every split through ``run_queries``;
-``molcorr predict`` sends its direct prompts through the same two.
+``molcorr predict`` sends its direct prompts through the same two. Given
+an ``answers`` dict, ``ask`` replays the parsed answer stored under
+(query id, prompt text) instead of sending the prompt, and stores each
+answer that parses; a backend error or an unparseable reply is never
+stored, so that prompt is sent again the next time it is asked.
+``evaluate.run_ablation`` holds one such dict across its points.
 
 Nothing depends on worker count or call order: the noisy mock's coin
 flip derives from (its seed, query id), and the random strategy's draw
 from the run seed and the pool size alone, so every query of a split
-takes the same rank positions. Outcomes and audit-log lines are in
-dataset order.
+takes the same rank positions. A replayed answer was stored at an
+earlier point, since each (query id, prompt text) of a split belongs to
+one query. Outcomes and audit-log lines are in dataset order.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ import logging
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .embed import EmbedderConfig, embed_molecule, embedder_fingerprint
@@ -45,6 +52,9 @@ from .prompt import (DEFAULT_TOKEN_BUDGET, PromptBundle, build_corrector_prompt,
 logger = logging.getLogger(__name__)
 
 ZERO_PRIMARY_EPSILON = 1e-9
+
+# parsed answers by (query id, prompt text), shared by the points of an ablation
+Answers = Dict[Tuple[str, str], ParsedAnswer]
 
 
 class CorrectionError(RuntimeError):
@@ -126,11 +136,19 @@ def ask(
     llm: LlmBackendConfig, prompt: PromptBundle, record: MoleculeRecord,
     primary: Optional[float], task: TaskSpec, log: List[LlmExchange],
     backend_warning: str = "query %s: backend error, falling back (%s)",
+    answers: Optional[Answers] = None,
 ) -> Optional[ParsedAnswer]:
     """Send one prompt about ``record``, add the exchange to ``log`` and
     parse the reply; None when the backend fails (logged as
     ``backend_warning`` with the query id and the error) or the reply
-    does not parse."""
+    does not parse.
+
+    With ``answers``, an answer already stored under (``record.id``,
+    ``prompt.text``) is returned without a request or a ``log`` entry,
+    and an answer that parses is stored there; a failure is not."""
+    key = (record.id, prompt.text)
+    if answers is not None and key in answers:
+        return answers[key]
     meta = QueryMeta(id=record.id, primary=primary, true_label=record.label)
     try:
         exchange = complete(llm, prompt, meta, task)
@@ -139,9 +157,12 @@ def ask(
         return None
     log.append(exchange)
     try:
-        return parse_response(exchange.response_text, task)
+        answer = parse_response(exchange.response_text, task)
     except ParseError:
         return None
+    if answers is not None:
+        answers[key] = answer
+    return answer
 
 
 def run_queries(
@@ -182,10 +203,12 @@ def correct_one(
     cfg: RunConfig,
     llm: LlmBackendConfig,
     log: List[LlmExchange],
+    answers: Optional[Answers] = None,
 ) -> CorrectionOutcome:
     """Ask the corrector ``prompt`` about one query and, when the trigger
-    fires, ask once more for self-correction; exchanges go to ``log``."""
-    initial = ask(llm, prompt, record, primary, task, log)
+    fires, ask once more for self-correction; exchanges go to ``log``,
+    and both asks go through ``answers``."""
+    initial = ask(llm, prompt, record, primary, task, log, answers=answers)
     invoked = (
         initial is not None
         and cfg.self_correction
@@ -197,7 +220,7 @@ def correct_one(
             record, primary, initial.prediction, task, prior_explanation=initial.explanation
         )
         answer = ask(llm, sc_prompt, record, primary, task, log,
-                     "query %s: self-correction backend error (%s)") or initial
+                     "query %s: self-correction backend error (%s)", answers=answers) or initial
     final, source = (primary, None) if answer is None else final_value(task, answer)
     return CorrectionOutcome(
         id=record.id,
@@ -220,12 +243,14 @@ def correct_split(
     embedder: EmbedderConfig,
     llm: LlmBackendConfig,
     audit: Optional[AuditLog] = None,
+    answers: Optional[Answers] = None,
 ) -> List[CorrectionOutcome]:
     """Correct every molecule of a split, outcomes in dataset order.
 
     Every corrector prompt is rendered before ``run_queries`` sends the
     first one. The leakage guard applies only to validation queries. A
     database built for another task or embedder raises CorrectionError.
+    ``answers`` is passed to every ``ask`` of the split.
     """
     if db.task != bundle.task:
         raise CorrectionError(
@@ -241,7 +266,7 @@ def correct_split(
         ctx = retrieve(db, query_vec, cfg.k, cfg.strategy, exclude_id=exclude)
         prompt = build_corrector_prompt(rec, primary, ctx, db.task, cfg.token_budget)
         queries.append((rec, primary, prompt, db.task, cfg, llm))
-    return run_queries(correct_one, queries, cfg.jobs, audit)
+    return run_queries(partial(correct_one, answers=answers), queries, cfg.jobs, audit)
 
 
 def run_summary(

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import transport
 from .hashing import FNV_OFFSET, FNV_PRIME, fnv1a64
-from .ingest import MoleculeRecord
+from .ingest import MoleculeRecord, json_number
 
 
 class EmbedError(ValueError):
@@ -163,9 +163,9 @@ def _remote_batch(cfg: RemoteHttpConfig, texts: Sequence[str]) -> np.ndarray:
         rows = [item["embedding"] for item in payload["data"]]
     except (KeyError, TypeError) as exc:
         raise EmbedError("embedding response missing 'data[*].embedding'") from exc
-    try:
-        matrix = np.asarray(rows, dtype=np.float64)
-    except (ValueError, TypeError, OverflowError) as exc:
+    try:  # each value's exact type, so a JSON string or boolean is rejected
+        matrix = np.array([[json_number(v) for v in row] for row in rows], dtype=np.float64)
+    except (ValueError, TypeError) as exc:
         raise EmbedError(f"embedding response is not numeric: {exc}") from exc
     if matrix.ndim != 2 or matrix.shape[0] != len(texts) or matrix.shape[1] == 0:
         raise EmbedError(f"embedding response has shape {matrix.shape} for {len(texts)} inputs")

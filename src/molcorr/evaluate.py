@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .correct import CorrectionOutcome, RunConfig, correct_split, run_summary
+from .correct import Answers, CorrectionOutcome, RunConfig, correct_split, run_summary
 from .embed import EmbedderConfig, embedder_fingerprint
 from .ingest import DatasetBundle, Metric, PredictionSet, Split, TaskSpec
 from .knowledge import Jump, KnowledgeDatabase, Random, TopK, build_database, strategy_name
@@ -181,8 +181,16 @@ def run_ablation(
     (same fingerprint); otherwise a database is built for it and kept for
     the points after it, so one database is held at a time and a sweep of
     embedders builds one per change of fingerprint.
+
+    The points share one dict of parsed answers: a prompt about a query
+    whose answer parsed at an earlier point is not sent again, while a
+    prompt that failed or did not parse is. With a deterministic backend
+    each point's report equals the report of that point run alone; at a
+    remote ``temperature`` above 0 the points share each sample wherever
+    their prompts are the same, so the comparison is paired.
     """
     reports = []
+    answers: Answers = {}
     for point_echo, point_cfg, point_embedder in points:
         fingerprint = embedder_fingerprint(point_embedder, point_cfg.include_description)
         if db is None or db.fingerprint != fingerprint:
@@ -191,7 +199,8 @@ def run_ablation(
                 bundle, val_predictions, point_embedder, point_cfg.include_description
             )
         outcomes = correct_split(
-            split, bundle, split_predictions, db, point_cfg, point_embedder, llm
+            split, bundle, split_predictions, db, point_cfg, point_embedder, llm,
+            answers=answers,
         )
         summary = run_summary(outcomes, point_cfg, point_embedder, llm)
         summary["config"].update(point_echo)

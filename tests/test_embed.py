@@ -349,3 +349,16 @@ class TestRemoteBackend:
         remote = RemoteHttpConfig(endpoint="http://127.0.0.1:9/v1/embeddings", model="stub")
         with pytest.raises(EmbedError):
             embed_texts(remote, ["CCO"])
+
+    @pytest.mark.parametrize("value", ["1.5", True, False], ids=["numeric-string", "true", "false"])
+    def test_string_or_boolean_value_is_embed_error(self, monkeypatch, value):
+        # numpy would read "1.5" as 1.5 and true as 1.0; JSON says neither is a number
+        import molcorr.transport as transport
+
+        payload = {"data": [{"embedding": [value, 2.0]}]}
+        monkeypatch.setattr(transport, "post_json", lambda *args, **kwargs: (payload, 1))
+        remote = RemoteHttpConfig(endpoint="http://127.0.0.1:9/v1/embeddings", model="stub")
+        with pytest.raises(EmbedError, match="embedding response is not numeric"):
+            embed_texts(remote, ["CCO"])
+        with pytest.raises(EmbedError, match="embedding response is not numeric"):
+            embed_text(remote, "CCO")

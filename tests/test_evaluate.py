@@ -1,12 +1,16 @@
+import json
 import math
 import random
+import threading
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from molcorr import evaluate
+from molcorr import correct, evaluate
 from molcorr.correct import RunConfig, correct_split, run_summary
 from molcorr.embed import LocalHashConfig
 from molcorr.evaluate import (
@@ -22,7 +26,9 @@ from molcorr.evaluate import (
 )
 from molcorr.ingest import CLASSIFICATION, REGRESSION, Split
 from molcorr.knowledge import build_database
-from molcorr.llmclient import MockEcho, MockNoisyOracle, MockPerfectOracle
+from molcorr.llmclient import LlmError, MockEcho, MockNoisyOracle, MockPerfectOracle, complete
+from molcorr.parse import render_answer
+from molcorr.prompt import PromptKind
 from conftest import make_bundle, make_predictions
 
 EMB = LocalHashConfig(dim=32)
@@ -209,6 +215,43 @@ class TestReports:
         assert means[2] == 0.0
 
 
+class ScriptedCorrector:
+    """A ``complete`` that answers through the echo mock, except for the
+    corrector prompts about three sets of ids: ``shifted`` ids get a
+    prediction far enough off to trigger self-correction, ``unparseable``
+    ids get text without a number, and ``failing`` ids raise LlmError the
+    first time they are asked. Every request is counted as (id, kind)."""
+
+    def __init__(self, shifted=(), unparseable=(), failing=()):
+        self.shifted, self.unparseable, self.failing = set(shifted), set(unparseable), set(failing)
+        self.asked = Counter()
+        self.served_unparseable = 0
+        self.errors = 0
+        self._lock = threading.Lock()
+
+    def __call__(self, cfg, prompt, meta, task):
+        exchange = complete(cfg, prompt, meta, task)
+        with self._lock:
+            self.asked[meta.id, prompt.kind] += 1
+            if prompt.kind is not PromptKind.CORRECTOR:
+                return exchange
+            if meta.id in self.failing:
+                self.failing.discard(meta.id)
+                self.errors += 1
+                raise LlmError("connection reset")
+            if meta.id in self.unparseable:
+                self.served_unparseable += 1
+                return replace(exchange, response_text="I am unable to refine this prediction.")
+        if meta.id in self.shifted:
+            text = render_answer(task, meta.primary + 10.0, None, "Similar molecules score higher.")
+            return replace(exchange, response_text=text)
+        return exchange
+
+
+def without_jobs(report):
+    return {**report, "config": {**report["config"], "jobs": None}}
+
+
 class TestAblation:
     def test_k_sweep(self):
         bundle, val_preds, test_preds, db, cfg, _ = make_run(REGRESSION, MockEcho())
@@ -297,3 +340,59 @@ class TestAblation:
         )
         assert built == built_dims
         assert len(reports) == len(values)
+
+    def sweep(self, monkeypatch, points, backend, run):
+        bundle, val_preds, test_preds, db = run
+        monkeypatch.setattr(correct, "complete", backend)
+        return run_ablation(points, bundle, val_preds, Split.TEST, test_preds, MockEcho(), db=db)
+
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_off_point_sends_only_what_did_not_parse(self, monkeypatch, jobs):
+        bundle, val_preds, test_preds, db, _, _ = make_run(REGRESSION, MockEcho())
+        run = (bundle, val_preds, test_preds, db)
+        ids = [rec.id for rec in bundle.split_records(Split.TEST)]
+        script = dict(shifted=ids[:4], unparseable=ids[4:7])
+        points = ablation_points("self-correction", RunConfig(k=5, jobs=jobs), EMB)
+        backend = ScriptedCorrector(**script)
+        reports = self.sweep(monkeypatch, points, backend, run)
+
+        # on: every corrector prompt and 4 self-corrections; off: the 3 that did not parse
+        expected = Counter({(i, PromptKind.CORRECTOR): 1 for i in ids})
+        expected.update((i, PromptKind.CORRECTOR) for i in ids[4:7])
+        expected.update((i, PromptKind.SELF_CORRECTION) for i in ids[:4])
+        assert backend.asked == expected
+        assert sum(backend.asked.values()) == 20 + 4 + 3
+
+        alone = [self.sweep(monkeypatch, [point], ScriptedCorrector(**script), run)[0]
+                 for point in points]
+        assert [json.dumps(r) for r in reports] == [json.dumps(r) for r in alone]
+        serial = self.sweep(
+            monkeypatch, ablation_points("self-correction", RunConfig(k=5, jobs=1), EMB),
+            ScriptedCorrector(**script), run,
+        )
+        assert [json.dumps(without_jobs(r)) for r in reports] == [
+            json.dumps(without_jobs(r)) for r in serial
+        ]
+
+    def test_failures_are_asked_again(self, monkeypatch):
+        bundle, val_preds, test_preds, db, cfg, _ = make_run(REGRESSION, MockEcho())
+        ids = [rec.id for rec in bundle.split_records(Split.TEST)]
+        backend = ScriptedCorrector(unparseable=ids[:1], failing=ids[1:2])
+        taken = []
+
+        def tapped_split(*args, **kwargs):
+            outcomes = correct_split(*args, **kwargs)
+            taken.append({o.id for o in outcomes if o.fallback_used})
+            return outcomes
+
+        monkeypatch.setattr(evaluate, "correct_split", tapped_split)
+        self.sweep(monkeypatch, ablation_points("self-correction", cfg, EMB), backend,
+                   (bundle, val_preds, test_preds, db))
+
+        assert backend.asked[ids[0], PromptKind.CORRECTOR] == 2
+        assert backend.asked[ids[1], PromptKind.CORRECTOR] == 2
+        assert sum(backend.asked.values()) == 20 + 2
+        # the error was transient: the second point's ask of that prompt parsed
+        assert taken == [{ids[0], ids[1]}, {ids[0]}]
+        assert backend.errors == 1 and backend.served_unparseable == 2
+        assert sum(map(len, taken)) == backend.served_unparseable + backend.errors

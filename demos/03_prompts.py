@@ -50,10 +50,9 @@ print(build_predictor_prompt(PromptKind.IED, query, CLASSIFICATION).text)
 
 print("\n" + "=" * 60, "\nfew-shot with 2 examples\n" + "=" * 60)
 examples = [
-    (MoleculeRecord("f1", "CCO", None, Split.TRAIN, 0.0), 0.0),
-    (MoleculeRecord("f2", "c1ccccc1N", None, Split.TRAIN, 1.0), 1.0),
+    MoleculeRecord("f1", "CCO", None, Split.TRAIN, 0.0),
+    MoleculeRecord("f2", "c1ccccc1N", None, Split.TRAIN, 1.0),
 ]
-fs = build_predictor_prompt(PromptKind.FEW_SHOT, query, CLASSIFICATION,
-                            examples=examples, shots=2)
+fs = build_predictor_prompt(PromptKind.FEW_SHOT, query, CLASSIFICATION, examples=examples)
 print(fs.text)
 print("\ntoken estimate:", fs.token_estimate, "| context ids:", fs.context_ids)

@@ -294,14 +294,14 @@ def cmd_correct(rt: Runtime, split: Split) -> int:
 def cmd_predict(rt: Runtime, kind: PromptKind, split: Split, shots: int) -> int:
     bundle = load_molecules(rt.config["dataset"], rt.task)
     records = _split_records(bundle, split)
-    examples = None
+    examples: Tuple[MoleculeRecord, ...] = ()
     if kind is PromptKind.FEW_SHOT:
         train = bundle.split_records(Split.TRAIN)
         if shots < 1 or shots > len(train):
             raise ConfigError(
                 f"--shots must be between 1 and the train size ({len(train)})"
             )
-        examples = [(rec, rec.label) for rec in train[:shots]]
+        examples = train[:shots]
     primaries: Dict[str, float] = {}
     if isinstance(rt.llm, (MockEcho, MockNoisyOracle)):
         key = f"{split.value}_predictions"
@@ -314,8 +314,7 @@ def cmd_predict(rt: Runtime, kind: PromptKind, split: Split, shots: int) -> int:
         primaries = load_predictions(rt.config[key], bundle, split).entries
     # every prompt is rendered before the first request, so a prompt fault sends nothing
     queries = [
-        (rec, build_predictor_prompt(kind, rec, rt.task, examples, shots if examples else None))
-        for rec in records
+        (rec, build_predictor_prompt(kind, rec, rt.task, examples)) for rec in records
     ]
     out_dir = _output_dir(rt)
     stem = f"predict_{kind.value}{shots if kind is PromptKind.FEW_SHOT else ''}_{split.value}"
@@ -411,9 +410,14 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--k", type=int)
         p.add_argument("--strategy", choices=STRATEGY_NAMES)
         p.add_argument("--seed", type=int)
-        p.add_argument("--backend", help="llm backend name (echo|perfect|noisy|scripted|remote)")
+        p.add_argument(
+            "--backend", dest="llm_backend", metavar="BACKEND",
+            help="llm backend name (echo|perfect|noisy|scripted|remote)",
+        )
         p.add_argument("--jobs", type=int)
-        p.add_argument("--no-self-correction", action="store_true")
+        p.add_argument(
+            "--no-self-correction", dest="self_correction", action="store_false", default=None
+        )
 
     p_build = sub.add_parser("build-db", help="build the knowledge database")
     add_common(p_build)
@@ -440,14 +444,8 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = make_parser().parse_args(argv)
-    overrides: Dict[str, object] = {
-        "k": args.k,
-        "strategy": args.strategy,
-        "seed": args.seed,
-        "llm_backend": args.backend,
-        "jobs": args.jobs,
-        "self_correction": False if args.no_self_correction else None,
-    }
+    # a flag's dest is the config key it overrides
+    overrides = {key: value for key, value in vars(args).items() if key in _KEYS}
     try:
         rt = build_runtime(read_config(args.config, overrides))
         if args.command == "build-db":

@@ -201,8 +201,6 @@ def embed_texts(cfg: EmbedderConfig, texts: Sequence[str]) -> np.ndarray:
             raise EmbedError("embedding response holds a value beyond float32's range")
         return matrix.astype(np.float32)
 
-    if len(chunks) == 1:
-        return fetch(chunks[0])
     with ThreadPoolExecutor(max_workers=transport.MAX_IN_FLIGHT) as pool:
         parts = list(pool.map(fetch, chunks))
     dims = sorted({part.shape[1] for part in parts})

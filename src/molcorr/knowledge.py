@@ -104,23 +104,15 @@ def strategy_name(strategy: RetrievalStrategy) -> str:
 class Entry(NamedTuple):
     """One database row with its embedding attached: the molecule's id and
     SMILES, its label and the base model's prediction, which only
-    validation entries carry. Two entries are equal when their metadata
-    fields are equal and their embeddings hold the same values."""
+    validation entries carry. Entries keep tuple equality, which numpy
+    cannot decide for two distinct embedding arrays, so compare their
+    fields, and embeddings with ``np.array_equal``."""
 
     id: str
     smiles: str
     label: float
     primary_prediction: Optional[float]
     embedding: np.ndarray
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Entry):
-            return NotImplemented
-        return self[:-1] == other[:-1] and np.array_equal(self.embedding, other.embedding)
-
-    def __ne__(self, other) -> bool:
-        equal = self.__eq__(other)
-        return equal if equal is NotImplemented else not equal
 
 
 # an Entry without its embedding: (id, smiles, label, primary_prediction)
@@ -498,9 +490,9 @@ def stored_fingerprint(directory: Union[str, Path]) -> str:
 
 def load_database(directory: Union[str, Path]) -> KnowledgeDatabase:
     """Load a saved database; save -> load round-trips bit for bit. Each
-    entry line's id and SMILES must be JSON strings, so a hand-edited file
-    fails here rather than in a later stage; keys other than id, smiles,
-    label and primary_prediction are ignored."""
+    entry line's id and SMILES must be JSON strings, and no id may repeat,
+    so a hand-edited file fails here rather than in a later stage; keys
+    other than id, smiles, label and primary_prediction are ignored."""
     directory = Path(directory)
     meta_path = directory / METADATA_FILE
     sidecar_path = directory / SIDECAR_FILE
@@ -533,12 +525,15 @@ def load_database(directory: Union[str, Path]) -> KnowledgeDatabase:
         raise KnowledgeError(f"{sidecar_path}: non-finite embedding value")
 
     rows = []
+    ids = {}
     for lineno, line in records:
         try:
             rec = json.loads(line)
             id, smiles, prediction = rec["id"], rec["smiles"], rec["primary_prediction"]
             if not (isinstance(id, str) and isinstance(smiles, str)):
                 raise TypeError("id and smiles must be strings")
+            if ids.setdefault(id, lineno) != lineno:
+                raise ValueError(f"duplicate id {id!r}, first on line {ids[id]}")
             prediction = None if prediction is None else json_number(prediction)
             rows.append(check_entry(id, smiles, json_number(rec["label"]), prediction))
         except (KeyError, TypeError, ValueError, RecursionError) as exc:

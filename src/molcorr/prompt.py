@@ -238,14 +238,13 @@ def build_predictor_prompt(
     kind: PromptKind,
     record: MoleculeRecord,
     task: TaskSpec,
-    examples: Optional[Sequence[Tuple[MoleculeRecord, float]]] = None,
-    shots: Optional[int] = None,
+    examples: Sequence[MoleculeRecord] = (),
 ) -> PromptBundle:
     """Render a zero-shot (IP/IPD/IE/IED) or few-shot (FS-k) prompt.
 
-    IPD/IED require a non-empty description on the query; FS-k requires
-    exactly ``shots`` examples. Descriptions of example molecules are
-    never included.
+    IPD/IED require a non-empty description on the query. FS-k shows the
+    k labeled records of ``examples`` (at least one), each with its own
+    label. Descriptions of example molecules are never included.
     """
     if kind in (PromptKind.CORRECTOR, PromptKind.SELF_CORRECTION):
         raise PromptError(f"{kind.value} is not a predictor prompt kind")
@@ -258,20 +257,15 @@ def build_predictor_prompt(
     context_ids: Tuple[str, ...] = ()
 
     if kind is PromptKind.FEW_SHOT:
-        if shots is None or shots < 1:
-            raise PromptError("few-shot prompts require shots >= 1")
-        examples = list(examples or [])
-        if len(examples) != shots:
-            raise PromptError(
-                f"few-shot prompt needs exactly {shots} examples, got {len(examples)}"
-            )
+        if not examples:
+            raise PromptError("few-shot prompts require at least one example")
         example_lines = [FEW_SHOT_EXAMPLES_HEADER]
-        for i, (mol, label) in enumerate(examples, start=1):
+        for i, mol in enumerate(examples, start=1):
             example_lines.append(
-                f"{i}. SMILES: {mol.smiles} ; Label: {format_value(task, label)}"
+                f"{i}. SMILES: {mol.smiles} ; Label: {format_value(task, mol.label)}"
             )
         sections.append("\n".join(example_lines))
-        context_ids = tuple(mol.id for mol, _ in examples)
+        context_ids = tuple(mol.id for mol in examples)
 
     question = [QUESTION_HEADER, f"SMILES: {record.smiles}"]
     if kind in (PromptKind.IPD, PromptKind.IED):

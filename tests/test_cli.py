@@ -38,7 +38,8 @@ def write_workspace(tmp_path, task=REGRESSION, seed=3, n_train=20, n_valid=8,
         "k": "5",
         **extra,
     }
-    lines = [f"{key}={value}" for key, value in config.items()]
+    # a None value leaves its key unset
+    lines = [f"{key}={value}" for key, value in config.items() if value is not None]
     (tmp_path / "molcorr.cfg").write_text("\n".join(lines) + "\n")
     return bundle, str(tmp_path / "molcorr.cfg")
 
@@ -546,6 +547,25 @@ class TestAblate:
         assert "dim=16" in report["config"]["value"]
 
     @pytest.mark.parametrize(
+        "axis, message",
+        [("k", "error: --k-values is required for the k axis\n"),
+         ("embedder", "error: --dims is required for the embedder axis\n")],
+        ids=["k-without-values", "embedder-without-dims"],
+    )
+    def test_axis_without_values_exits_2(self, tmp_path, capsys, monkeypatch, axis, message):
+        import molcorr.correct as correct_mod
+
+        calls = []
+        monkeypatch.setattr(correct_mod, "complete", lambda *args: calls.append(args))
+        _, cfg = write_workspace(tmp_path)
+        assert main(["build-db", "--config", cfg]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["ablate", "--config", cfg, "--axis", axis]) == EXIT_CONFIG
+        assert capsys.readouterr().err == message
+        assert calls == []
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
         "test_labels, n_test, message",
         [(False, 8, "error: record 'm00028' has no label; cannot evaluate\n"),
          (True, 0, "error: split test is empty\n")],
@@ -619,9 +639,30 @@ class TestConfigHandling:
                 "MOLCORR_TEST_UNSET_KEY",
             ),
             ({"jobs": "0"}, "jobs must be >= 1, got 0"),
+            ({"audit_log": "maybe"}, "config key 'audit_log': expected a boolean, got 'maybe'"),
+            ({"noisy_p": "nan"}, "config key 'noisy_p': expected a finite number, got 'nan'"),
+            # the value's newline puts a line without "=" after the k line, line 8
+            ({"k": "5\nno equals sign"}, "molcorr.cfg:9: expected key=value, got 'no equals sign'"),
+            ({"database_dir": None}, "config key 'database_dir' is required for this command"),
+            ({"embedder_backend": "remote"},
+             "remote embedder needs embedder_endpoint and embedder_model"),
+            ({"llm_backend": "remote"}, "remote backend needs llm_endpoint and llm_model"),
+            ({"llm_backend": "scripted"}, "scripted backend needs scripted_responses"),
+            # a later task line wins; write_workspace's own task is the bundle's
+            ({"k": "5\ntask=ranking"}, "unknown task 'ranking'"),
+            ({"embedder_backend": "word2vec"}, "unknown embedder backend 'word2vec'"),
+            ({"llm_backend": "oracle"}, "unknown llm backend 'oracle'"),
+            ({"strategy": "best"}, "unknown strategy 'best'"),
+            ({"k": "0"}, "config key(s) k: k must be >= 1, got 0"),
+            ({"regression_trigger_fraction": "0"},
+             "regression_trigger_fraction: trigger fraction must be positive"),
         ],
         ids=["non-integer", "malformed-scripted-json", "noisy-p-out-of-range", "unset-api-key",
-             "jobs-below-one"],
+             "jobs-below-one", "non-boolean", "non-finite-float", "line-without-equals",
+             "required-key-unset", "remote-embedder-without-endpoint",
+             "remote-llm-without-endpoint", "scripted-without-responses", "unknown-task",
+             "unknown-embedder-backend", "unknown-llm-backend", "unknown-strategy", "k-zero",
+             "trigger-fraction-zero"],
     )
     def test_config_fault_exits_2(self, tmp_path, capsys, monkeypatch, extra, named):
         def no_request(*args, **kwargs):
@@ -631,7 +672,7 @@ class TestConfigHandling:
         monkeypatch.setattr(transport, "post_json", no_request)
         scripted = tmp_path / "scripted.json"
         scripted.write_text('{"m00020": "Prediction: 1.0",')
-        extra = {key: value.format(scripted=scripted) for key, value in extra.items()}
+        extra = {key: value and value.format(scripted=scripted) for key, value in extra.items()}
         _, cfg = write_workspace(tmp_path, **extra)
         main(["build-db", "--config", cfg])
         assert main(["correct", "--config", cfg, "--split", "test"]) == EXIT_CONFIG

@@ -3,6 +3,7 @@ import threading
 import time
 
 import pytest
+import requests
 
 from molcorr.correct import (
     CorrectionError,
@@ -177,6 +178,31 @@ class TestCorrectOne:
             f"query {rec.id}: backend error, falling back (request failed after 5 attempts)"
         ]
         assert log == []
+
+    def test_dead_endpoint_falls_back(self, monkeypatch, caplog):
+        # every query's five attempts raise a connection error in transport
+        bundle, _, test_preds, db = setup_pipeline()
+        url = "http://127.0.0.1:9/v1/chat"
+        posts, sleeps = [], []
+
+        def dead_post(endpoint, **kwargs):
+            posts.append(endpoint)
+            raise requests.ConnectionError("connection refused")
+
+        monkeypatch.setattr(requests, "post", dead_post)
+        monkeypatch.setattr(transport.time, "sleep", sleeps.append)
+        llm = RemoteChatConfig(endpoint=url, model="m")
+        with caplog.at_level("WARNING", logger="molcorr.correct"):
+            outs = correct_split(Split.TEST, bundle, test_preds, db, CFG, EMB, llm)
+        records = bundle.split_records(Split.TEST)
+        assert all(o.fallback_used and o.final == o.primary for o in outs)
+        assert len(posts) == 5 * len(records)
+        assert sleeps == transport.backoff_delays() * len(records)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"query {rec.id}: backend error, falling back (request to {url} failed after "
+            "5 attempts (transport error: ConnectionError))"
+            for rec in records
+        ]
 
     def test_self_correction_request_failure_keeps_initial(self, monkeypatch, caplog):
         bundle, _, _, db = setup_pipeline(task=CLASSIFICATION, seed=9)

@@ -110,8 +110,13 @@ def load_text(tmp_path, text):
         (lambda tmp: complete(
             MockPerfectOracle(), PROMPT, QueryMeta(id="a", primary=0.5), CLASSIFICATION
         ), LlmError, "oracle backend needs a true label for 'a'"),
+        (lambda tmp: load_text(tmp, HEADER + "m1,CCO,,active,train\n"), IngestError,
+         "row 'm1': label 'active' is not a number"),
+        (lambda tmp: load_text(tmp, HEADER + "m1,CCO,,nan,train\n"), IngestError,
+         "row 'm1': label 'nan' is not finite"),
     ],
-    ids=["empty-csv", "wrong-header", "wrong-cell-count", "echo-no-primary", "oracle-no-label"],
+    ids=["empty-csv", "wrong-header", "wrong-cell-count", "echo-no-primary", "oracle-no-label",
+         "non-number-label", "non-finite-label"],
 )
 def test_each_fault_names_its_check(tmp_path, fault, error, message):
     with pytest.raises(error, match=message):

@@ -115,6 +115,30 @@ class TestRetryPolicy:
         )
         assert sleeps == [0.5, 1.0, 2.0, 4.0]
 
+    def test_connection_error_on_every_attempt(self):
+        # the path a dead endpoint takes: every attempt raises, the backoff
+        # runs in full, and no in-flight slot stays taken
+        sleeps = []
+        calls = []
+
+        def fake_post(url, **kwargs):
+            calls.append(url)
+            raise requests.ConnectionError("connection refused")
+
+        with pytest.raises(transport.TransportError) as err:
+            transport.post_json(
+                "http://example.invalid/chat", {}, sleep=sleeps.append, post=fake_post
+            )
+        assert len(calls) == 5
+        assert sleeps == transport.backoff_delays()
+        assert str(err.value).endswith("(transport error: ConnectionError)")
+        slots = [
+            transport._in_flight.acquire(blocking=False) for _ in range(transport.MAX_IN_FLIGHT)
+        ]
+        for _ in range(sum(slots)):
+            transport._in_flight.release()
+        assert all(slots)
+
     def test_recovers_midway(self):
         outcomes = [503, 429, 200]
 

@@ -64,6 +64,10 @@ class TestSalvage:
         assert not answer.strict
         assert answer.prediction == 2.0
 
+    def test_prediction_line_without_number_falls_to_salvage(self):
+        answer = parse_response("Prediction: about 3.5, I think", REGRESSION)
+        assert answer == ParsedAnswer(prediction=3.5, strict=False)
+
     def test_number_embedded_in_word_not_standalone(self):
         answer = parse_response("see table7 , value 3.5 is it", REGRESSION)
         assert answer.prediction == 3.5

@@ -179,11 +179,11 @@ class TestPredictor:
 
     def test_few_shot_exact_line_count(self):
         examples = [
-            (MoleculeRecord(f"f{i}", f"C{'C' * i}N", None, Split.TRAIN, float(i % 2)), float(i % 2))
+            MoleculeRecord(f"f{i}", f"C{'C' * i}N", None, Split.TRAIN, float(i % 2))
             for i in range(3)
         ]
         bundle = build_predictor_prompt(
-            PromptKind.FEW_SHOT, QUERY, CLASSIFICATION, examples=examples, shots=3
+            PromptKind.FEW_SHOT, QUERY, CLASSIFICATION, examples=examples
         )
         lines = re.findall(r"^\d+\. SMILES: .* ; Label: [01]$", bundle.text, re.MULTILINE)
         assert len(lines) == 3
@@ -191,14 +191,9 @@ class TestPredictor:
         # few-shot answers never ask for explanations
         assert "Explanation:" not in bundle.text
 
-    def test_few_shot_wrong_example_count(self):
-        examples = [
-            (MoleculeRecord("f0", "CCN", None, Split.TRAIN, 1.0), 1.0),
-        ]
-        with pytest.raises(PromptError):
-            build_predictor_prompt(
-                PromptKind.FEW_SHOT, QUERY, CLASSIFICATION, examples=examples, shots=3
-            )
+    def test_few_shot_without_examples(self):
+        with pytest.raises(PromptError, match="at least one example"):
+            build_predictor_prompt(PromptKind.FEW_SHOT, QUERY, CLASSIFICATION, examples=[])
 
     def test_regression_footer_has_no_probability(self):
         bundle = build_predictor_prompt(PromptKind.IP, QUERY, REGRESSION)

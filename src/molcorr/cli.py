@@ -151,14 +151,33 @@ class Runtime:
     run: correct_mod.RunConfig
 
 
+_REJECTED = (LlmError, EmbedError, correct_mod.CorrectionError)
+
+
 def _build(cls, config: Config, **keys: str):
-    """``cls(param=config[key], ...)`` over the keys the user set; a value
-    ``cls`` rejects is a ConfigError naming those keys."""
+    """``cls(param=config[key], ...)`` over the keys the user set. A value
+    ``cls`` rejects is a ConfigError naming the keys whose value alone,
+    with every other field at its default, makes ``cls`` raise; when no
+    single key does, it names every key set."""
     given = {param: key for param, key in keys.items() if key in config}
     try:
         return cls(**{param: config[key] for param, key in given.items()})
-    except (LlmError, EmbedError, correct_mod.CorrectionError) as exc:
-        raise ConfigError(f"config key(s) {', '.join(given.values())}: {exc}") from None
+    except _REJECTED as exc:
+        blamed = [key for param, key in given.items() if _rejects(cls, param, config[key])]
+        raise ConfigError(f"config key(s) {', '.join(blamed or given.values())}: {exc}") from None
+
+
+def _rejects(cls, param: str, value) -> bool:
+    # the probe sets one field and leaves the rest at their defaults; a
+    # class with a required field cannot be built that way (TypeError),
+    # so it blames no single key and the caller names every key set
+    try:
+        cls(**{param: value})
+    except _REJECTED:
+        return True
+    except TypeError:
+        return False
+    return False
 
 
 def _embedder(config: Config) -> EmbedderConfig:

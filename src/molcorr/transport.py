@@ -2,21 +2,29 @@
 
 One retry policy covers both: up to 5 attempts, exponential backoff with
 delays 0.5 * 2**(attempt-1) seconds, retrying on transport errors,
-timeouts, 429 and 5xx. At most ``MAX_IN_FLIGHT`` (4) requests are in
-flight at once across every thread; a request waiting out its backoff
-holds no slot. API keys come from the environment and are never echoed
-into errors or logs.
+timeouts, 429 and 5xx. Any other status outside 2xx fails at once. At most
+``MAX_IN_FLIGHT`` (4) requests are in flight at once across every thread;
+a request waiting out its backoff holds no slot. API keys come from the
+environment and are never echoed into errors or logs.
 
-``requests`` is imported by ``post_json`` on the first remote request, so
-the local embedder and the mock chat backends never load the HTTP stack.
+Requests go through the standard library's ``urllib.request``, one
+connection per request, and follow no redirect: a 3xx reply fails at
+once like any other status outside 2xx, so a request and its API key
+never go anywhere but the configured endpoint. ``send`` imports
+``urllib.request`` on the first remote request, so the local embedder
+and the mock chat backends never load the HTTP stack. TLS uses ``ssl.create_default_context()`` (the system CA store, or
+``SSL_CERT_FILE``), and proxies come from ``http_proxy``, ``https_proxy``
+and ``no_proxy``.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 import time
-from typing import Any, Callable, Optional
+from json import dumps, loads
+from typing import Any, Callable, Dict, NamedTuple, Optional
 
 MAX_ATTEMPTS = 5
 BACKOFF_BASE_SECONDS = 0.5
@@ -35,6 +43,61 @@ class TransportError(RuntimeError):
 
 class MissingApiKey(TransportError):
     pass
+
+
+class Reply(NamedTuple):
+    """A reply's status and undecoded body."""
+
+    status_code: int
+    body: bytes
+
+    def json(self) -> Any:
+        return loads(self.body)
+
+
+@functools.cache
+def _opener():
+    """``urlopen``'s opener, except that it follows no redirect. urllib would
+    resend a POST answered by a 301, 302 or 303 as a GET, with every header,
+    the ``Authorization`` one too, to whatever host or scheme the
+    ``Location`` names. Here every 3xx reply raises ``HTTPError``."""
+    import urllib.request
+
+    class NoRedirect(urllib.request.HTTPRedirectHandler):
+        def redirect_request(self, *args):
+            return None
+
+    return urllib.request.build_opener(NoRedirect)
+
+
+def send(url: str, *, json: Any, headers: Dict[str, str], timeout: float) -> Reply:
+    """POST ``json`` to an http(s) ``url`` and read the whole reply.
+
+    The body is ``json.dumps(json, allow_nan=False)`` in UTF-8. A status
+    outside 2xx, a redirect's included, is returned, not raised or
+    followed. A failure to send or receive raises ``OSError`` (a
+    ``URLError`` wraps the socket's error) or ``http.client.HTTPException``.
+    """
+    import urllib.error
+    import urllib.request
+
+    # the opener would also read file:, data: and ftp: URLs
+    if not url.lower().startswith(("http://", "https://")):
+        raise urllib.error.URLError("not an http(s) URL")
+    data = dumps(json, allow_nan=False).encode("utf-8")
+    request = urllib.request.Request(url, data=data, headers=headers, method="POST")
+    try:
+        with _opener().open(request, timeout=timeout) as resp:
+            return Reply(resp.status, resp.read())
+    except urllib.error.HTTPError as exc:
+        exc.close()
+        return Reply(exc.code, b"")
+
+
+def _error_name(exc: BaseException) -> str:
+    """The exception's type name; a ``URLError`` is named by the error it wraps."""
+    reason = getattr(exc, "reason", None)
+    return type(reason if isinstance(reason, BaseException) else exc).__name__
 
 
 def backoff_delays(attempts: int = MAX_ATTEMPTS):
@@ -62,15 +125,15 @@ def post_json(
     """POST a JSON body, retrying per the module policy.
 
     Returns (parsed response body, attempts used). ``sleep`` and ``post``
-    are injectable for tests. The key value is never interpolated into
-    error messages.
+    are injectable for tests; ``post`` defaults to ``send``. The key value
+    is never interpolated into error messages.
     """
-    import requests
+    import http.client
 
     if sleep is None:
         sleep = time.sleep
     if post is None:
-        post = requests.post
+        post = send
     headers = {"Content-Type": "application/json"}
     if api_key:
         headers["Authorization"] = f"Bearer {api_key}"
@@ -83,15 +146,16 @@ def post_json(
             status = getattr(resp, "status_code", 0)
             if status == 429 or status >= 500:
                 last_error = f"status {status}"
-            elif status >= 400:
+            elif not 200 <= status < 300:
                 raise TransportError(f"request to {url} failed with status {status}")
             else:
                 try:
                     return resp.json(), attempt
                 except (ValueError, RecursionError):
                     last_error = "malformed JSON body"
-        except requests.RequestException as exc:
-            last_error = f"transport error: {type(exc).__name__}"
+        # ValueError: a URL that urllib cannot parse
+        except (OSError, ValueError, http.client.HTTPException) as exc:
+            last_error = f"transport error: {_error_name(exc)}"
         if attempt < MAX_ATTEMPTS:
             sleep(delays[attempt - 1])
     raise TransportError(f"request to {url} failed after {MAX_ATTEMPTS} attempts ({last_error})")

@@ -2,14 +2,16 @@ import json
 import subprocess
 import sys
 import threading
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
 
 from molcorr import transport
-from molcorr.cli import EXIT_CONFIG, EXIT_OK, main
+from molcorr.cli import EXIT_CONFIG, EXIT_OK, Config, ConfigError, _build, main
 from molcorr.ingest import CLASSIFICATION, REGRESSION, DatasetBundle, Split
 from molcorr.knowledge import RetrievedContext
+from molcorr.llmclient import LlmError
 from molcorr.prompt import build_corrector_prompt
 from conftest import make_bundle, make_predictions, write_dataset_csv, write_predictions_jsonl
 
@@ -655,7 +657,8 @@ class TestConfigHandling:
             ({"strategy": "best"}, "unknown strategy 'best'"),
             ({"k": "0"}, "config key(s) k: k must be >= 1, got 0"),
             ({"regression_trigger_fraction": "0"},
-             "regression_trigger_fraction: trigger fraction must be positive"),
+             "error: config key(s) regression_trigger_fraction: trigger fraction must be "
+             "positive\n"),
         ],
         ids=["non-integer", "malformed-scripted-json", "noisy-p-out-of-range", "unset-api-key",
              "jobs-below-one", "non-boolean", "non-finite-float", "line-without-equals",
@@ -680,6 +683,25 @@ class TestConfigHandling:
         assert named in err
         assert "Traceback" not in err
         assert err.startswith("error: ")
+
+    def test_fault_of_a_class_with_required_fields_names_every_key(self):
+        # a lone key cannot build a class with other required fields, so no
+        # single key is blamed
+        @dataclass(frozen=True)
+        class NeedsBoth:
+            endpoint: str
+            model: str
+
+            def __post_init__(self):
+                if not self.endpoint.startswith("http"):
+                    raise LlmError("endpoint must be an http(s) URL")
+
+        config = Config(llm_endpoint="localhost:8000", llm_model="m")
+        with pytest.raises(ConfigError) as err:
+            _build(NeedsBoth, config, endpoint="llm_endpoint", model="llm_model")
+        assert str(err.value) == (
+            "config key(s) llm_endpoint, llm_model: endpoint must be an http(s) URL"
+        )
 
     @pytest.mark.parametrize(
         "key, target", [("dataset", "."), ("output_dir", "dataset.csv")],
@@ -752,19 +774,19 @@ class TestConfigHandling:
         assert not (tmp_path / "out").exists()
 
 
-# runs argv lists through cli.main in a process where `import requests`
-# raises ImportError; prints each exit code
+# runs argv lists through cli.main in a fresh process; prints each exit code
+# and the HTTP modules loaded afterwards
 _OFFLINE_SCRIPT = """
 import json, sys
-sys.modules["requests"] = None
 sys.path.insert(0, sys.argv[1])
 from molcorr.cli import main
-print(json.dumps([main(argv) for argv in json.loads(sys.argv[2])]))
+codes = [main(argv) for argv in json.loads(sys.argv[2])]
+print(json.dumps([codes, sorted({"urllib.request", "http.client", "ssl"} & set(sys.modules))]))
 """
 
 
-def test_offline_commands_never_import_requests(tmp_path):
-    # a fresh process: other tests have imported requests into this one
+def test_offline_commands_never_load_the_http_stack(tmp_path):
+    # a fresh process: other tests have loaded the HTTP modules into this one
     _, cfg = write_workspace(tmp_path, task=CLASSIFICATION)
     commands = [
         ["build-db", "--config", cfg],
@@ -777,7 +799,7 @@ def test_offline_commands_never_import_requests(tmp_path):
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[0, 0, 0]", proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[[0, 0, 0], []]", proc.stdout + proc.stderr
 
 
 class TestReportBytes:

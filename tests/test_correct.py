@@ -3,7 +3,6 @@ import threading
 import time
 
 import pytest
-import requests
 
 from molcorr.correct import (
     CorrectionError,
@@ -187,9 +186,9 @@ class TestCorrectOne:
 
         def dead_post(endpoint, **kwargs):
             posts.append(endpoint)
-            raise requests.ConnectionError("connection refused")
+            raise ConnectionError("connection refused")
 
-        monkeypatch.setattr(requests, "post", dead_post)
+        monkeypatch.setattr(transport, "send", dead_post)
         monkeypatch.setattr(transport.time, "sleep", sleeps.append)
         llm = RemoteChatConfig(endpoint=url, model="m")
         with caplog.at_level("WARNING", logger="molcorr.correct"):

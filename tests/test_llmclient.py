@@ -1,9 +1,12 @@
+import contextlib
 import json
+import socket
 import threading
+import urllib.error
+import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
-import requests
 
 from molcorr import transport
 from molcorr.ingest import CLASSIFICATION, REGRESSION
@@ -123,7 +126,7 @@ class TestRetryPolicy:
 
         def fake_post(url, **kwargs):
             calls.append(url)
-            raise requests.ConnectionError("connection refused")
+            raise ConnectionError("connection refused")
 
         with pytest.raises(transport.TransportError) as err:
             transport.post_json(
@@ -197,6 +200,159 @@ class TestRetryPolicy:
                 sleep=lambda s: None, post=fake_post,
             )
         assert len(calls) == 1
+
+
+LOOPBACK_KEY = "sk-loopback-secret"
+LOOPBACK_BODY = {
+    "model": "m", "messages": [{"role": "user", "content": "Prédiction ≥ 1"}], "temperature": 0.0,
+}
+
+
+@contextlib.contextmanager
+def _serve():
+    """A chat URL served on 127.0.0.1, the list of (status, body[, location])
+    replies it gives in turn (the last one repeats) and the (headers, body)
+    of each request it saw."""
+    script, seen = [], []
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):
+            seen.append((self.headers, self.rfile.read(int(self.headers["Content-Length"]))))
+            status, payload, *location = script[min(len(seen), len(script)) - 1]
+            self.send_response(status)
+            if location:
+                self.send_header("Location", location[0])
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(payload)))
+            self.end_headers()
+            self.wfile.write(payload)
+
+        do_GET = do_POST
+
+        def log_message(self, *args):
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions", script, seen
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10.0)
+
+
+@pytest.fixture
+def loopback():
+    with _serve() as served:
+        yield served
+
+
+class TestLoopback:
+    """``post_json`` through the real sender to a server on 127.0.0.1."""
+
+    def test_200_sends_the_json_bytes_and_headers(self, loopback):
+        url, script, seen = loopback
+        script.append((200, b'{"ok": true}'))
+        body, attempts = transport.post_json(
+            url, LOOPBACK_BODY, api_key=LOOPBACK_KEY, sleep=lambda s: None
+        )
+        assert (body, attempts) == ({"ok": True}, 1)
+        [(headers, sent)] = seen
+        assert headers["Content-Type"] == "application/json"
+        assert headers["Authorization"] == f"Bearer {LOOPBACK_KEY}"
+        assert sent == json.dumps(LOOPBACK_BODY, allow_nan=False).encode("utf-8")
+
+    def test_503_then_200_takes_two_attempts_and_closes_the_error(self, loopback, monkeypatch):
+        # an HTTPError left open closes its reply when it is collected and
+        # warns about nothing; the test holds each one, so only the sender
+        # can have closed it
+        url, script, seen = loopback
+        script.extend([(503, b"{}"), (200, b'{"ok": true}')])
+        errors = []
+        open_ = urllib.request.OpenerDirector.open
+
+        def recording_open(*args, **kwargs):
+            try:
+                return open_(*args, **kwargs)
+            except urllib.error.HTTPError as exc:
+                errors.append(exc)
+                raise
+
+        monkeypatch.setattr(urllib.request.OpenerDirector, "open", recording_open)
+        assert transport.post_json(url, LOOPBACK_BODY, sleep=lambda s: None) == ({"ok": True}, 2)
+        assert len(seen) == 2
+        assert [exc.code for exc in errors] == [503]
+        assert errors[0].fp.isclosed()
+
+    @pytest.mark.parametrize(
+        "reply, requests_seen, message",
+        [
+            ((429, b"{}"), 5, "failed after 5 attempts (status 429)"),
+            ((400, b"{}"), 1, "failed with status 400"),
+            # a redirect is not followed, and its body is not an answer
+            ((307, b'{"ok": true}', "/v1/chat/completions"), 1, "failed with status 307"),
+            # followed, an ftp: reply would have no status
+            ((302, b"{}", "ftp://127.0.0.1:9/reply.json"), 1, "failed with status 302"),
+            ((200, b"not json"), 5, "failed after 5 attempts (malformed JSON body)"),
+        ],
+        ids=["429-every-attempt", "400", "307", "302-to-ftp", "200-not-json"],
+    )
+    def test_failure(self, loopback, reply, requests_seen, message):
+        url, script, seen = loopback
+        script.append(reply)
+        with pytest.raises(transport.TransportError) as err:
+            transport.post_json(url, LOOPBACK_BODY, api_key=LOOPBACK_KEY, sleep=lambda s: None)
+        assert str(err.value) == f"request to {url} {message}"
+        assert LOOPBACK_KEY not in str(err.value)
+        assert len(seen) == requests_seen
+
+    @pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+    def test_redirect_to_another_host_is_not_followed(self, loopback, status):
+        # urllib would resend a 301/302/303 as a GET with the Authorization
+        # header; the server the Location names must see nothing
+        url, script, seen = loopback
+        with _serve() as (other_url, other_script, other_seen):
+            other_script.append((200, b'{"ok": true}'))
+            script.append((status, b'{"ok": true}', other_url))
+            with pytest.raises(transport.TransportError) as err:
+                transport.post_json(
+                    url, LOOPBACK_BODY, api_key=LOOPBACK_KEY, sleep=lambda s: None
+                )
+            assert other_seen == []
+        assert str(err.value) == f"request to {url} failed with status {status}"
+        assert len(seen) == 1
+
+    def test_closed_port(self):
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            url = f"http://127.0.0.1:{sock.getsockname()[1]}/v1/chat/completions"
+        sleeps = []
+        with pytest.raises(transport.TransportError) as err:
+            transport.post_json(url, LOOPBACK_BODY, api_key=LOOPBACK_KEY, sleep=sleeps.append)
+        assert sleeps == transport.backoff_delays()
+        assert str(err.value).endswith("5 attempts (transport error: ConnectionRefusedError)")
+        assert LOOPBACK_KEY not in str(err.value)
+
+    @pytest.mark.parametrize(
+        "url, error",
+        [("file://{json_file}", "URLError"), ("not-a-url", "URLError"), ("http://[::1/", "ValueError")],
+        ids=["file-url", "no-scheme", "unparseable"],
+    )
+    def test_url_urllib_must_not_open(self, tmp_path, url, error):
+        # urlopen would read a file: URL and return a reply without a
+        # status; the sender refuses every URL that is not http(s)
+        json_file = tmp_path / "reply.json"
+        json_file.write_text('{"ok": true}')
+        url = url.format(json_file=json_file)
+        with pytest.raises(transport.TransportError) as err:
+            transport.post_json(url, LOOPBACK_BODY, sleep=lambda s: None)
+        assert str(err.value) == (
+            f"request to {url} failed after 5 attempts (transport error: {error})"
+        )
 
 
 class _StubChatHandler(BaseHTTPRequestHandler):
@@ -323,7 +479,7 @@ def test_backoff_sleep_holds_no_slot(monkeypatch):
         release.wait(timeout=3.0)
         events.append("sleep ended")
 
-    monkeypatch.setattr(requests, "post", fake_post)
+    monkeypatch.setattr(transport, "send", fake_post)
     monkeypatch.setattr(transport.time, "sleep", fake_sleep)
     cfg = RemoteChatConfig(endpoint="http://127.0.0.1:9/v1/chat/completions", model="m")
 

@@ -14,9 +14,10 @@ L2-normalize. Empty text maps to the all-zero vector.
 runs per text there (a Python loop, cheapest for one short query).
 ``embed_texts`` embeds a pool into one ``(len(texts), dim)`` float32
 matrix, the knowledge database's storage type: the local recipe runs
-per block of 1,024 texts (every n-gram of a block at once in numpy
+per block of 512 texts (every n-gram of a block at once in numpy
 uint64 arithmetic), and each float64 block is rounded into its rows of
-the matrix, so at most one block is held in float64. The block path
+the matrix, so nothing pool-sized is held beside the matrix: at most
+one block's per-gram arrays and float64 rows. The block path
 hashes the n bytes from every byte of the block's concatenated,
 zero-padded bytes and keeps the windows that start a gram; a text
 shorter than n has read past its own end, so its one gram is hashed
@@ -67,12 +68,16 @@ class RemoteHttpConfig:
     Request body is ``{"model": ..., "input": [...]}``; the response must
     hold one finite, non-empty numeric array per input, in input order, at
     ``data[*].embedding``. The API key is read from the environment
-    variable named by ``key_env``.
+    variable named by ``key_env``. The endpoint must be an http(s) URL.
     """
 
     endpoint: str
     model: str
     key_env: Optional[str] = None
+
+    def __post_init__(self):
+        if not transport.is_http_url(self.endpoint):
+            raise EmbedError(f"endpoint {self.endpoint!r} is not an http(s) URL")
 
     @property
     def fingerprint(self) -> str:
@@ -82,7 +87,7 @@ class RemoteHttpConfig:
 EmbedderConfig = Union[LocalHashConfig, RemoteHttpConfig]
 
 # texts per block of the numpy path: bounds its per-gram temporaries
-LOCAL_BLOCK_TEXTS = 1024
+LOCAL_BLOCK_TEXTS = 512
 
 # texts per request of the remote backend
 REMOTE_BATCH_TEXTS = 128
@@ -143,8 +148,10 @@ def _local_hash_block(cfg: LocalHashConfig, texts: Sequence[str]) -> np.ndarray:
         h[first_grams[short]] = hs
     # bit 63 is the int64 sign: shifting it down gives 0 or -1, so +1 or -1
     signs = (h.view(np.int64) >> 63) | 1
-    buckets = (h % np.uint64(cfg.dim)).astype(np.int64)
-    slots = np.repeat(np.arange(len(data)) * cfg.dim, counts) + buckets
+    # every bucket is below dim, so its uint64 bits read the same as int64
+    slots = (h % np.uint64(cfg.dim)).view(np.int64)
+    del h
+    slots += np.repeat(np.arange(len(data)) * cfg.dim, counts)
     # bincount returns int64 when the block holds no gram at all
     sums = np.bincount(slots, weights=signs, minlength=len(data) * cfg.dim)
     vecs = sums.astype(np.float64, copy=False).reshape(len(data), cfg.dim)

@@ -39,6 +39,14 @@ entry line by one f-string, with strings quoted by
 ``json.encoder.encode_basestring_ascii`` (the escaper ``json.dumps``
 itself uses), floats by ``float.__repr__`` and ``None`` as ``null``, so
 the line is byte-equal to ``json.dumps(record, separators=(",", ":"))``.
+A line ends only at a line feed, a carriage return, or the two together.
+
+No phase holds a pool-sized temporary beside the matrix and the rows:
+saving writes the entry lines a block at a time; loading reads the
+metadata file line by line twice, once to count the entries and once to
+parse them, and checks the matrix for non-finite values a block at a
+time; the norm pass and the exact scoring convert a block of rows to
+float64 at a time.
 """
 
 from __future__ import annotations
@@ -61,14 +69,12 @@ MAGIC = b"LCDB"
 METADATA_FILE = "metadata.jsonl"
 SIDECAR_FILE = "embeddings.lcdb"
 
-# rows per block of the norm pass: bounds its float64 temporaries
-_NORM_BLOCK_ROWS = 1024
-
 # rows per group of exact scoring: every GEMV kernel's row unroll divides it
 _GROUP_ROWS = 4
 
-# most rows per exact-scoring GEMV call: bounds its float64 temporary, and
-# keeps the call small enough that BLAS runs it in one thread
+# most rows per block of any pass over the pool (norms, finiteness, saving,
+# exact-scoring GEMV calls): bounds each pass's temporaries, and keeps a
+# GEMV call small enough that BLAS runs it in one thread
 _CALL_ROWS = 128
 
 
@@ -181,15 +187,15 @@ class KnowledgeDatabase:
 
     @cached_property
     def _norms(self) -> np.ndarray:
-        """Each row's Euclidean norm in float64, converting ``_NORM_BLOCK_ROWS``
+        """Each row's Euclidean norm in float64, converting ``_CALL_ROWS``
         rows at a time so no whole-pool float64 array is ever held. Each row
         is summed along its own contiguous axis, so the result is
         bit-identical to ``np.linalg.norm(embeddings.astype(np.float64),
         axis=1)``."""
         norms = np.empty(len(self.embeddings))
-        for i in range(0, len(norms), _NORM_BLOCK_ROWS):
-            block = self.embeddings[i : i + _NORM_BLOCK_ROWS].astype(np.float64)
-            np.sqrt(np.add.reduce(block * block, axis=1), out=norms[i : i + _NORM_BLOCK_ROWS])
+        for i in range(0, len(norms), _CALL_ROWS):
+            block = self.embeddings[i : i + _CALL_ROWS].astype(np.float64)
+            np.sqrt(np.add.reduce(block * block, axis=1), out=norms[i : i + _CALL_ROWS])
         return norms
 
     @cached_property
@@ -340,7 +346,9 @@ def _exact_scores(
     tail they are in the whole pool."""
     count = len(db)
     last = max(count - 2, 0) // _GROUP_ROWS
-    groups = np.unique(np.minimum(rows // _GROUP_ROWS, last))
+    # ``rows`` is sorted, so equal groups are adjacent
+    groups = np.minimum(rows // _GROUP_ROWS, last)
+    groups = groups[np.concatenate(([True], groups[1:] != groups[:-1]))]
     members = (groups[:, None] * _GROUP_ROWS + np.arange(_GROUP_ROWS)).ravel()
     members = members[members < count]
     if groups[-1] == last and count - last * _GROUP_ROWS == _GROUP_ROWS + 1:
@@ -457,8 +465,11 @@ def save_database(db: KnowledgeDatabase, directory: Union[str, Path]) -> None:
         "dim": db.dim,
         "entries": len(db),
     }
-    lines = [json.dumps(header, separators=(",", ":")), *_metadata_lines(db.rows)]
-    (directory / METADATA_FILE).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # the lines go out ``_CALL_ROWS`` at a time, never all at once
+    with (directory / METADATA_FILE).open("w", encoding="utf-8") as fh:
+        fh.write(json.dumps(header, separators=(",", ":")) + "\n")
+        for i in range(0, len(db), _CALL_ROWS):
+            fh.writelines(line + "\n" for line in _metadata_lines(db.rows[i : i + _CALL_ROWS]))
     with (directory / SIDECAR_FILE).open("wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", db.dim, len(db)))
@@ -496,12 +507,14 @@ def load_database(directory: Union[str, Path]) -> KnowledgeDatabase:
     directory = Path(directory)
     meta_path = directory / METADATA_FILE
     sidecar_path = directory / SIDECAR_FILE
+    # the file is read twice, line by line: once to count the entry lines,
+    # which decodes all of it before any check, and once to parse them
     with open_utf8(meta_path) as fh:
-        lines = fh.read().splitlines()
-    task, fingerprint, dim, count = _read_header(meta_path, lines[0] if lines else "")
-    records = [(lineno, line) for lineno, line in enumerate(lines[1:], 2) if line.strip()]
-    if len(records) != count:
-        raise KnowledgeError(f"{meta_path}: header says {count} entries, found {len(records)}")
+        first = next(fh, "")
+        found = sum(1 for line in fh if line.strip())
+    task, fingerprint, dim, count = _read_header(meta_path, first.rstrip("\r\n"))
+    if found != count:
+        raise KnowledgeError(f"{meta_path}: header says {count} entries, found {found}")
 
     raw = sidecar_path.read_bytes()
     if raw[:4] != MAGIC:
@@ -521,23 +534,28 @@ def load_database(directory: Union[str, Path]) -> KnowledgeDatabase:
             f"{sidecar_path}: expected {expected} payload bytes, got {len(raw) - 12}"
         )
     matrix = np.frombuffer(raw, dtype="<f4", offset=12).reshape(count, dim)
-    if not np.isfinite(matrix).all():
-        raise KnowledgeError(f"{sidecar_path}: non-finite embedding value")
+    for i in range(0, count, _CALL_ROWS):
+        if not np.isfinite(matrix[i : i + _CALL_ROWS]).all():
+            raise KnowledgeError(f"{sidecar_path}: non-finite embedding value")
 
     rows = []
     ids = {}
-    for lineno, line in records:
-        try:
-            rec = json.loads(line)
-            id, smiles, prediction = rec["id"], rec["smiles"], rec["primary_prediction"]
-            if not (isinstance(id, str) and isinstance(smiles, str)):
-                raise TypeError("id and smiles must be strings")
-            if ids.setdefault(id, lineno) != lineno:
-                raise ValueError(f"duplicate id {id!r}, first on line {ids[id]}")
-            prediction = None if prediction is None else json_number(prediction)
-            rows.append(check_entry(id, smiles, json_number(rec["label"]), prediction))
-        except (KeyError, TypeError, ValueError, RecursionError) as exc:
-            raise KnowledgeError(
-                f"{meta_path}:{lineno}: corrupt metadata ({type(exc).__name__}: {exc})"
-            ) from exc
+    with open_utf8(meta_path) as fh:
+        next(fh, "")
+        for lineno, line in enumerate(fh, 2):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line.rstrip("\r\n"))
+                id, smiles, prediction = rec["id"], rec["smiles"], rec["primary_prediction"]
+                if not (isinstance(id, str) and isinstance(smiles, str)):
+                    raise TypeError("id and smiles must be strings")
+                if ids.setdefault(id, lineno) != lineno:
+                    raise ValueError(f"duplicate id {id!r}, first on line {ids[id]}")
+                prediction = None if prediction is None else json_number(prediction)
+                rows.append(check_entry(id, smiles, json_number(rec["label"]), prediction))
+            except (KeyError, TypeError, ValueError, RecursionError) as exc:
+                raise KnowledgeError(
+                    f"{meta_path}:{lineno}: corrupt metadata ({type(exc).__name__}: {exc})"
+                ) from exc
     return KnowledgeDatabase(task=task, fingerprint=fingerprint, rows=tuple(rows), embeddings=matrix)

@@ -39,13 +39,18 @@ class RemoteChatConfig:
 
     Request: ``{"model", "messages": [{"role": "user", "content"}],
     "temperature"}``; the response text is read from
-    ``choices[0].message.content``.
+    ``choices[0].message.content``. The endpoint must be an http(s) URL,
+    so a bare ``host:port/path`` is a config fault, not a dead endpoint.
     """
 
     endpoint: str
     model: str
     key_env: Optional[str] = None
     temperature: float = 0.0
+
+    def __post_init__(self):
+        if not transport.is_http_url(self.endpoint):
+            raise LlmError(f"endpoint {self.endpoint!r} is not an http(s) URL")
 
 
 @dataclass(frozen=True)

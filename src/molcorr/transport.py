@@ -70,6 +70,12 @@ def _opener():
     return urllib.request.build_opener(NoRedirect)
 
 
+def is_http_url(url: str) -> bool:
+    """Whether ``url`` is an http(s) URL, the only kind a request goes to:
+    urllib's opener would also read file:, data: and ftp: URLs."""
+    return url.lower().startswith(("http://", "https://"))
+
+
 def send(url: str, *, json: Any, headers: Dict[str, str], timeout: float) -> Reply:
     """POST ``json`` to an http(s) ``url`` and read the whole reply.
 
@@ -81,8 +87,7 @@ def send(url: str, *, json: Any, headers: Dict[str, str], timeout: float) -> Rep
     import urllib.error
     import urllib.request
 
-    # the opener would also read file:, data: and ftp: URLs
-    if not url.lower().startswith(("http://", "https://")):
+    if not is_http_url(url):
         raise urllib.error.URLError("not an http(s) URL")
     data = dumps(json, allow_nan=False).encode("utf-8")
     request = urllib.request.Request(url, data=data, headers=headers, method="POST")

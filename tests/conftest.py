@@ -1,5 +1,6 @@
 """Shared synthetic-data builders for the test suite, plus the dataset
-CSV writer and a reference cosine similarity, which only tests use.
+CSV writer, a reference cosine similarity and a traced-memory probe,
+which only tests use.
 
 All generated labels and predictions are rounded to 4 decimals, matching
 the 4-decimal number rendering of prompts and mock responses, so
@@ -12,6 +13,7 @@ import csv
 import json
 import math
 import random
+import tracemalloc
 from pathlib import Path
 from typing import List, Optional
 
@@ -140,6 +142,19 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     if na == 0.0 or nb == 0.0:
         return 0.0
     return float(np.dot(a, b)) / (na * nb)
+
+
+def traced(fn):
+    """``fn()``, then the traced peak during the call and the traced memory
+    left after it, both in bytes above what was traced before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak - before, current - before
 
 
 def write_predictions_jsonl(preds: PredictionSet, path: Path) -> None:

@@ -659,13 +659,29 @@ class TestConfigHandling:
             ({"regression_trigger_fraction": "0"},
              "error: config key(s) regression_trigger_fraction: trigger fraction must be "
              "positive\n"),
+            # an endpoint without http:// or https:// is refused before any request
+            ({"llm_backend": "remote", "llm_endpoint": "localhost:8000/v1", "llm_model": "m"},
+             "config key(s) llm_endpoint, llm_model: endpoint 'localhost:8000/v1' is not an "
+             "http(s) URL"),
+            ({"llm_backend": "remote", "llm_endpoint": "file:///etc/passwd", "llm_model": "m"},
+             "config key(s) llm_endpoint, llm_model: endpoint 'file:///etc/passwd' is not an "
+             "http(s) URL"),
+            ({"embedder_backend": "remote", "embedder_endpoint": "localhost:8000/v1",
+              "embedder_model": "m"},
+             "config key(s) embedder_endpoint, embedder_model: endpoint 'localhost:8000/v1' is "
+             "not an http(s) URL"),
+            ({"embedder_backend": "remote", "embedder_endpoint": "file:///etc/passwd",
+              "embedder_model": "m"},
+             "config key(s) embedder_endpoint, embedder_model: endpoint 'file:///etc/passwd' is "
+             "not an http(s) URL"),
         ],
         ids=["non-integer", "malformed-scripted-json", "noisy-p-out-of-range", "unset-api-key",
              "jobs-below-one", "non-boolean", "non-finite-float", "line-without-equals",
              "required-key-unset", "remote-embedder-without-endpoint",
              "remote-llm-without-endpoint", "scripted-without-responses", "unknown-task",
              "unknown-embedder-backend", "unknown-llm-backend", "unknown-strategy", "k-zero",
-             "trigger-fraction-zero"],
+             "trigger-fraction-zero", "llm-endpoint-without-scheme", "llm-endpoint-file-url",
+             "embedder-endpoint-without-scheme", "embedder-endpoint-file-url"],
     )
     def test_config_fault_exits_2(self, tmp_path, capsys, monkeypatch, extra, named):
         def no_request(*args, **kwargs):
@@ -775,31 +791,46 @@ class TestConfigHandling:
 
 
 # runs argv lists through cli.main in a fresh process; prints each exit code
-# and the HTTP modules loaded afterwards
-_OFFLINE_SCRIPT = """
+# and which of the named modules are loaded afterwards
+_FRESH_SCRIPT = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 from molcorr.cli import main
 codes = [main(argv) for argv in json.loads(sys.argv[2])]
-print(json.dumps([codes, sorted({"urllib.request", "http.client", "ssl"} & set(sys.modules))]))
+print(json.dumps([codes, sorted(set(json.loads(sys.argv[3])) & set(sys.modules))]))
 """
 
 
+def run_fresh(commands, modules):
+    """``[exit codes, the modules of `modules` then loaded]`` after a fresh
+    process runs ``commands`` through ``cli.main``: other tests have loaded
+    every module into this one."""
+    src = str(Path(transport.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_SCRIPT, src, json.dumps(commands), json.dumps(modules)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 def test_offline_commands_never_load_the_http_stack(tmp_path):
-    # a fresh process: other tests have loaded the HTTP modules into this one
     _, cfg = write_workspace(tmp_path, task=CLASSIFICATION)
     commands = [
         ["build-db", "--config", cfg],
         ["correct", "--config", cfg, "--split", "test", "--backend", "echo"],
         ["predict", "--config", cfg, "--prompt", "ip", "--split", "test", "--backend", "noisy"],
     ]
-    src = str(Path(transport.__file__).parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", _OFFLINE_SCRIPT, src, json.dumps(commands)],
-        capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[[0, 0, 0], []]", proc.stdout + proc.stderr
+    http = ["urllib.request", "http.client", "ssl"]
+    assert run_fresh(commands, http) == [[0, 0, 0], []]
+
+
+def test_topk_never_loads_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma under numpy 2, about 1.2 MB of RSS; exact
+    # scoring finds its row groups without it
+    _, cfg = write_workspace(tmp_path, strategy="topk")
+    commands = [["build-db", "--config", cfg], ["correct", "--config", cfg, "--split", "test"]]
+    assert run_fresh(commands, ["numpy.ma"]) == [[0, 0], []]
 
 
 class TestReportBytes:

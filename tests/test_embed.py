@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import threading
 import warnings
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -19,7 +20,7 @@ from molcorr.embed import (
     embed_texts,
 )
 from molcorr.ingest import MoleculeRecord, Split
-from conftest import cosine_similarity
+from conftest import SMILES_ALPHABET, cosine_similarity, traced
 
 # Independent reimplementation of the pinned hashing recipe, used to
 # freeze expected vectors. Kept deliberately separate from the library's
@@ -139,6 +140,15 @@ def test_block_path_matches_oracle(shape, drawn, size, rnd):
     for text, row, vec in zip(texts, exact, got):
         assert row.tolist() == want[text]
         assert vec.tolist() == np.asarray(want[text], np.float32).tolist()
+
+
+def test_pool_embedding_holds_one_small_block_beside_its_output():
+    # 2,000 texts of 120 bytes: the per-gram arrays of a 1,024-text block
+    # held about 8 MB beside the output
+    rnd = random.Random(5)
+    texts = ["".join(rnd.choice(SMILES_ALPHABET) for _ in range(120)) for _ in range(2000)]
+    out, peak, _ = traced(lambda: embed_texts(LocalHashConfig(), texts))
+    assert peak - out.nbytes <= 5 * 2**20
 
 
 def test_block_path_empty_inputs():

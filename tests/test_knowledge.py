@@ -1,10 +1,10 @@
 import hashlib
+import itertools
 import json
 import random
 import shutil
 import struct
 import tempfile
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +37,7 @@ from molcorr.knowledge import (
     save_database,
     stored_fingerprint,
 )
-from conftest import SMILES_ALPHABET, make_bundle, make_predictions
+from conftest import SMILES_ALPHABET, make_bundle, make_predictions, traced
 
 EMB = LocalHashConfig(dim=32, ngram=3)
 
@@ -421,6 +421,64 @@ class TestPersistence:
             again, new = (tmp_path / d / name for d in ("again", "new"))
             assert again.read_bytes() == new.read_bytes()
 
+    # load_database's checks in the order they run: (name, fault, message);
+    # a fault edits the metadata lines or the sidecar bytes in place
+    LOAD_FAULTS = [
+        ("header", lambda lines, raw: lines.__setitem__(0, "{not json"),
+         "{meta}:1: corrupt metadata (JSONDecodeError: "),
+        ("count", lambda lines, raw: lines.pop(), "{meta}: header says 5 entries, found 4"),
+        ("short-sidecar", lambda lines, raw: raw.__delitem__(slice(-4, None)),
+         "{sidecar}: expected 640 payload bytes, got 636"),
+        ("non-finite", lambda lines, raw: raw.__setitem__(slice(12, 16), b"\x00\x00\xc0\x7f"),
+         "{sidecar}: non-finite embedding value"),
+        ("corrupt-line", lambda lines, raw: lines.__setitem__(2, "{broken"),
+         "{meta}:3: corrupt metadata (JSONDecodeError: "),
+    ]
+
+    @pytest.mark.parametrize(
+        "first, second",
+        list(itertools.combinations(LOAD_FAULTS, 2)),
+        ids=[f"{a[0]}-before-{b[0]}" for a, b in itertools.combinations(LOAD_FAULTS, 2)],
+    )
+    def test_two_faults_report_the_first_checked(self, tmp_path, first, second):
+        bundle, _, db = build_db(n_train=3, n_valid=2)
+        save_database(db, tmp_path / "db")
+        meta, sidecar = tmp_path / "db" / METADATA_FILE, tmp_path / "db" / SIDECAR_FILE
+        lines, raw = meta.read_text().splitlines(), bytearray(sidecar.read_bytes())
+        first[1](lines, raw)
+        second[1](lines, raw)
+        meta.write_text("\n".join(lines) + "\n")
+        sidecar.write_bytes(bytes(raw))
+        with pytest.raises(KnowledgeError) as info:
+            load_database(tmp_path / "db")
+        assert str(info.value).startswith(first[2].format(meta=meta, sidecar=sidecar))
+
+    @pytest.mark.parametrize("char", ["\x85", "\u2028", "\u2029"], ids=["nel", "ls", "ps"])
+    def test_raw_line_separator_inside_a_string_loads(self, tmp_path, char):
+        # the file splits into lines at \n, \r and \r\n only; save_database
+        # escapes these characters, so only a hand-edited line holds one raw
+        bundle, _, db = build_db(n_train=3, n_valid=2)
+        save_database(db, tmp_path / "db")
+        meta = tmp_path / "db" / METADATA_FILE
+        lines = meta.read_text().splitlines()
+        lines[1] = json.dumps({**json.loads(lines[1]), "smiles": f"C{char}C"}, ensure_ascii=False)
+        meta.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert load_database(tmp_path / "db").rows[0][1] == f"C{char}C"
+
+    def test_raw_control_character_inside_a_string_is_corrupt(self, tmp_path):
+        # a raw vertical tab ends no line, and JSON forbids it inside a string
+        bundle, _, db = build_db(n_train=3, n_valid=2)
+        save_database(db, tmp_path / "db")
+        meta = tmp_path / "db" / METADATA_FILE
+        lines = meta.read_text().splitlines()
+        lines[1] = lines[1].replace('"smiles":"', '"smiles":"\v', 1)
+        meta.write_text("\n".join(lines) + "\n")
+        with pytest.raises(KnowledgeError) as info:
+            load_database(tmp_path / "db")
+        assert str(info.value).startswith(
+            f"{meta}:2: corrupt metadata (JSONDecodeError: Invalid control character"
+        )
+
     @pytest.mark.parametrize("value", [float("nan"), float("-inf")], ids=["nan", "-inf"])
     def test_non_finite_embedding_names_sidecar(self, tmp_path, value):
         bundle, _, db = build_db(n_train=3, n_valid=2)
@@ -652,22 +710,22 @@ def _matrix_db(count, dim, seed, zero_rows):
     return KnowledgeDatabase(REGRESSION, "fp", rows, matrix)
 
 
-BLOCK = knowledge._NORM_BLOCK_ROWS
+CALL = knowledge._CALL_ROWS
 
 
 @given(
-    count=st.one_of(st.sampled_from([0, 1, BLOCK - 1, BLOCK, BLOCK + 1]), st.integers(0, 3001)),
+    count=st.one_of(st.sampled_from([0, 1, CALL - 1, CALL, CALL + 1]), st.integers(0, 3001)),
     dim=st.integers(1, 300),
     seed=st.integers(0, 2**32 - 1),
     zero_rows=st.sampled_from([0.0, 0.2, 1.0]),
 )
 @example(count=0, dim=8, seed=0, zero_rows=0.0)
 @example(count=1, dim=1, seed=1, zero_rows=0.0)
-@example(count=BLOCK - 1, dim=256, seed=2, zero_rows=0.2)
-@example(count=BLOCK, dim=33, seed=3, zero_rows=0.0)
-@example(count=BLOCK + 1, dim=300, seed=4, zero_rows=0.2)
+@example(count=CALL - 1, dim=256, seed=2, zero_rows=0.2)
+@example(count=CALL, dim=33, seed=3, zero_rows=0.0)
+@example(count=CALL + 1, dim=300, seed=4, zero_rows=0.2)
 @example(count=3001, dim=33, seed=5, zero_rows=0.2)
-@example(count=BLOCK + 1, dim=16, seed=6, zero_rows=1.0)
+@example(count=CALL + 1, dim=16, seed=6, zero_rows=1.0)
 @settings(max_examples=40, deadline=None)
 def test_norms_are_bit_identical_to_linalg_norm(count, dim, seed, zero_rows):
     db = _matrix_db(count, dim, seed, zero_rows)
@@ -683,21 +741,45 @@ def test_first_query_holds_no_whole_pool_float64_copy(strategy):
     count, dim = 16000, 256
     db = _matrix_db(count, dim, seed=7, zero_rows=0.0)
     query = np.random.default_rng(8).standard_normal(dim)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        retrieve(db, query, k=10, strategy=strategy)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak - before <= 0.5 * count * dim * 8
+    _, peak, _ = traced(lambda: retrieve(db, query, k=10, strategy=strategy))
+    assert peak <= 0.5 * count * dim * 8
+
+
+def test_save_and_load_hold_no_pool_sized_temporary(tmp_path):
+    # saving writes the metadata lines a block at a time, and loading
+    # streams them back and checks finiteness a block at a time; a
+    # whole-file text, its line list and a whole-pool mask held over 4 MB
+    db = _matrix_db(16000, 256, seed=7, zero_rows=0.0)
+    _, peak, _ = traced(lambda: save_database(db, tmp_path))
+    assert peak < (tmp_path / METADATA_FILE).stat().st_size
+    loaded, peak, kept = traced(lambda: load_database(tmp_path))
+    assert loaded == db
+    # kept: the matrix, the rows and the id index the database holds
+    assert peak - kept <= 2 * 2**20
+
+
+@pytest.mark.parametrize("count", [0, 1, CALL - 1, CALL, CALL + 1])
+def test_saved_metadata_is_json_dumps_lines(tmp_path, count):
+    # the lines go out a block at a time; the file is still the header and
+    # one json.dumps line per entry, each ending in a newline
+    rows = tuple(
+        check_entry(f"m{i:05d}", f"C{i}", i / 7, None if i % 2 else -i / 3) for i in range(count)
+    )
+    db = KnowledgeDatabase(REGRESSION, "fp", rows, np.ones((count, 3), np.float32))
+    save_database(db, tmp_path)
+    records = [{"task": "regression", "fingerprint": "fp", "dim": 3, "entries": count}]
+    records += [
+        {"id": id, "smiles": smiles, "label": label, "primary_prediction": prediction}
+        for id, smiles, label, prediction in rows
+    ]
+    want = "\n".join(json.dumps(record, separators=(",", ":")) for record in records) + "\n"
+    assert (tmp_path / METADATA_FILE).read_bytes() == want.encode()
 
 
 # ---------------------------------------------------------------------------
 # block scoring and the top-k prefilter
 
 GROUP = knowledge._GROUP_ROWS
-CALL = knowledge._CALL_ROWS
 
 
 @given(

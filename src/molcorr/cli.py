@@ -287,6 +287,9 @@ def cmd_build_db(rt: Runtime) -> int:
 def cmd_correct(rt: Runtime, split: Split) -> int:
     bundle = load_molecules(rt.config["dataset"], rt.task)
     records = _split_records(bundle, split)
+    # the rest reads only the task and this split's records, so the other
+    # splits' records are dropped before the database loads beside them
+    bundle = DatasetBundle(bundle.task, records)
     preds = load_predictions(rt.config[f"{split.value}_predictions"], bundle, split)
     db = load_database(rt.config["database_dir"])
     out_dir = _output_dir(rt)

@@ -186,7 +186,9 @@ def embed_texts(cfg: EmbedderConfig, texts: Sequence[str]) -> np.ndarray:
     matrix, row i for text i; no texts give a ``(0, 0)`` matrix.
 
     The local backend fills the matrix one ``LOCAL_BLOCK_TEXTS`` block at
-    a time, so only one block is ever held in float64. The remote backend
+    a time, so only one block is ever held in float64, and slices
+    ``texts`` a block at a time, so a sequence that composes each text
+    when it is read holds one block's texts at a time. The remote backend
     splits the batch into chunks of ``REMOTE_BATCH_TEXTS`` texts and posts
     them from ``transport.MAX_IN_FLIGHT`` threads, the transport's cap on
     remote requests in flight; every chunk must reply with the same dim,

@@ -42,11 +42,13 @@ the line is byte-equal to ``json.dumps(record, separators=(",", ":"))``.
 A line ends only at a line feed, a carriage return, or the two together.
 
 No phase holds a pool-sized temporary beside the matrix and the rows:
-saving writes the entry lines a block at a time; loading reads the
-metadata file line by line twice, once to count the entries and once to
-parse them, and checks the matrix for non-finite values a block at a
-time; the norm pass and the exact scoring convert a block of rows to
-float64 at a time.
+building composes each entry's embedding text only when the embedder
+reads its block; saving writes the entry lines a block at a time;
+loading reads the metadata file line by line twice, once to count the
+entries and once to parse them, checks the matrix for non-finite values
+a block at a time, and drops its id -> line dict, which names a repeated
+id's first line, before the database builds its id index; the norm pass
+and the exact scoring convert a block of rows to float64 at a time.
 """
 
 from __future__ import annotations
@@ -54,16 +56,18 @@ from __future__ import annotations
 import json
 import math
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
 from .embed import EmbedderConfig, compose_molecule_text, embed_texts, embedder_fingerprint
 from .hashing import SplitMix64
-from .ingest import DatasetBundle, PredictionSet, Split, TaskKind, TaskSpec, json_number, open_utf8
+from .ingest import DatasetBundle, MoleculeRecord, PredictionSet, Split, TaskKind, TaskSpec
+from .ingest import json_number, open_utf8
 
 MAGIC = b"LCDB"
 METADATA_FILE = "metadata.jsonl"
@@ -285,7 +289,7 @@ def build_database(
     train, valid = Split.TRAIN, Split.VALID
     predictions = val_predictions.entries
     rows = []
-    texts = []
+    pool = []
     for rec in bundle.records:
         split = rec.split
         if split is train:
@@ -299,13 +303,30 @@ def build_database(
         if rec.label is None:
             raise KnowledgeError(f"knowledge entry {rec.id!r} has no label")
         rows.append(check_entry(rec.id, rec.smiles, rec.label, prediction))
-        texts.append(compose_molecule_text(rec, include_description))
+        pool.append(rec)
     return KnowledgeDatabase(
         task=bundle.task,
         fingerprint=embedder_fingerprint(embedder, include_description),
         rows=tuple(rows),
-        embeddings=embed_texts(embedder, texts),
+        embeddings=embed_texts(embedder, _PoolTexts(pool, include_description)),
     )
+
+
+class _PoolTexts(Sequence):
+    """The embedding texts of ``records``, each composed when it is read,
+    so ``embed_texts`` holds one block's texts at a time, never the pool's."""
+
+    def __init__(self, records: List[MoleculeRecord], include_description: bool):
+        self._records = records
+        self._include_description = include_description
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        return compose_molecule_text(self._records[i], self._include_description)
 
 
 def _calls(count: int) -> List[Tuple[int, int]]:
@@ -477,10 +498,10 @@ def save_database(db: KnowledgeDatabase, directory: Union[str, Path]) -> None:
 
 
 def _read_header(meta_path: Path, line: str) -> Tuple[TaskSpec, str, int, int]:
-    """Task, fingerprint, dim and entry count from the metadata header line;
-    dim and count must be JSON integers."""
+    """Task, fingerprint, dim and entry count from the metadata header line,
+    parsed without its terminator; dim and count must be JSON integers."""
     try:
-        header = json.loads(line)
+        header = json.loads(line.rstrip("\r\n"))
         task = TaskSpec(TaskKind(header["task"]))
         fingerprint, dim, count = header["fingerprint"], header["dim"], header["entries"]
         if type(dim) is not int or type(count) is not int:
@@ -512,7 +533,7 @@ def load_database(directory: Union[str, Path]) -> KnowledgeDatabase:
     with open_utf8(meta_path) as fh:
         first = next(fh, "")
         found = sum(1 for line in fh if line.strip())
-    task, fingerprint, dim, count = _read_header(meta_path, first.rstrip("\r\n"))
+    task, fingerprint, dim, count = _read_header(meta_path, first)
     if found != count:
         raise KnowledgeError(f"{meta_path}: header says {count} entries, found {found}")
 
@@ -558,4 +579,6 @@ def load_database(directory: Union[str, Path]) -> KnowledgeDatabase:
                 raise KnowledgeError(
                     f"{meta_path}:{lineno}: corrupt metadata ({type(exc).__name__}: {exc})"
                 ) from exc
+    # the database builds its own id index; one pool-sized id dict at a time
+    del ids
     return KnowledgeDatabase(task=task, fingerprint=fingerprint, rows=tuple(rows), embeddings=matrix)

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 import threading
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -184,6 +185,29 @@ class TestCorrect:
             p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()
         }
         assert first == second
+
+    def test_whole_dataset_is_dropped_before_the_database_loads(self, tmp_path, monkeypatch):
+        # correct reads only the split's records, so the other splits'
+        # records must not stay held beside the loaded database
+        import molcorr.cli as cli
+
+        _, cfg = write_workspace(tmp_path)
+        assert main(["build-db", "--config", cfg]) == EXIT_OK
+        loaded, load_molecules, load_database = [], cli.load_molecules, cli.load_database
+
+        def keep_a_weakref(*args):
+            bundle = load_molecules(*args)
+            loaded.append(weakref.ref(bundle))
+            return bundle
+
+        def check_dropped(*args):
+            assert loaded[0]() is None
+            return load_database(*args)
+
+        monkeypatch.setattr(cli, "load_molecules", keep_a_weakref)
+        monkeypatch.setattr(cli, "load_database", check_dropped)
+        assert main(["correct", "--config", cfg, "--split", "test"]) == EXIT_OK
+        assert len(loaded) == 1
 
     def test_missing_database(self, tmp_path, capsys):
         _, cfg = write_workspace(tmp_path)

@@ -275,10 +275,9 @@ def cmd_build_db(rt: Runtime) -> int:
         )
     db = build_database(bundle, val_preds, rt.embedder, rt.run.include_description)
     save_database(db, db_dir)
-    valid = bundle.counts[Split.VALID]
-    print(
+    print(  # load_predictions covers the valid split exactly
         f"built database: {len(db)} entries "
-        f"(train {len(db) - valid}, valid {valid}), "
+        f"(train {len(db) - len(val_preds)}, valid {len(val_preds)}), "
         f"dim {db.dim}, fingerprint {db.fingerprint}"
     )
     return EXIT_OK

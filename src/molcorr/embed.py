@@ -10,19 +10,18 @@ string when shorter than n), hash each n-gram with FNV-1a 64, bucket by
 ``hash % dim``, add +1 when bit 63 of the hash is 0 else -1, then
 L2-normalize. Empty text maps to the all-zero vector.
 
-``embed_text`` embeds one query as a float64 vector: the local recipe
-runs per text there (a Python loop, cheapest for one short query).
-``embed_texts`` embeds a pool into one ``(len(texts), dim)`` float32
-matrix, the knowledge database's storage type: the local recipe runs
-per block of 512 texts (every n-gram of a block at once in numpy
-uint64 arithmetic), and each float64 block is rounded into its rows of
-the matrix, so nothing pool-sized is held beside the matrix: at most
-one block's per-gram arrays and float64 rows. The block path
-hashes the n bytes from every byte of the block's concatenated,
-zero-padded bytes and keeps the windows that start a gram; a text
-shorter than n has read past its own end, so its one gram is hashed
-again over its own bytes alone. The bucket sums are small integers, so
-the two paths must and do agree bit for bit in float64.
+``embed_text`` embeds one query as a float64 vector, per text in a
+Python loop. ``embed_texts`` embeds a pool into one ``(len(texts),
+dim)`` float32 matrix, the knowledge database's storage type, 512 texts
+at a time, so nothing pool-sized is held beside it. A block lowers its
+joined UTF-8 bytes once, hashes the n bytes from every byte (zero-padded
+at the end) in numpy uint64 arithmetic, and keeps the gram starts with a
+boolean mask clearing each text's last n-1 windows; a text shorter than
+n keeps its first, which read past its end, so its one gram is hashed
+again over its own bytes. Beside its bytes and float64 rows a block
+holds at most three arrays of one 8-byte item per gram: the hashes,
+their float64 signs and one temporary. The bucket sums are small
+integers, so the two paths must and do agree bit for bit in float64.
 """
 
 from __future__ import annotations
@@ -120,37 +119,38 @@ def _local_hash_vector(cfg: LocalHashConfig, text: str) -> np.ndarray:
 
 def _local_hash_block(cfg: LocalHashConfig, texts: Sequence[str]) -> np.ndarray:
     """The pinned recipe for a block of texts at once, one row per text."""
-    data = [t.encode("utf-8").lower() for t in texts]
-    lengths = np.array([len(d) for d in data], dtype=np.int64)
+    data = list(map(str.encode, texts))
+    lengths = np.fromiter(map(len, data), dtype=np.int64, count=len(data))
     n = cfg.ngram
     # a text shorter than n has one gram, the whole string; an empty text none
     counts = np.where(lengths >= n, lengths - n + 1, np.minimum(lengths, 1))
-    text_starts = np.cumsum(lengths) - lengths
-    first_grams = np.cumsum(counts) - counts
-    starts = np.arange(counts.sum()) + np.repeat(text_starts - first_grams, counts)
-    # n zero bytes of padding keep every n-byte window in range
-    buf = np.frombuffer(b"".join(data) + bytes(n), dtype=np.uint8)
-    # hash n bytes from every byte of the block, then keep the gram starts;
-    # the one gram of a text shorter than n read bytes past its end, so it
-    # is hashed again over its own
+    text_ends = np.cumsum(lengths)
+    # lowered once, bytewise; n zero bytes of padding keep every window in range
+    buf = np.frombuffer(b"".join(data).lower() + bytes(n), dtype=np.uint8)
     windows = len(buf) - n
-    h = np.full(windows, _FNV_OFFSET64, dtype=np.uint64)
-    for j in range(n):
+    h = (buf[:windows].astype(np.uint64) ^ _FNV_OFFSET64) * _FNV_PRIME64
+    for j in range(1, n):
         h ^= buf[j : j + windows]
         h *= _FNV_PRIME64
-    h = h[starts]
+    # keep the gram starts: clear each text's last min(n, length) - 1 windows
+    keep = np.ones(windows, dtype=bool)
+    for j in range(1, n):
+        keep[text_ends[lengths > j] - j] = False
+    h = h[keep]
     short = np.flatnonzero((lengths > 0) & (lengths < n))
-    if short.size:
-        short_starts, short_lengths = text_starts[short], lengths[short]
-        hs = np.full(short.size, _FNV_OFFSET64, dtype=np.uint64)
-        for j in range(n - 1):
-            hs = np.where(short_lengths > j, (hs ^ buf[short_starts + j]) * _FNV_PRIME64, hs)
-        h[first_grams[short]] = hs
-    # bit 63 is the int64 sign: shifting it down gives 0 or -1, so +1 or -1
-    signs = (h.view(np.int64) >> 63) | 1
-    # every bucket is below dim, so its uint64 bits read the same as int64
-    slots = (h % np.uint64(cfg.dim)).view(np.int64)
-    del h
+    short_lengths = lengths[short]
+    short_starts = text_ends[short] - short_lengths
+    hs = np.full(short.size, _FNV_OFFSET64, dtype=np.uint64)
+    for j in range(n - 1):
+        hs = np.where(short_lengths > j, (hs ^ buf[short_starts + j]) * _FNV_PRIME64, hs)
+    h[(np.cumsum(counts) - counts)[short]] = hs
+    # +1 or -1 as float64, the type bincount weighs in: bit 63 of the hash
+    # becomes the sign bit of 1.0's bits
+    signs = ((h & np.uint64(1 << 63)) | np.uint64(0x3FF0000000000000)).view(np.float64)
+    # h mod dim in place, as numpy divides by a scalar faster than it takes a
+    # remainder; every bucket is below dim, so its bits read the same as int64
+    h -= h // np.uint64(cfg.dim) * np.uint64(cfg.dim)
+    slots = h.view(np.int64)
     slots += np.repeat(np.arange(len(data)) * cfg.dim, counts)
     # bincount returns int64 when the block holds no gram at all
     sums = np.bincount(slots, weights=signs, minlength=len(data) * cfg.dim)

@@ -130,15 +130,17 @@ CSV_HEADER = ["id", "smiles", "description", "label", "split"]
 _SPLIT_TOKENS = {s.value: s for s in Split}
 
 
-def _parse_label(raw: str, is_classification: bool, row_id: str) -> float:
+def _parse_label(raw: str, is_classification: bool, path: Path, lineno: int, row_id: str) -> float:
     try:
         value = float(raw)
     except ValueError as exc:
-        raise IngestError(f"row {row_id!r}: label {raw!r} is not a number") from exc
+        raise IngestError(f"{path}:{lineno}: row {row_id!r}: label {raw!r} is not a number") from exc
     if not math.isfinite(value):
-        raise IngestError(f"row {row_id!r}: label {raw!r} is not finite")
+        raise IngestError(f"{path}:{lineno}: row {row_id!r}: label {raw!r} is not finite")
     if is_classification and value not in (0.0, 1.0):
-        raise IngestError(f"row {row_id!r}: classification label must be 0 or 1, got {raw!r}")
+        raise IngestError(
+            f"{path}:{lineno}: row {row_id!r}: classification label must be 0 or 1, got {raw!r}"
+        )
     return value
 
 
@@ -153,6 +155,7 @@ def load_molecules(path: Union[str, Path], task: TaskSpec) -> DatasetBundle:
     path = Path(path)
     records = []
     seen = set()
+    new = tuple.__new__  # a record without the named tuple's Python-level __new__
     is_classification = task.is_classification
     with open_utf8(path) as fh:
         reader = csv.reader(fh)
@@ -162,6 +165,7 @@ def load_molecules(path: Union[str, Path], task: TaskSpec) -> DatasetBundle:
             raise IngestError(f"{path}: empty file") from None
         if header != CSV_HEADER:
             raise IngestError(f"{path}: expected header {CSV_HEADER}, got {header}")
+        test = Split.TEST
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -176,12 +180,14 @@ def load_molecules(path: Union[str, Path], task: TaskSpec) -> DatasetBundle:
             split = _SPLIT_TOKENS.get(split_raw)
             if split is None:
                 raise IngestError(f"{path}:{lineno}: unknown split {split_raw!r}")
-            label = _parse_label(label_raw, is_classification, mol_id) if label_raw else None
-            if label is None and split is not Split.TEST:
+            label = None
+            if label_raw:
+                label = _parse_label(label_raw, is_classification, path, lineno, mol_id)
+            elif split is not test:
                 raise IngestError(
                     f"{path}:{lineno}: id {mol_id!r} in split {split.value} has no label"
                 )
-            records.append(MoleculeRecord(mol_id, smiles, description or None, split, label))
+            records.append(new(MoleculeRecord, (mol_id, smiles, description or None, split, label)))
     return DatasetBundle(task=task, records=tuple(records))
 
 

@@ -325,7 +325,7 @@ class _PoolTexts(Sequence):
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
+            return [compose_molecule_text(r, self._include_description) for r in self._records[i]]
         return compose_molecule_text(self._records[i], self._include_description)
 
 
@@ -480,17 +480,12 @@ def save_database(db: KnowledgeDatabase, directory: Union[str, Path]) -> None:
     """Write metadata and the binary embedding sidecar."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    header = {
-        "task": db.task.kind.value,
-        "fingerprint": db.fingerprint,
-        "dim": db.dim,
-        "entries": len(db),
-    }
+    header = dict(task=db.task.kind.value, fingerprint=db.fingerprint, dim=db.dim, entries=len(db))
     # the lines go out ``_CALL_ROWS`` at a time, never all at once
     with (directory / METADATA_FILE).open("w", encoding="utf-8") as fh:
         fh.write(json.dumps(header, separators=(",", ":")) + "\n")
         for i in range(0, len(db), _CALL_ROWS):
-            fh.writelines(line + "\n" for line in _metadata_lines(db.rows[i : i + _CALL_ROWS]))
+            fh.write("\n".join(_metadata_lines(db.rows[i : i + _CALL_ROWS])) + "\n")
     with (directory / SIDECAR_FILE).open("wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", db.dim, len(db)))

@@ -151,6 +151,19 @@ def test_pool_embedding_holds_one_small_block_beside_its_output():
     assert peak - out.nbytes <= 5 * 2**20
 
 
+def test_block_hasher_memory():
+    # one block of 560-byte texts: gathering the gram starts through index
+    # arrays peaked at 10.3 MiB; a window mask and float64 signs made from
+    # the hash bits take it to 7.4 MiB
+    rnd = random.Random(5)
+    texts = [
+        "".join(rnd.choice("abcdefgh ") for _ in range(560))
+        for _ in range(embed.LOCAL_BLOCK_TEXTS)
+    ]
+    _, peak, _ = traced(lambda: embed._local_hash_block(LocalHashConfig(), texts))
+    assert peak <= 9 * 2**20
+
+
 def test_block_path_empty_inputs():
     cfg = LocalHashConfig(dim=37, ngram=5)
     exact = embed._local_hash_block(cfg, ["", "", ""])

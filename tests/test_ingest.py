@@ -79,8 +79,9 @@ def test_test_split_label_optional(tmp_path):
 
 def test_classification_label_domain(tmp_path):
     path = write_csv(tmp_path / "d.csv", ["m1,CCO,,0.7,train"])
-    with pytest.raises(IngestError, match="label must be 0 or 1, got '0.7'"):
+    with pytest.raises(IngestError) as info:
         load_molecules(path, CLASSIFICATION)
+    assert str(info.value) == f"{path}:2: row 'm1': classification label must be 0 or 1, got '0.7'"
     # the same label is fine for regression
     assert load_molecules(path, REGRESSION).records[0].label == 0.7
 
@@ -111,12 +112,20 @@ def load_text(tmp_path, text):
             MockPerfectOracle(), PROMPT, QueryMeta(id="a", primary=0.5), CLASSIFICATION
         ), LlmError, "oracle backend needs a true label for 'a'"),
         (lambda tmp: load_text(tmp, HEADER + "m1,CCO,,active,train\n"), IngestError,
-         "row 'm1': label 'active' is not a number"),
+         r"d\.csv:2: row 'm1': label 'active' is not a number$"),
         (lambda tmp: load_text(tmp, HEADER + "m1,CCO,,nan,train\n"), IngestError,
-         "row 'm1': label 'nan' is not finite"),
+         r"d\.csv:2: row 'm1': label 'nan' is not finite$"),
+        # a row with two faults reports the one checked first
+        (lambda tmp: load_text(tmp, HEADER + "m1,CCO,,1,train\nm1,CCN,,active,train\n"),
+         IngestError, r"d\.csv:3: duplicate id 'm1'$"),
+        (lambda tmp: load_text(tmp, HEADER + "m1,CCO,,,dev\n"), IngestError,
+         r"d\.csv:2: unknown split 'dev'$"),
+        (lambda tmp: load_text(tmp, HEADER + "m1,,,1\n"), IngestError,
+         r"d\.csv:2: expected 5 cells$"),
     ],
     ids=["empty-csv", "wrong-header", "wrong-cell-count", "echo-no-primary", "oracle-no-label",
-         "non-number-label", "non-finite-label"],
+         "non-number-label", "non-finite-label", "duplicate-id-and-bad-label",
+         "unknown-split-and-empty-label", "cell-count-and-empty-smiles"],
 )
 def test_each_fault_names_its_check(tmp_path, fault, error, message):
     with pytest.raises(error, match=message):
@@ -127,6 +136,16 @@ def test_empty_smiles(tmp_path):
     path = write_csv(tmp_path / "d.csv", ["m1,,,1,train"])
     with pytest.raises(IngestError, match="empty SMILES for id 'm1'"):
         load_molecules(path, CLASSIFICATION)
+
+
+def test_test_row_without_label_loads_beside_checked_rows(tmp_path):
+    # the test row follows a labelled one, so a label carried over from the
+    # row before would show
+    path = write_csv(tmp_path / "d.csv", ["m1,CCO,,1,train", "m2,CCN,,,test", "m3,CCC,,0,valid"])
+    records = load_molecules(path, CLASSIFICATION).records
+    assert [(r.id, r.split, r.label) for r in records] == [
+        ("m1", Split.TRAIN, 1.0), ("m2", Split.TEST, None), ("m3", Split.VALID, 0.0)
+    ]
 
 
 def test_quoted_fields_round_trip(tmp_path):

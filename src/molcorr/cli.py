@@ -7,6 +7,7 @@ One binary, four subcommands:
   * ``predict``    query the LLM directly (ip/ipd/ie/ied/fs prompts)
   * ``ablate``     sweep one config axis and report each point
 
+Every command checks every dataset row, and keeps only the splits it reads.
 Configuration comes from a line-oriented ``key=value`` file (``--config``)
 with flag overrides winning. Exit codes: 0 success, 1 partial (some
 queries fell back), 2 configuration or input error. API keys are only
@@ -16,6 +17,7 @@ ever read from the environment variables named in the config.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -267,7 +269,7 @@ def _audit_log(rt: Runtime, out_dir: Path, stem: str) -> Optional[AuditLog]:
 
 def cmd_build_db(rt: Runtime) -> int:
     db_dir = Path(rt.config["database_dir"])
-    bundle = load_molecules(rt.config["dataset"], rt.task)
+    bundle = load_molecules(rt.config["dataset"], rt.task, (Split.TRAIN, Split.VALID))
     val_preds = load_predictions(rt.config["valid_predictions"], bundle, Split.VALID)
     if (db_dir / METADATA_FILE).exists():
         correct_mod.check_fingerprint(
@@ -284,11 +286,8 @@ def cmd_build_db(rt: Runtime) -> int:
 
 
 def cmd_correct(rt: Runtime, split: Split) -> int:
-    bundle = load_molecules(rt.config["dataset"], rt.task)
+    bundle = load_molecules(rt.config["dataset"], rt.task, (split,))
     records = _split_records(bundle, split)
-    # the rest reads only the task and this split's records, so the other
-    # splits' records are dropped before the database loads beside them
-    bundle = DatasetBundle(bundle.task, records)
     preds = load_predictions(rt.config[f"{split.value}_predictions"], bundle, split)
     db = load_database(rt.config["database_dir"])
     out_dir = _output_dir(rt)
@@ -313,15 +312,14 @@ def cmd_correct(rt: Runtime, split: Split) -> int:
 
 
 def cmd_predict(rt: Runtime, kind: PromptKind, split: Split, shots: int) -> int:
-    bundle = load_molecules(rt.config["dataset"], rt.task)
+    splits = (split, Split.TRAIN) if kind is PromptKind.FEW_SHOT else (split,)
+    bundle = load_molecules(rt.config["dataset"], rt.task, splits)
     records = _split_records(bundle, split)
     examples: Tuple[MoleculeRecord, ...] = ()
     if kind is PromptKind.FEW_SHOT:
         train = bundle.split_records(Split.TRAIN)
         if shots < 1 or shots > len(train):
-            raise ConfigError(
-                f"--shots must be between 1 and the train size ({len(train)})"
-            )
+            raise ConfigError(f"--shots must be between 1 and the train size ({len(train)})")
         examples = train[:shots]
     primaries: Dict[str, float] = {}
     if isinstance(rt.llm, (MockEcho, MockNoisyOracle)):
@@ -334,9 +332,7 @@ def cmd_predict(rt: Runtime, kind: PromptKind, split: Split, shots: int) -> int:
             )
         primaries = load_predictions(rt.config[key], bundle, split).entries
     # every prompt is rendered before the first request, so a prompt fault sends nothing
-    queries = [
-        (rec, build_predictor_prompt(kind, rec, rt.task, examples)) for rec in records
-    ]
+    queries = [(rec, build_predictor_prompt(kind, rec, rt.task, examples)) for rec in records]
     out_dir = _output_dir(rt)
     stem = f"predict_{kind.value}{shots if kind is PromptKind.FEW_SHOT else ''}_{split.value}"
     answers = correct_mod.run_queries(
@@ -376,7 +372,7 @@ def cmd_ablate(
     rt: Runtime, axis_name: str, split: Split, k_values: Tuple[int, ...], dims: Tuple[int, ...]
 ) -> int:
     db_dir = rt.config["database_dir"]
-    bundle = load_molecules(rt.config["dataset"], rt.task)
+    bundle = load_molecules(rt.config["dataset"], rt.task, (Split.TRAIN, Split.VALID, split))
     # every point is scored, so a split without labels fails before the first query
     for rec in _split_records(bundle, split):
         if rec.label is None:
@@ -400,9 +396,7 @@ def cmd_ablate(
         db = load_database(db_dir)
         correct_mod.check_fingerprint(db.fingerprint, rt.embedder, rt.run.include_description)
 
-    reports = evaluate_mod.run_ablation(
-        points, bundle, val_preds, split, split_preds, rt.llm, db=db
-    )
+    reports = evaluate_mod.run_ablation(points, bundle, val_preds, split, split_preds, rt.llm, db=db)
     out_dir = _output_dir(rt)
     tables = []
     for i, report in enumerate(reports):
@@ -419,6 +413,7 @@ def _int_list(text: str) -> Tuple[int, ...]:
     return tuple(int(v) for v in text.split(",") if v.strip())
 
 
+@functools.cache  # one parser per process; parse_args leaves it as it found it
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="molcorr",
@@ -426,36 +421,34 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--config", help="key=value configuration file")
-        p.add_argument("--k", type=int)
-        p.add_argument("--strategy", choices=STRATEGY_NAMES)
-        p.add_argument("--seed", type=int)
-        p.add_argument(
-            "--backend", dest="llm_backend", metavar="BACKEND",
-            help="llm backend name (echo|perfect|noisy|scripted|remote)",
-        )
-        p.add_argument("--jobs", type=int)
-        p.add_argument(
-            "--no-self-correction", dest="self_correction", action="store_false", default=None
-        )
+    common = argparse.ArgumentParser(add_help=False)  # every subcommand's options
+    common.add_argument("--config", help="key=value configuration file")
+    common.add_argument("--k", type=int)
+    common.add_argument("--strategy", choices=STRATEGY_NAMES)
+    common.add_argument("--seed", type=int)
+    common.add_argument(
+        "--backend", dest="llm_backend", metavar="BACKEND",
+        help="llm backend name (echo|perfect|noisy|scripted|remote)",
+    )
+    common.add_argument("--jobs", type=int)
+    common.add_argument(
+        "--no-self-correction", dest="self_correction", action="store_false", default=None
+    )
 
-    p_build = sub.add_parser("build-db", help="build the knowledge database")
-    add_common(p_build)
+    sub.add_parser("build-db", parents=[common], help="build the knowledge database")
 
-    p_correct = sub.add_parser("correct", help="correct a split's predictions")
-    add_common(p_correct)
+    p_correct = sub.add_parser("correct", parents=[common], help="correct a split's predictions")
     p_correct.add_argument("--split", choices=["valid", "test"], default="test")
 
-    p_predict = sub.add_parser("predict", help="query the LLM as a direct predictor")
-    add_common(p_predict)
+    p_predict = sub.add_parser(
+        "predict", parents=[common], help="query the LLM as a direct predictor"
+    )
     p_predict.add_argument("--split", choices=["train", "valid", "test"], default="test")
     predictor_kinds = sorted(set(PromptKind) - {PromptKind.CORRECTOR, PromptKind.SELF_CORRECTION})
     p_predict.add_argument("--prompt", choices=[k.value for k in predictor_kinds], default="ip")
     p_predict.add_argument("--shots", type=int, default=3)
 
-    p_ablate = sub.add_parser("ablate", help="sweep one configuration axis")
-    add_common(p_ablate)
+    p_ablate = sub.add_parser("ablate", parents=[common], help="sweep one configuration axis")
     p_ablate.add_argument("--split", choices=["valid", "test"], default="test")
     p_ablate.add_argument("--axis", choices=evaluate_mod.ABLATION_AXES, required=True)
     p_ablate.add_argument("--k-values", type=_int_list, default="")

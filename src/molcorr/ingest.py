@@ -24,7 +24,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Dict, Iterator, NamedTuple, Optional, TextIO, Tuple, Union
+from typing import Collection, Dict, Iterator, NamedTuple, Optional, TextIO, Tuple, Union
 
 
 class IngestError(ValueError):
@@ -144,15 +144,19 @@ def _parse_label(raw: str, is_classification: bool, path: Path, lineno: int, row
     return value
 
 
-def load_molecules(path: Union[str, Path], task: TaskSpec) -> DatasetBundle:
-    """Load and validate a molecule CSV into a DatasetBundle.
+def load_molecules(
+    path: Union[str, Path], task: TaskSpec, splits: Collection[Split] = tuple(Split)
+) -> DatasetBundle:
+    """Load and validate a molecule CSV into a DatasetBundle of the records
+    of ``splits``, in file order.
 
-    Record order is preserved from the file. Raises IngestError, its
-    message naming the failed check, on a bad header or row width,
-    duplicate ids, missing required labels, out-of-domain classification
-    labels, empty SMILES or unknown split tokens.
+    Every row is checked, whatever its split; the other splits' records are
+    not built. Raises IngestError, its message naming the failed check, on
+    a bad header or row width, duplicate ids, missing required labels,
+    out-of-domain classification labels, empty SMILES or unknown split tokens.
     """
     path = Path(path)
+    kept = {s.value for s in splits}
     records = []
     seen = set()
     new = tuple.__new__  # a record without the named tuple's Python-level __new__
@@ -187,7 +191,10 @@ def load_molecules(path: Union[str, Path], task: TaskSpec) -> DatasetBundle:
                 raise IngestError(
                     f"{path}:{lineno}: id {mol_id!r} in split {split.value} has no label"
                 )
-            records.append(new(MoleculeRecord, (mol_id, smiles, description or None, split, label)))
+            if split_raw in kept:
+                records.append(
+                    new(MoleculeRecord, (mol_id, smiles, description or None, split, label))
+                )
     return DatasetBundle(task=task, records=tuple(records))
 
 

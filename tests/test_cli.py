@@ -1,15 +1,15 @@
+import csv
 import json
 import subprocess
 import sys
 import threading
-import weakref
 from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
 
 from molcorr import transport
-from molcorr.cli import EXIT_CONFIG, EXIT_OK, Config, ConfigError, _build, main
+from molcorr.cli import EXIT_CONFIG, EXIT_OK, Config, ConfigError, _build, main, make_parser
 from molcorr.ingest import CLASSIFICATION, REGRESSION, DatasetBundle, Split
 from molcorr.knowledge import RetrievedContext
 from molcorr.llmclient import LlmError
@@ -133,6 +133,38 @@ class TestBuildDb:
         )
 
 
+class TestDroppedSplits:
+    """A command keeps only the splits it reads, but a fault in a row of
+    another split still fails it, with the message a full load gives."""
+
+    @pytest.mark.parametrize(
+        "command, split, cell, value, fault",
+        [
+            (["build-db"], "test", 3, "active", "row {id!r}: label 'active' is not a number"),
+            (["build-db"], "test", 4, "dev", "unknown split 'dev'"),
+            (["build-db"], "test", 0, None, "duplicate id {id!r}"),  # None: a train row's id
+            (["correct", "--split", "test"], "train", 1, "", "empty SMILES for id {id!r}"),
+        ],
+        ids=["test-label", "test-split", "test-repeats-train-id", "train-smiles"],
+    )
+    def test_fault_in_a_dropped_row_exits_2(
+        self, tmp_path, capsys, command, split, cell, value, fault
+    ):
+        _, cfg = write_workspace(tmp_path)
+        assert main(["build-db", "--config", cfg]) == EXIT_OK
+        path = tmp_path / "dataset.csv"
+        with path.open(newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        i = next(i for i, row in enumerate(rows) if row[4] == split)
+        rows[i][cell] = rows[1][0] if value is None else value
+        with path.open("w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
+        capsys.readouterr()
+        assert main([*command, "--config", cfg]) == EXIT_CONFIG
+        message = fault.format(id=rows[i][0])
+        assert capsys.readouterr().err == f"error: {path}:{i + 1}: {message}\n"
+
+
 class TestCorrect:
     def test_echo_identity_run(self, tmp_path, capsys):
         _, cfg = write_workspace(tmp_path)
@@ -188,24 +220,23 @@ class TestCorrect:
 
     def test_whole_dataset_is_dropped_before_the_database_loads(self, tmp_path, monkeypatch):
         # correct reads only the split's records, so the other splits'
-        # records must not stay held beside the loaded database
+        # records must not be held beside the loaded database
         import molcorr.cli as cli
 
-        _, cfg = write_workspace(tmp_path)
+        bundle, cfg = write_workspace(tmp_path)
         assert main(["build-db", "--config", cfg]) == EXIT_OK
         loaded, load_molecules, load_database = [], cli.load_molecules, cli.load_database
 
-        def keep_a_weakref(*args):
-            bundle = load_molecules(*args)
-            loaded.append(weakref.ref(bundle))
-            return bundle
+        def keep(*args, **kwargs):
+            loaded.append(load_molecules(*args, **kwargs))
+            return loaded[-1]
 
-        def check_dropped(*args):
-            assert loaded[0]() is None
+        def check_split_only(*args):
+            assert loaded[0].records == bundle.split_records(Split.TEST)
             return load_database(*args)
 
-        monkeypatch.setattr(cli, "load_molecules", keep_a_weakref)
-        monkeypatch.setattr(cli, "load_database", check_dropped)
+        monkeypatch.setattr(cli, "load_molecules", keep)
+        monkeypatch.setattr(cli, "load_database", check_split_only)
         assert main(["correct", "--config", cfg, "--split", "test"]) == EXIT_OK
         assert len(loaded) == 1
 
@@ -634,6 +665,23 @@ class TestConfigHandling:
         main(["correct", "--config", cfg, "--split", "test", "--no-self-correction"])
         summary = json.loads((tmp_path / "out" / "summary_test.json").read_text())
         assert summary["config"]["self_correction"] is False
+
+    def test_flags_of_one_call_do_not_carry_into_the_next(self, tmp_path, capsys):
+        # one parser serves every call in a process, so it must keep no state
+        assert make_parser() is make_parser()
+        _, cfg = write_workspace(tmp_path, self_correction="true")
+        assert main(["build-db", "--config", cfg]) == EXIT_OK
+        summary_path = tmp_path / "out" / "summary_test.json"
+        assert main(["correct", "--config", cfg, "--no-self-correction", "--k", "3"]) == EXIT_OK
+        echo = json.loads(summary_path.read_text())["config"]
+        assert (echo["self_correction"], echo["k"]) == (False, 3)
+        with pytest.raises(SystemExit) as exited:
+            main(["correct", "--help"])
+        assert exited.value.code == 0
+        assert main(["correct", "--config", cfg]) == EXIT_OK
+        echo = json.loads(summary_path.read_text())["config"]
+        assert (echo["self_correction"], echo["k"]) == (True, 5)
+        assert "usage:" in capsys.readouterr().out
 
     def test_unknown_config_key(self, tmp_path, capsys):
         _, cfg = write_workspace(tmp_path, not_a_real_key="1")

@@ -1,4 +1,8 @@
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from molcorr.ingest import (
     CLASSIFICATION,
@@ -175,6 +179,85 @@ def test_record_order_preserved(tmp_path):
     path = write_csv(tmp_path / "d.csv", rows)
     bundle = load_molecules(path, CLASSIFICATION)
     assert [r.id for r in bundle.records] == ["b", "a", "c"]
+
+
+_TOKENS = [b"NaN", b"1e309", b"\r", "\u2028".encode(), b"dev", b"0.5", b'"']
+_LINE = st.integers(0, 63)
+_MUTATION = st.one_of(
+    st.tuples(st.just("delete"), _LINE),
+    st.tuples(st.just("duplicate"), _LINE),
+    st.tuples(st.just("truncate"), _LINE, st.integers(0, 63)),
+    st.tuples(st.just("byte"), _LINE, st.integers(0, 63), st.integers(0, 255)),
+    st.tuples(st.just("cell"), _LINE, st.integers(0, 4), st.sampled_from(_TOKENS)),
+    st.tuples(st.just("cell"), _LINE, st.integers(0, 4), st.just(b"")),
+    st.tuples(st.just("insert"), _LINE, st.integers(0, 63), st.sampled_from(_TOKENS)),
+)
+
+
+def _mutated(data, mutations):
+    lines = data.splitlines(keepends=True)
+    for op, line, *args in mutations:
+        if not lines:
+            break
+        i = line % len(lines)
+        text = lines[i]
+        if op == "delete":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, text)
+        elif op == "truncate":
+            lines[i] = text[: args[0] % (len(text) + 1)]
+        elif op == "byte":
+            j = args[0] % max(len(text), 1)
+            lines[i] = text[:j] + bytes([args[1]]) + text[j + 1:]
+        elif op == "cell":  # the line's end stays, so the row keeps its own line
+            body = text.rstrip(b"\r\n")
+            cells = body.split(b",")
+            cells[args[0] % len(cells)] = args[1]
+            lines[i] = b",".join(cells) + text[len(body):]
+        else:
+            j = args[0] % (len(text) + 1)
+            lines[i] = text[:j] + args[1] + text[j:]
+    return b"".join(lines)
+
+
+@pytest.fixture(scope="module")
+def valid_csvs(tmp_path_factory):
+    """A scratch directory, and a valid CSV's bytes per task: every split
+    labelled, and an unlabelled test row at the end."""
+    tmp = tmp_path_factory.mktemp("csv")
+    data = {}
+    for task in (CLASSIFICATION, REGRESSION):
+        write_dataset_csv(make_bundle(task, n_train=4, n_valid=3, n_test=4, seed=5), tmp / "d.csv")
+        data[task] = (tmp / "d.csv").read_bytes() + b"u1,CCO,,,test\r\n"
+    return tmp, data
+
+
+@given(
+    task=st.sampled_from([CLASSIFICATION, REGRESSION]),
+    mutations=st.lists(_MUTATION, min_size=1, max_size=4),
+)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_filtered_load_is_the_full_load_filtered(valid_csvs, task, mutations):
+    # a filtered load checks every row as the full load does: it fails with
+    # the same message, or returns the full load's records of its splits
+    tmp, data = valid_csvs
+    path = tmp / "mutated.csv"
+    path.write_bytes(_mutated(data[task], mutations))
+    try:
+        full = load_molecules(path, task)
+    except IngestError as exc:
+        full, message = None, str(exc)
+    for n in range(1, len(Split) + 1):
+        for splits in combinations(Split, n):
+            if full is None:
+                with pytest.raises(IngestError) as info:
+                    load_molecules(path, task, splits)
+                assert str(info.value) == message
+            else:
+                loaded = load_molecules(path, task, splits)
+                assert loaded.task == task
+                assert loaded.records == tuple(r for r in full.records if r.split in splits)
 
 
 class TestLoadPredictions:

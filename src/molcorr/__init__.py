@@ -18,7 +18,6 @@ from .correct import (
 )
 from .embed import (
     LocalHashConfig,
-    RemoteHttpConfig,
     embed_molecule,
     embed_text,
     embed_texts,

@@ -28,7 +28,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from . import correct as correct_mod
 from . import evaluate as evaluate_mod
 from . import transport
-from .embed import EmbedError, EmbedderConfig, LocalHashConfig, RemoteHttpConfig
+from .embed import EmbedError, LocalHashConfig
 from .ingest import (
     CLASSIFICATION,
     REGRESSION,
@@ -90,14 +90,21 @@ def _finite(text: str) -> float:
     return value
 
 
+def _path(text: str) -> str:
+    if "\0" in text:  # open() and mkdir() raise a bare ValueError on it
+        raise ValueError(f"{text!r} holds a NUL byte")
+    return text
+
+
 # every config key, with the converter that reads its value
 _KEYS: Dict[str, Callable[[str], object]] = {
     **dict.fromkeys(
-        ("task", "dataset", "valid_predictions", "test_predictions", "database_dir",
-         "output_dir", "strategy", "embedder_backend", "embedder_endpoint", "embedder_model",
-         "embedder_key_env", "llm_backend", "llm_endpoint", "llm_model", "llm_key_env",
+        ("task", "strategy", "llm_backend", "llm_endpoint", "llm_model", "llm_key_env"), str
+    ),
+    **dict.fromkeys(
+        ("dataset", "valid_predictions", "test_predictions", "database_dir", "output_dir",
          "scripted_responses"),
-        str,
+        _path,
     ),
     **dict.fromkeys(
         ("k", "seed", "token_budget", "jobs", "embedder_dim", "embedder_ngram", "noisy_seed"), int
@@ -123,6 +130,8 @@ def read_config(path: Optional[str], overrides: Dict[str, object]) -> Config:
     config = Config()
     lines = []
     if path:
+        if "\0" in path:
+            raise ConfigError(f"--config {path!r} holds a NUL byte")
         with open_utf8(path) as fh:
             lines = fh.read().splitlines()
     for lineno, raw in enumerate(lines, 1):
@@ -148,7 +157,7 @@ class Runtime:
 
     config: Config
     task: TaskSpec
-    embedder: EmbedderConfig
+    embedder: LocalHashConfig
     llm: LlmBackendConfig
     run: correct_mod.RunConfig
 
@@ -180,20 +189,6 @@ def _rejects(cls, param: str, value) -> bool:
     except TypeError:
         return False
     return False
-
-
-def _embedder(config: Config) -> EmbedderConfig:
-    backend = config.get("embedder_backend", "localhash")
-    if backend == "localhash":
-        return _build(LocalHashConfig, config, dim="embedder_dim", ngram="embedder_ngram")
-    if backend == "remote":
-        if not config.get("embedder_endpoint") or not config.get("embedder_model"):
-            raise ConfigError("remote embedder needs embedder_endpoint and embedder_model")
-        return _build(
-            RemoteHttpConfig, config,
-            endpoint="embedder_endpoint", model="embedder_model", key_env="embedder_key_env",
-        )
-    raise ConfigError(f"unknown embedder backend {backend!r}")
 
 
 def _llm(config: Config) -> LlmBackendConfig:
@@ -237,7 +232,8 @@ def build_runtime(config: Config) -> Runtime:
         if cls is None:
             raise ConfigError(f"unknown strategy {config['strategy']!r}")
         run = replace(run, strategy=Random(seed=run.seed) if cls is Random else cls())
-    return Runtime(config, tasks[task], _embedder(config), _llm(config), run)
+    embedder = _build(LocalHashConfig, config, dim="embedder_dim", ngram="embedder_ngram")
+    return Runtime(config, tasks[task], embedder, _llm(config), run)
 
 
 def _split_records(bundle: DatasetBundle, split: Split) -> Tuple[MoleculeRecord, ...]:
@@ -378,7 +374,10 @@ def cmd_ablate(
         if rec.label is None:
             raise ConfigError(f"record {rec.id!r} has no label; cannot evaluate")
     val_preds = load_predictions(rt.config["valid_predictions"], bundle, Split.VALID)
-    split_preds = load_predictions(rt.config[f"{split.value}_predictions"], bundle, split)
+    split_preds = (
+        val_preds if split is Split.VALID
+        else load_predictions(rt.config[f"{split.value}_predictions"], bundle, split)
+    )
     values: Tuple = ()
     if axis_name == "k":
         if not k_values:

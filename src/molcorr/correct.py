@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .embed import EmbedderConfig, embed_molecule, embedder_fingerprint
+from .embed import LocalHashConfig, embed_molecule, embedder_fingerprint
 from .ingest import DatasetBundle, MoleculeRecord, PredictionSet, Split, TaskSpec
 from .knowledge import KnowledgeDatabase, RetrievalStrategy, TopK, retrieve, strategy_name
 from .llmclient import (AuditLog, LlmBackendConfig, LlmError, LlmExchange, QueryMeta,
@@ -121,7 +121,7 @@ def final_value(task: TaskSpec, answer: ParsedAnswer) -> Tuple[float, Optional[s
 
 
 def check_fingerprint(
-    fingerprint: str, embedder: EmbedderConfig, include_description: bool
+    fingerprint: str, embedder: LocalHashConfig, include_description: bool
 ) -> None:
     """Raise CorrectionError unless the configured embedder made ``fingerprint``."""
     expected = embedder_fingerprint(embedder, include_description)
@@ -240,7 +240,7 @@ def correct_split(
     predictions: PredictionSet,
     db: KnowledgeDatabase,
     cfg: RunConfig,
-    embedder: EmbedderConfig,
+    embedder: LocalHashConfig,
     llm: LlmBackendConfig,
     audit: Optional[AuditLog] = None,
     answers: Optional[Answers] = None,
@@ -272,7 +272,7 @@ def correct_split(
 def run_summary(
     outcomes: Sequence[CorrectionOutcome],
     cfg: RunConfig,
-    embedder: EmbedderConfig,
+    embedder: LocalHashConfig,
     llm: LlmBackendConfig,
 ) -> Dict:
     """Aggregate stats for a corrected split, plus a config echo."""
@@ -288,7 +288,7 @@ def run_summary(
 
 
 def config_echo(
-    cfg: RunConfig, embedder: EmbedderConfig, llm: LlmBackendConfig
+    cfg: RunConfig, embedder: LocalHashConfig, llm: LlmBackendConfig
 ) -> Dict:
     return {
         **vars(cfg),

@@ -1,10 +1,7 @@
-"""Text embedding backends and cosine similarity.
+"""Text embedding: a deterministic local feature hasher, so that
+retrieval is reproducible and fully testable offline.
 
-Two interchangeable backends sit behind the same operations: a remote
-HTTP embedding service, and a deterministic local feature hasher so that
-retrieval is fully testable offline.
-
-The local backend is pinned exactly (reproducible across languages):
+The hasher is pinned exactly (reproducible across languages):
 lowercase the UTF-8 bytes, enumerate contiguous byte n-grams (the whole
 string when shorter than n), hash each n-gram with FNV-1a 64, bucket by
 ``hash % dim``, add +1 when bit 63 of the hash is 0 else -1, then
@@ -27,15 +24,13 @@ integers, so the two paths must and do agree bit for bit in float64.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
-from . import transport
 from .hashing import FNV_OFFSET, FNV_PRIME, fnv1a64
-from .ingest import MoleculeRecord, json_number
+from .ingest import MoleculeRecord
 
 
 class EmbedError(ValueError):
@@ -60,36 +55,8 @@ class LocalHashConfig:
         return f"localhash:dim={self.dim}:ngram={self.ngram}"
 
 
-@dataclass(frozen=True)
-class RemoteHttpConfig:
-    """Remote embedding service speaking the common batch-embedding shape.
-
-    Request body is ``{"model": ..., "input": [...]}``; the response must
-    hold one finite, non-empty numeric array per input, in input order, at
-    ``data[*].embedding``. The API key is read from the environment
-    variable named by ``key_env``. The endpoint must be an http(s) URL.
-    """
-
-    endpoint: str
-    model: str
-    key_env: Optional[str] = None
-
-    def __post_init__(self):
-        if not transport.is_http_url(self.endpoint):
-            raise EmbedError(f"endpoint {self.endpoint!r} is not an http(s) URL")
-
-    @property
-    def fingerprint(self) -> str:
-        return f"remote:{self.model}"
-
-
-EmbedderConfig = Union[LocalHashConfig, RemoteHttpConfig]
-
 # texts per block of the numpy path: bounds its per-gram temporaries
 LOCAL_BLOCK_TEXTS = 512
-
-# texts per request of the remote backend
-REMOTE_BATCH_TEXTS = 128
 
 # every operand of the uint64 arithmetic is uint64, so numpy's scalar
 # promotion rules cannot change the result
@@ -162,69 +129,28 @@ def _local_hash_block(cfg: LocalHashConfig, texts: Sequence[str]) -> np.ndarray:
     return vecs
 
 
-def _remote_batch(cfg: RemoteHttpConfig, texts: Sequence[str]) -> np.ndarray:
-    api_key = transport.resolve_api_key(cfg.key_env)
-    body = {"model": cfg.model, "input": list(texts)}
-    payload, _ = transport.post_json(cfg.endpoint, body, api_key=api_key)
-    try:
-        rows = [item["embedding"] for item in payload["data"]]
-    except (KeyError, TypeError) as exc:
-        raise EmbedError("embedding response missing 'data[*].embedding'") from exc
-    try:  # each value's exact type, so a JSON string or boolean is rejected
-        matrix = np.array([[json_number(v) for v in row] for row in rows], dtype=np.float64)
-    except (ValueError, TypeError) as exc:
-        raise EmbedError(f"embedding response is not numeric: {exc}") from exc
-    if matrix.ndim != 2 or matrix.shape[0] != len(texts) or matrix.shape[1] == 0:
-        raise EmbedError(f"embedding response has shape {matrix.shape} for {len(texts)} inputs")
-    if not np.isfinite(matrix).all():
-        raise EmbedError("embedding response holds a non-finite value")
-    return matrix
-
-
-def embed_texts(cfg: EmbedderConfig, texts: Sequence[str]) -> np.ndarray:
+def embed_texts(cfg: LocalHashConfig, texts: Sequence[str]) -> np.ndarray:
     """Embed a batch of strings into one ``(len(texts), dim)`` float32
     matrix, row i for text i; no texts give a ``(0, 0)`` matrix.
 
-    The local backend fills the matrix one ``LOCAL_BLOCK_TEXTS`` block at
-    a time, so only one block is ever held in float64, and slices
-    ``texts`` a block at a time, so a sequence that composes each text
-    when it is read holds one block's texts at a time. The remote backend
-    splits the batch into chunks of ``REMOTE_BATCH_TEXTS`` texts and posts
-    them from ``transport.MAX_IN_FLIGHT`` threads, the transport's cap on
-    remote requests in flight; every chunk must reply with the same dim,
-    and rows keep the input order regardless of completion order.
+    The matrix is filled one ``LOCAL_BLOCK_TEXTS`` block at a time, so
+    only one block is ever held in float64, and ``texts`` is sliced a
+    block at a time, so a sequence that composes each text when it is
+    read holds one block's texts at a time.
     """
     if not texts:
         return np.empty((0, 0), dtype=np.float32)
-    if isinstance(cfg, LocalHashConfig):
-        out = np.empty((len(texts), cfg.dim), dtype=np.float32)
-        for i in range(0, len(texts), LOCAL_BLOCK_TEXTS):
-            block = texts[i : i + LOCAL_BLOCK_TEXTS]
-            out[i : i + len(block)] = _local_hash_block(cfg, block)
-        return out
-    chunks = [texts[i : i + REMOTE_BATCH_TEXTS] for i in range(0, len(texts), REMOTE_BATCH_TEXTS)]
-
-    def fetch(chunk: Sequence[str]) -> np.ndarray:
-        matrix = _remote_batch(cfg, chunk)
-        if np.abs(matrix).max() > np.finfo(np.float32).max:  # checked before the cast overflows
-            raise EmbedError("embedding response holds a value beyond float32's range")
-        return matrix.astype(np.float32)
-
-    with ThreadPoolExecutor(max_workers=transport.MAX_IN_FLIGHT) as pool:
-        parts = list(pool.map(fetch, chunks))
-    dims = sorted({part.shape[1] for part in parts})
-    if len(dims) > 1:
-        raise EmbedError(f"mixed embedding dims in one batch: {dims}")
-    return np.concatenate(parts)
+    out = np.empty((len(texts), cfg.dim), dtype=np.float32)
+    for i in range(0, len(texts), LOCAL_BLOCK_TEXTS):
+        block = texts[i : i + LOCAL_BLOCK_TEXTS]
+        out[i : i + len(block)] = _local_hash_block(cfg, block)
+    return out
 
 
-def embed_text(cfg: EmbedderConfig, text: str) -> np.ndarray:
-    """Embed one string as a float64 vector, the query path. Deterministic
-    for the local backend, and equal to its ``embed_texts`` row before
-    that row's rounding to float32."""
-    if isinstance(cfg, LocalHashConfig):
-        return _local_hash_vector(cfg, text)
-    return _remote_batch(cfg, [text])[0]
+def embed_text(cfg: LocalHashConfig, text: str) -> np.ndarray:
+    """Embed one string as a float64 vector, the query path: equal to its
+    ``embed_texts`` row before that row's rounding to float32."""
+    return _local_hash_vector(cfg, text)
 
 
 def compose_molecule_text(record: MoleculeRecord, include_description: bool) -> str:
@@ -236,12 +162,12 @@ def compose_molecule_text(record: MoleculeRecord, include_description: bool) -> 
 
 
 def embed_molecule(
-    cfg: EmbedderConfig, record: MoleculeRecord, include_description: bool = False
+    cfg: LocalHashConfig, record: MoleculeRecord, include_description: bool = False
 ) -> np.ndarray:
     return embed_text(cfg, compose_molecule_text(record, include_description))
 
 
-def embedder_fingerprint(cfg: EmbedderConfig, include_description: bool) -> str:
+def embedder_fingerprint(cfg: LocalHashConfig, include_description: bool) -> str:
     """Identity string for "how embeddings were produced"; stored in the
     knowledge database and checked before querying it."""
     suffix = ":desc=1" if include_description else ":desc=0"

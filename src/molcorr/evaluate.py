@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .correct import Answers, CorrectionOutcome, RunConfig, correct_split, run_summary
-from .embed import EmbedderConfig, embedder_fingerprint
+from .embed import LocalHashConfig, embedder_fingerprint
 from .ingest import DatasetBundle, Metric, PredictionSet, Split, TaskSpec
 from .knowledge import Jump, KnowledgeDatabase, Random, TopK, build_database, strategy_name
 from .llmclient import LlmBackendConfig
@@ -132,11 +132,11 @@ def report_table(report: Dict) -> str:
 ABLATION_AXES = ("k", "strategy", "self-correction", "embedder")
 
 # (report echo, run config, embedder) for one ablation point
-AblationPoint = Tuple[Dict, RunConfig, EmbedderConfig]
+AblationPoint = Tuple[Dict, RunConfig, LocalHashConfig]
 
 
 def ablation_points(
-    axis_name: str, cfg: RunConfig, embedder: EmbedderConfig, values: Sequence = ()
+    axis_name: str, cfg: RunConfig, embedder: LocalHashConfig, values: Sequence = ()
 ) -> List[AblationPoint]:
     """The points of one ablation axis in run order, everything but that
     axis held fixed.

@@ -64,7 +64,7 @@ from typing import List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
-from .embed import EmbedderConfig, compose_molecule_text, embed_texts, embedder_fingerprint
+from .embed import LocalHashConfig, compose_molecule_text, embed_texts, embedder_fingerprint
 from .hashing import SplitMix64
 from .ingest import DatasetBundle, MoleculeRecord, PredictionSet, Split, TaskKind, TaskSpec
 from .ingest import json_number, open_utf8
@@ -277,7 +277,7 @@ class RetrievedContext:
 def build_database(
     bundle: DatasetBundle,
     val_predictions: PredictionSet,
-    embedder: EmbedderConfig,
+    embedder: LocalHashConfig,
     include_description: bool = False,
 ) -> KnowledgeDatabase:
     """Embed every train and valid molecule into a KnowledgeDatabase.

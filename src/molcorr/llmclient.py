@@ -39,8 +39,10 @@ class RemoteChatConfig:
 
     Request: ``{"model", "messages": [{"role": "user", "content"}],
     "temperature"}``; the response text is read from
-    ``choices[0].message.content``. The endpoint must be an http(s) URL,
-    so a bare ``host:port/path`` is a config fault, not a dead endpoint.
+    ``choices[0].message.content``. The endpoint must be an http(s) URL
+    that urllib can send to (``transport.is_http_url``), so a bare
+    ``host:port/path``, a missing host or a space is a config fault, not a
+    dead endpoint that each request retries.
     """
 
     endpoint: str

@@ -1,18 +1,19 @@
-"""Shared HTTP plumbing for the remote embedding and chat backends.
+"""HTTP plumbing for the remote chat backend.
 
-One retry policy covers both: up to 5 attempts, exponential backoff with
-delays 0.5 * 2**(attempt-1) seconds, retrying on transport errors,
-timeouts, 429 and 5xx. Any other status outside 2xx fails at once. At most
-``MAX_IN_FLIGHT`` (4) requests are in flight at once across every thread;
-a request waiting out its backoff holds no slot. API keys come from the
-environment and are never echoed into errors or logs.
+One retry policy covers every request: up to 5 attempts, exponential
+backoff with delays 0.5 * 2**(attempt-1) seconds, retrying on transport
+errors, timeouts, 429 and 5xx. Any other status outside 2xx fails at
+once. At most ``MAX_IN_FLIGHT`` (4) requests are in flight at once across
+every thread; a request waiting out its backoff holds no slot. API keys
+come from the environment and are never echoed into errors or logs.
 
 Requests go through the standard library's ``urllib.request``, one
 connection per request, and follow no redirect: a 3xx reply fails at
 once like any other status outside 2xx, so a request and its API key
 never go anywhere but the configured endpoint. ``send`` imports
-``urllib.request`` on the first remote request, so the local embedder
-and the mock chat backends never load the HTTP stack. TLS uses ``ssl.create_default_context()`` (the system CA store, or
+``urllib.request`` on the first remote request, so the embedder and the
+mock chat backends never load the HTTP stack. TLS uses
+``ssl.create_default_context()`` (the system CA store, or
 ``SSL_CERT_FILE``), and proxies come from ``http_proxy``, ``https_proxy``
 and ``no_proxy``.
 """
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import os
+import re
 import threading
 import time
 from json import dumps, loads
@@ -71,9 +73,15 @@ def _opener():
 
 
 def is_http_url(url: str) -> bool:
-    """Whether ``url`` is an http(s) URL, the only kind a request goes to:
-    urllib's opener would also read file:, data: and ftp: URLs."""
-    return url.lower().startswith(("http://", "https://"))
+    """Whether urllib can send a request to ``url``, the only kind a request
+    goes to: an http(s) URL (its opener would also read file:, data: and
+    ftp: URLs) that names a host (it finds none in ``http:///path``) and
+    holds no character that http.client refuses (U+0000-U+0020, U+007F)."""
+    scheme, sep, rest = url.partition("://")
+    return (
+        bool(sep) and scheme.lower() in ("http", "https")
+        and rest[:1] not in ("", "/", "?", "#") and not re.search(r"[\x00-\x20\x7f]", url)
+    )
 
 
 def send(url: str, *, json: Any, headers: Dict[str, str], timeout: float) -> Reply:

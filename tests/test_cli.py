@@ -63,19 +63,6 @@ class TestBuildDb:
         assert main(["build-db", "--config", cfg]) == EXIT_CONFIG
         assert "valid.jsonl" in capsys.readouterr().err
 
-    def test_remote_embedding_beyond_float32_exits_2(self, tmp_path, capsys, monkeypatch):
-        def post_json(url, body, api_key=None):
-            return {"data": [{"embedding": [1e39, 1.0, 2.0]} for _ in body["input"]]}, 1
-
-        monkeypatch.setattr(transport, "post_json", post_json)
-        _, cfg = write_workspace(
-            tmp_path, embedder_backend="remote",
-            embedder_endpoint="http://127.0.0.1:9/v1/embeddings", embedder_model="stub",
-        )
-        assert main(["build-db", "--config", cfg]) == EXIT_CONFIG
-        assert "beyond float32's range" in capsys.readouterr().err
-        assert not (tmp_path / "db" / "metadata.jsonl").exists()
-
     def test_fingerprint_mismatch_with_existing_db(self, tmp_path, capsys):
         _, cfg = write_workspace(tmp_path)
         assert main(["build-db", "--config", cfg]) == EXIT_OK
@@ -603,6 +590,24 @@ class TestAblate:
         report = json.loads((tmp_path / "out" / "ablation_embedder_0.json").read_text())
         assert "dim=16" in report["config"]["value"]
 
+    def test_valid_split_parses_the_valid_predictions_once(self, tmp_path, monkeypatch):
+        import molcorr.cli as cli
+
+        paths, load = [], cli.load_predictions
+        monkeypatch.setattr(
+            cli, "load_predictions", lambda *args: paths.append(args[0]) or load(*args)
+        )
+        _, cfg = write_workspace(tmp_path, llm_backend="noisy", noisy_p="0.5")
+        code = main(
+            ["ablate", "--config", cfg, "--axis", "k", "--k-values", "2", "--split", "valid"]
+        )
+        assert code == EXIT_OK
+        assert paths == [str(tmp_path / "valid.jsonl")]
+        assert (tmp_path / "out" / "ablation_k.txt").read_text() == (
+            "[k=2]\nmetric: rmse\nsplit       baseline   corrected\n"
+            "valid         0.5121      0.3183\n                          -37.8%\n"
+        )
+
     @pytest.mark.parametrize(
         "axis, message",
         [("k", "error: --k-values is required for the k axis\n"),
@@ -718,13 +723,10 @@ class TestConfigHandling:
             # the value's newline puts a line without "=" after the k line, line 8
             ({"k": "5\nno equals sign"}, "molcorr.cfg:9: expected key=value, got 'no equals sign'"),
             ({"database_dir": None}, "config key 'database_dir' is required for this command"),
-            ({"embedder_backend": "remote"},
-             "remote embedder needs embedder_endpoint and embedder_model"),
             ({"llm_backend": "remote"}, "remote backend needs llm_endpoint and llm_model"),
             ({"llm_backend": "scripted"}, "scripted backend needs scripted_responses"),
             # a later task line wins; write_workspace's own task is the bundle's
             ({"k": "5\ntask=ranking"}, "unknown task 'ranking'"),
-            ({"embedder_backend": "word2vec"}, "unknown embedder backend 'word2vec'"),
             ({"llm_backend": "oracle"}, "unknown llm backend 'oracle'"),
             ({"strategy": "best"}, "unknown strategy 'best'"),
             ({"k": "0"}, "config key(s) k: k must be >= 1, got 0"),
@@ -738,22 +740,34 @@ class TestConfigHandling:
             ({"llm_backend": "remote", "llm_endpoint": "file:///etc/passwd", "llm_model": "m"},
              "config key(s) llm_endpoint, llm_model: endpoint 'file:///etc/passwd' is not an "
              "http(s) URL"),
-            ({"embedder_backend": "remote", "embedder_endpoint": "localhost:8000/v1",
-              "embedder_model": "m"},
-             "config key(s) embedder_endpoint, embedder_model: endpoint 'localhost:8000/v1' is "
+            # urllib cannot send to these, so each request would fail and be retried
+            ({"llm_backend": "remote", "llm_endpoint": "http://127.0.0.1:9/v1 chat",
+              "llm_model": "m"},
+             "config key(s) llm_endpoint, llm_model: endpoint 'http://127.0.0.1:9/v1 chat' is "
              "not an http(s) URL"),
-            ({"embedder_backend": "remote", "embedder_endpoint": "file:///etc/passwd",
-              "embedder_model": "m"},
-             "config key(s) embedder_endpoint, embedder_model: endpoint 'file:///etc/passwd' is "
-             "not an http(s) URL"),
+            ({"llm_backend": "remote", "llm_endpoint": "http:///v1/chat", "llm_model": "m"},
+             "config key(s) llm_endpoint, llm_model: endpoint 'http:///v1/chat' is not an "
+             "http(s) URL"),
+            ({"llm_backend": "remote", "llm_endpoint": "http://127.0.0.1:9/v1/\x01chat",
+              "llm_model": "m"},
+             "config key(s) llm_endpoint, llm_model: endpoint 'http://127.0.0.1:9/v1/\\x01chat' "
+             "is not an http(s) URL"),
+            # the keys of the remote embedder, which is gone
+            ({"embedder_backend": "localhash"}, "unknown config key 'embedder_backend'"),
+            ({"embedder_endpoint": "http://127.0.0.1:9/v1/embeddings"},
+             "unknown config key 'embedder_endpoint'"),
+            ({"embedder_model": "m"}, "unknown config key 'embedder_model'"),
+            ({"embedder_key_env": "MOLCORR_TEST_UNSET_KEY"},
+             "unknown config key 'embedder_key_env'"),
         ],
         ids=["non-integer", "malformed-scripted-json", "noisy-p-out-of-range", "unset-api-key",
              "jobs-below-one", "non-boolean", "non-finite-float", "line-without-equals",
-             "required-key-unset", "remote-embedder-without-endpoint",
-             "remote-llm-without-endpoint", "scripted-without-responses", "unknown-task",
-             "unknown-embedder-backend", "unknown-llm-backend", "unknown-strategy", "k-zero",
+             "required-key-unset", "remote-llm-without-endpoint", "scripted-without-responses",
+             "unknown-task", "unknown-llm-backend", "unknown-strategy", "k-zero",
              "trigger-fraction-zero", "llm-endpoint-without-scheme", "llm-endpoint-file-url",
-             "embedder-endpoint-without-scheme", "embedder-endpoint-file-url"],
+             "llm-endpoint-with-space", "llm-endpoint-without-host",
+             "llm-endpoint-with-control-character", "removed-embedder-backend",
+             "removed-embedder-endpoint", "removed-embedder-model", "removed-embedder-key-env"],
     )
     def test_config_fault_exits_2(self, tmp_path, capsys, monkeypatch, extra, named):
         def no_request(*args, **kwargs):
@@ -790,6 +804,29 @@ class TestConfigHandling:
         assert str(err.value) == (
             "config key(s) llm_endpoint, llm_model: endpoint must be an http(s) URL"
         )
+
+    @pytest.mark.parametrize(
+        "key",
+        ["dataset", "valid_predictions", "test_predictions", "database_dir", "output_dir",
+         "scripted_responses"],
+    )
+    def test_nul_in_a_path_key_exits_2(self, tmp_path, capsys, key):
+        # open() and mkdir() raise a bare ValueError on a NUL byte
+        scripted = tmp_path / "scripted.json"
+        scripted.write_text("{}")
+        paths = {"scripted_responses": scripted, key: "d\0x"}
+        _, cfg = write_workspace(tmp_path, llm_backend="scripted", **paths)
+        for command in ("build-db", "correct"):
+            assert main([command, "--config", cfg]) == EXIT_CONFIG
+            assert capsys.readouterr().err == (
+                f"error: config key {key!r}: 'd\\x00x' holds a NUL byte\n"
+            )
+
+    def test_nul_in_the_config_path_exits_2(self, tmp_path, capsys):
+        # a shell argv cannot hold a NUL byte; an in-process caller can
+        path = str(tmp_path / "molcorr\0.cfg")
+        assert main(["correct", "--config", path]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: --config {path!r} holds a NUL byte\n"
 
     @pytest.mark.parametrize(
         "key, target", [("dataset", "."), ("output_dir", "dataset.csv")],

@@ -1,9 +1,5 @@
-import json
 import math
 import random
-import threading
-import warnings
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
@@ -14,7 +10,6 @@ from molcorr import embed
 from molcorr.embed import (
     EmbedError,
     LocalHashConfig,
-    RemoteHttpConfig,
     embed_molecule,
     embed_text,
     embed_texts,
@@ -253,135 +248,3 @@ class TestComposition:
             embed_molecule(cfg, self.described, include_description=True),
             embed_text(cfg, "CCO\ntwo carbons, one oxygen"),
         )
-
-
-class _StubEmbedHandler(BaseHTTPRequestHandler):
-    fail_first = 0
-
-    def do_POST(self):
-        cls = type(self)
-        if cls.fail_first > 0:
-            cls.fail_first -= 1
-            self.send_response(503)
-            self.end_headers()
-            return
-        length = int(self.headers["Content-Length"])
-        body = json.loads(self.rfile.read(length))
-        rows = [
-            {"embedding": oracle_vector(t, 32, 3)} for t in body["input"]
-        ]
-        payload = json.dumps({"data": rows}).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture
-def stub_embed_server():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _StubEmbedHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_address[1]}/v1/embeddings"
-    server.shutdown()
-    server.server_close()
-
-
-class TestRemoteBackend:
-    def test_substitutable_with_local(self, stub_embed_server):
-        # the stub serves the same hashed vectors, so both backends must
-        # agree behind the same operation signature
-        remote = RemoteHttpConfig(endpoint=stub_embed_server, model="stub")
-        local = LocalHashConfig(dim=32, ngram=3)
-        texts = ["CCO", "c1ccccc1", "N#N"]
-        got = embed_texts(remote, texts)
-        want = embed_texts(local, texts)
-        for g, w in zip(got, want):
-            assert np.allclose(g, w, atol=1e-12)
-
-    def test_batching_preserves_order(self, stub_embed_server, monkeypatch):
-        monkeypatch.setattr(embed, "REMOTE_BATCH_TEXTS", 2)
-        remote = RemoteHttpConfig(endpoint=stub_embed_server, model="stub")
-        texts = [f"CC{i}O" for i in range(11)]
-        got = embed_texts(remote, texts)
-        assert got.dtype == np.float32
-        assert got.shape == (11, 32)
-        for text, vec in zip(texts, got):
-            assert vec.tolist() == np.asarray(oracle_vector(text, 32, 3), np.float32).tolist()
-        # the query path keeps the reply's float64 values
-        assert embed_text(remote, texts[3]).tolist() == oracle_vector(texts[3], 32, 3)
-
-    def test_mixed_dims_across_chunks(self, monkeypatch):
-        import molcorr.transport as transport
-
-        def post_json(url, body, api_key=None):
-            dim = 5 if "C2O" in body["input"] else 8
-            return {"data": [{"embedding": [0.5] * dim} for _ in body["input"]]}, 1
-
-        monkeypatch.setattr(transport, "post_json", post_json)
-        monkeypatch.setattr(embed, "REMOTE_BATCH_TEXTS", 2)
-        remote = RemoteHttpConfig(endpoint="http://127.0.0.1:9/v1/embeddings", model="stub")
-        with pytest.raises(EmbedError, match=r"mixed embedding dims in one batch: \[5, 8\]"):
-            embed_texts(remote, [f"C{i}O" for i in range(5)])
-
-    @pytest.mark.parametrize("value", [1e39, -1e39])
-    def test_value_beyond_float32_is_embed_error(self, monkeypatch, value):
-        import molcorr.transport as transport
-
-        payload = {"data": [{"embedding": [value, 1.0, 2.0]}]}
-        monkeypatch.setattr(transport, "post_json", lambda *args, **kwargs: (payload, 1))
-        remote = RemoteHttpConfig(endpoint="http://127.0.0.1:9/v1/embeddings", model="stub")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # rejected before the cast, so no overflow warning
-            with pytest.raises(EmbedError, match="beyond float32's range"):
-                embed_texts(remote, ["CCO"])
-            # the float64 query path keeps the value as it is
-            assert embed_text(remote, "CCO").tolist() == [value, 1.0, 2.0]
-
-    def test_retries_recover_from_5xx(self, stub_embed_server, monkeypatch):
-        import molcorr.transport as transport
-
-        monkeypatch.setattr(transport.time, "sleep", lambda s: None)
-        _StubEmbedHandler.fail_first = 2
-        remote = RemoteHttpConfig(endpoint=stub_embed_server, model="stub")
-        vec = embed_texts(remote, ["CCO"])[0]
-        assert vec.tolist() == oracle_vector("CCO", 32, 3)
-
-    @pytest.mark.parametrize(
-        "rows",
-        [
-            [["x", 1.0]],
-            [[[1.0], 2.0]],
-            [[None, 1.0]],
-            [[float("nan"), 1.0]],
-            [3.0],
-            [[]],
-            [[1.0, 2.0], [3.0, 4.0]],
-        ],
-        ids=["string", "ragged", "null", "nan", "scalar", "empty-row", "extra-row"],
-    )
-    def test_malformed_reply_is_embed_error(self, monkeypatch, rows):
-        import molcorr.transport as transport
-
-        payload = {"data": [{"embedding": row} for row in rows]}
-        monkeypatch.setattr(transport, "post_json", lambda *args, **kwargs: (payload, 1))
-        remote = RemoteHttpConfig(endpoint="http://127.0.0.1:9/v1/embeddings", model="stub")
-        with pytest.raises(EmbedError):
-            embed_texts(remote, ["CCO"])
-
-    @pytest.mark.parametrize("value", ["1.5", True, False], ids=["numeric-string", "true", "false"])
-    def test_string_or_boolean_value_is_embed_error(self, monkeypatch, value):
-        # numpy would read "1.5" as 1.5 and true as 1.0; JSON says neither is a number
-        import molcorr.transport as transport
-
-        payload = {"data": [{"embedding": [value, 2.0]}]}
-        monkeypatch.setattr(transport, "post_json", lambda *args, **kwargs: (payload, 1))
-        remote = RemoteHttpConfig(endpoint="http://127.0.0.1:9/v1/embeddings", model="stub")
-        with pytest.raises(EmbedError, match="embedding response is not numeric"):
-            embed_texts(remote, ["CCO"])
-        with pytest.raises(EmbedError, match="embedding response is not numeric"):
-            embed_text(remote, "CCO")

@@ -91,6 +91,8 @@ def _finite(text: str) -> float:
 
 
 def _path(text: str) -> str:
+    if not text:  # Path("") is the working directory
+        raise ValueError("empty path")
     if "\0" in text:  # open() and mkdir() raise a bare ValueError on it
         raise ValueError(f"{text!r} holds a NUL byte")
     return text
@@ -367,7 +369,6 @@ def cmd_predict(rt: Runtime, kind: PromptKind, split: Split, shots: int) -> int:
 def cmd_ablate(
     rt: Runtime, axis_name: str, split: Split, k_values: Tuple[int, ...], dims: Tuple[int, ...]
 ) -> int:
-    db_dir = rt.config["database_dir"]
     bundle = load_molecules(rt.config["dataset"], rt.task, (Split.TRAIN, Split.VALID, split))
     # every point is scored, so a split without labels fails before the first query
     for rec in _split_records(bundle, split):
@@ -386,16 +387,9 @@ def cmd_ablate(
     elif axis_name == "embedder":
         if not dims:
             raise ConfigError("--dims is required for the embedder axis")
-        base = _build(LocalHashConfig, rt.config, ngram="embedder_ngram")
-        values = tuple(replace(base, dim=d) for d in dims)
+        values = tuple(replace(rt.embedder, dim=d) for d in dims)
     points = evaluate_mod.ablation_points(axis_name, rt.run, rt.embedder, values)
-
-    db = None
-    if (Path(db_dir) / METADATA_FILE).exists() and axis_name != "embedder":
-        db = load_database(db_dir)
-        correct_mod.check_fingerprint(db.fingerprint, rt.embedder, rt.run.include_description)
-
-    reports = evaluate_mod.run_ablation(points, bundle, val_preds, split, split_preds, rt.llm, db=db)
+    reports = evaluate_mod.run_ablation(points, bundle, val_preds, split, split_preds, rt.llm)
     out_dir = _output_dir(rt)
     tables = []
     for i, report in enumerate(reports):

@@ -19,14 +19,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .correct import Answers, CorrectionOutcome, RunConfig, correct_split, run_summary
 from .embed import LocalHashConfig, embedder_fingerprint
 from .ingest import DatasetBundle, Metric, PredictionSet, Split, TaskSpec
-from .knowledge import Jump, KnowledgeDatabase, Random, TopK, build_database, strategy_name
+from .knowledge import Jump, Random, TopK, build_database, strategy_name
 from .llmclient import LlmBackendConfig
 
 
@@ -172,15 +172,13 @@ def run_ablation(
     split: Split,
     split_predictions: PredictionSet,
     llm: LlmBackendConfig,
-    db: Optional[KnowledgeDatabase] = None,
 ) -> List[Dict]:
     """One report per point, in point order, each with its echo merged
     into the report's config.
 
-    A point runs on ``db`` when ``db`` was built by the point's embedder
-    (same fingerprint); otherwise a database is built for it and kept for
-    the points after it, so one database is held at a time and a sweep of
-    embedders builds one per change of fingerprint.
+    A point runs on the database of the point before it when their embedder
+    fingerprints match, and otherwise on one built for it from ``bundle`` and
+    ``val_predictions``, so one database is held at a time.
 
     The points share one dict of parsed answers: a prompt about a query
     whose answer parsed at an earlier point is not sent again, while a
@@ -191,6 +189,7 @@ def run_ablation(
     """
     reports = []
     answers: Answers = {}
+    db = None
     for point_echo, point_cfg, point_embedder in points:
         fingerprint = embedder_fingerprint(point_embedder, point_cfg.include_description)
         if db is None or db.fingerprint != fingerprint:

@@ -27,6 +27,7 @@ import threading
 import time
 from json import dumps, loads
 from typing import Any, Callable, Dict, NamedTuple, Optional
+from urllib.parse import urlsplit
 
 MAX_ATTEMPTS = 5
 BACKOFF_BASE_SECONDS = 0.5
@@ -75,12 +76,16 @@ def _opener():
 def is_http_url(url: str) -> bool:
     """Whether urllib can send a request to ``url``, the only kind a request
     goes to: an http(s) URL (its opener would also read file:, data: and
-    ftp: URLs) that names a host (it finds none in ``http:///path``) and
-    holds no character that http.client refuses (U+0000-U+0020, U+007F)."""
-    scheme, sep, rest = url.partition("://")
-    return (
-        bool(sep) and scheme.lower() in ("http", "https")
-        and rest[:1] not in ("", "/", "?", "#") and not re.search(r"[\x00-\x20\x7f]", url)
+    ftp: URLs) that ``urlsplit`` reads with a host and a valid port, and with
+    no character that http.client refuses (U+0000-U+0020, U+007F), looked
+    for in ``url`` itself, since ``urlsplit`` drops tabs and newlines."""
+    try:
+        parts = urlsplit(url)  # raises ValueError on a bracket left open
+        parts.port  # and on a port out of range or not a number
+    except ValueError:
+        return False
+    return parts.scheme in ("http", "https") and bool(parts.hostname) and not re.search(
+        r"[\x00-\x20\x7f]", url
     )
 
 
@@ -166,7 +171,7 @@ def post_json(
                     return resp.json(), attempt
                 except (ValueError, RecursionError):
                     last_error = "malformed JSON body"
-        # ValueError: a URL that urllib cannot parse
+        # ValueError: a request http.client refuses, such as a key holding a newline
         except (OSError, ValueError, http.client.HTTPException) as exc:
             last_error = f"transport error: {_error_name(exc)}"
         if attempt < MAX_ATTEMPTS:

@@ -73,10 +73,7 @@ class TestBuildDb:
         assert "dim=64" in capsys.readouterr().err
 
 
-    @pytest.mark.parametrize(
-        "command",
-        [["build-db"], ["correct", "--split", "test"], ["ablate", "--axis", "k", "--k-values", "1"]],
-    )
+    @pytest.mark.parametrize("command", [["build-db"], ["correct", "--split", "test"]])
     def test_corrupt_metadata_exits_2(self, tmp_path, capsys, command):
         _, cfg = write_workspace(tmp_path)
         assert main(["build-db", "--config", cfg]) == EXIT_OK
@@ -89,10 +86,7 @@ class TestBuildDb:
         assert "metadata.jsonl" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize(
-        "command",
-        [["correct", "--split", "test"], ["ablate", "--axis", "k", "--k-values", "1"]],
-    )
+    @pytest.mark.parametrize("command", [["correct", "--split", "test"]])
     def test_non_finite_embedding_exits_2(self, tmp_path, capsys, command):
         _, cfg = write_workspace(tmp_path)
         assert main(["build-db", "--config", cfg]) == EXIT_OK
@@ -184,13 +178,25 @@ class TestCorrect:
         assert all(len(r["context_ids"]) == 28 for r in rows)
 
     def test_jobs_byte_identical(self, tmp_path):
-        _, cfg = write_workspace(tmp_path, llm_backend="noisy", noisy_p="0.5")
-        main(["build-db", "--config", cfg])
-        assert main(["correct", "--config", cfg, "--split", "test", "--jobs", "1"]) == EXIT_OK
-        one = (tmp_path / "out" / "outcomes_test.jsonl").read_bytes()
-        assert main(["correct", "--config", cfg, "--split", "test", "--jobs", "8"]) == EXIT_OK
-        eight = (tmp_path / "out" / "outcomes_test.jsonl").read_bytes()
-        assert one == eight
+        # the outcomes are the same bytes at any --jobs value; the audit log
+        # differs only in latency_ms, the summary and report only in config.jobs
+        _, cfg = write_workspace(tmp_path, llm_backend="noisy", noisy_p="0.5", audit_log="true")
+        assert main(["build-db", "--config", cfg]) == EXIT_OK
+        out, runs = tmp_path / "out", []
+        for jobs in (1, 8):
+            argv = ["correct", "--config", cfg, "--split", "test", "--jobs", str(jobs)]
+            assert main(argv) == EXIT_OK
+            lines = (out / "audit_test.jsonl").read_text().splitlines()
+            audit = [json.loads(line) for line in lines]
+            for row in audit:
+                del row["latency_ms"]
+            jobs_line = f'\n    "jobs": {jobs},\n'
+            echoes = [(out / f"{name}_test.json").read_text() for name in ("summary", "report")]
+            assert all(jobs_line in text for text in echoes)
+            echoes = [text.replace(jobs_line, "\n") for text in echoes]
+            runs.append(((out / "outcomes_test.jsonl").read_bytes(), audit, echoes))
+        assert len(runs[0][1]) > 8  # a corrector line per query, and self-corrections
+        assert runs[0] == runs[1]
 
     def test_idempotent_outputs(self, tmp_path):
         _, cfg = write_workspace(tmp_path)
@@ -261,10 +267,7 @@ class TestCorrect:
         assert (tmp_path / "out" / "outcomes_test.jsonl").exists()
         assert "metrics skipped" in capsys.readouterr().out
 
-    @pytest.mark.parametrize(
-        "command",
-        [["correct", "--split", "test"], ["ablate", "--axis", "k", "--k-values", "1"]],
-    )
+    @pytest.mark.parametrize("command", [["correct", "--split", "test"]])
     def test_fingerprint_mismatch_with_db(self, tmp_path, capsys, command):
         _, cfg = write_workspace(tmp_path)
         assert main(["build-db", "--config", cfg]) == EXIT_OK
@@ -275,10 +278,7 @@ class TestCorrect:
         assert "localhash:dim=32:ngram=3:desc=0" in err
         assert "localhash:dim=64:ngram=3:desc=0" in err
 
-    @pytest.mark.parametrize(
-        "command",
-        [["correct", "--split", "test"], ["ablate", "--axis", "k", "--k-values", "1"]],
-    )
+    @pytest.mark.parametrize("command", [["correct", "--split", "test"]])
     def test_task_mismatch_with_db(self, tmp_path, capsys, command):
         _, cfg = write_workspace(tmp_path, task=CLASSIFICATION)
         assert main(["build-db", "--config", cfg]) == EXIT_OK
@@ -590,6 +590,38 @@ class TestAblate:
         report = json.loads((tmp_path / "out" / "ablation_embedder_0.json").read_text())
         assert "dim=16" in report["config"]["value"]
 
+    @pytest.mark.parametrize("stored", ["unset", "corrupt", "other-embedder", "other-task"])
+    def test_stored_database_is_never_read(self, tmp_path, capsys, stored):
+        # ablate builds its databases from dataset and valid_predictions, so
+        # whatever database_dir holds, or its absence, changes no output byte
+        argv = ["ablate", "--axis", "k", "--k-values", "1,3"]
+        backend = dict(llm_backend="noisy", noisy_p="0.5")
+        out, db = tmp_path / "out", tmp_path / "db"
+
+        def run():
+            capsys.readouterr()
+            assert main([*argv, "--config", cfg]) == EXIT_OK
+            return capsys.readouterr().out, {p.name: p.read_bytes() for p in out.iterdir()}
+
+        _, cfg = write_workspace(tmp_path, **backend)
+        assert main(["build-db", "--config", cfg]) == EXIT_OK
+        expected = run()
+        for path in out.iterdir():
+            path.unlink()
+        if stored == "unset":
+            write_workspace(tmp_path, database_dir=None, **backend)
+        elif stored == "corrupt":
+            lines = (db / "metadata.jsonl").read_text().splitlines()
+            (db / "metadata.jsonl").write_text("\n".join(["{not json"] + lines[1:]) + "\n")
+        else:
+            for path in db.iterdir():
+                path.unlink()
+            other = dict(task=CLASSIFICATION) if stored == "other-task" else dict(embedder_dim="64")
+            _, other_cfg = write_workspace(tmp_path, **other)
+            assert main(["build-db", "--config", other_cfg]) == EXIT_OK
+            write_workspace(tmp_path, **backend)  # the first run's dataset and config
+        assert run() == expected
+
     def test_valid_split_parses_the_valid_predictions_once(self, tmp_path, monkeypatch):
         import molcorr.cli as cli
 
@@ -752,6 +784,12 @@ class TestConfigHandling:
               "llm_model": "m"},
              "config key(s) llm_endpoint, llm_model: endpoint 'http://127.0.0.1:9/v1/\\x01chat' "
              "is not an http(s) URL"),
+            # urllib's own parser rejects these: a bracket left open, a port out
+            # of range or not a number, and no host
+            *(({"llm_backend": "remote", "llm_endpoint": url, "llm_model": "m"},
+               f"config key(s) llm_endpoint, llm_model: endpoint {url!r} is not an http(s) URL")
+              for url in ("http://[::1/", "http://h:99999/x", "http://h:abc/x", "http://user@/x",
+                          "http://:80/x")),
             # the keys of the remote embedder, which is gone
             ({"embedder_backend": "localhash"}, "unknown config key 'embedder_backend'"),
             ({"embedder_endpoint": "http://127.0.0.1:9/v1/embeddings"},
@@ -766,7 +804,10 @@ class TestConfigHandling:
              "unknown-task", "unknown-llm-backend", "unknown-strategy", "k-zero",
              "trigger-fraction-zero", "llm-endpoint-without-scheme", "llm-endpoint-file-url",
              "llm-endpoint-with-space", "llm-endpoint-without-host",
-             "llm-endpoint-with-control-character", "removed-embedder-backend",
+             "llm-endpoint-with-control-character", "llm-endpoint-unclosed-bracket",
+             "llm-endpoint-port-out-of-range", "llm-endpoint-port-not-a-number",
+             "llm-endpoint-user-without-host", "llm-endpoint-port-without-host",
+             "removed-embedder-backend",
              "removed-embedder-endpoint", "removed-embedder-model", "removed-embedder-key-env"],
     )
     def test_config_fault_exits_2(self, tmp_path, capsys, monkeypatch, extra, named):
@@ -821,6 +862,23 @@ class TestConfigHandling:
             assert capsys.readouterr().err == (
                 f"error: config key {key!r}: 'd\\x00x' holds a NUL byte\n"
             )
+
+    @pytest.mark.parametrize(
+        "key",
+        ["dataset", "valid_predictions", "test_predictions", "database_dir", "output_dir",
+         "scripted_responses"],
+    )
+    def test_empty_path_value_exits_2(self, tmp_path, capsys, monkeypatch, key):
+        # Path("") is the working directory, where build-db would save the database
+        monkeypatch.chdir(tmp_path)
+        scripted = tmp_path / "scripted.json"
+        scripted.write_text("{}")
+        paths = {"scripted_responses": scripted, key: ""}
+        _, cfg = write_workspace(tmp_path, llm_backend="scripted", **paths)
+        for command in ("build-db", "correct"):
+            assert main([command, "--config", cfg]) == EXIT_CONFIG
+            assert capsys.readouterr().err == f"error: config key {key!r}: empty path\n"
+        assert not (tmp_path / "metadata.jsonl").exists()
 
     def test_nul_in_the_config_path_exits_2(self, tmp_path, capsys):
         # a shell argv cannot hold a NUL byte; an in-process caller can

@@ -257,7 +257,7 @@ class TestAblation:
         bundle, val_preds, test_preds, db, cfg, _ = make_run(REGRESSION, MockEcho())
         reports = run_ablation(
             ablation_points("k", cfg, EMB, (1, 3, 10)), bundle, val_preds, Split.TEST,
-            test_preds, MockEcho(), db=db,
+            test_preds, MockEcho(),
         )
         assert len(reports) == 3
         assert [r["config"]["value"] for r in reports] == [1, 3, 10]
@@ -267,7 +267,7 @@ class TestAblation:
         bundle, val_preds, test_preds, db, cfg, _ = make_run(REGRESSION, MockEcho())
         reports = run_ablation(
             ablation_points("strategy", cfg, EMB), bundle, val_preds, Split.TEST, test_preds,
-            MockEcho(), db=db,
+            MockEcho(),
         )
         assert [r["config"]["value"] for r in reports] == ["topk", "jump", "random"]
 
@@ -277,7 +277,7 @@ class TestAblation:
         )
         reports = run_ablation(
             ablation_points("strategy", cfg, EMB), bundle, val_preds, Split.TEST, test_preds,
-            MockPerfectOracle(), db=db,
+            MockPerfectOracle(),
         )
         assert all(r["splits"]["test"]["corrected"] == 1.0 for r in reports)
 
@@ -285,7 +285,7 @@ class TestAblation:
         bundle, val_preds, test_preds, db, cfg, _ = make_run(REGRESSION, MockEcho())
         reports = run_ablation(
             ablation_points("self-correction", cfg, EMB), bundle, val_preds, Split.TEST,
-            test_preds, MockEcho(), db=db,
+            test_preds, MockEcho(),
         )
         assert [r["config"]["value"] for r in reports] == [True, False]
 
@@ -309,20 +309,16 @@ class TestAblation:
         cfg = RunConfig(k=5, seed=77)
         reports = run_ablation(
             ablation_points("k", cfg, EMB, (1, 2)), bundle, val_preds, Split.TEST, test_preds,
-            MockEcho(), db=db,
+            MockEcho(),
         )
         assert all(r["config"]["seed"] == 77 for r in reports)
 
     @pytest.mark.parametrize(
-        "axis, values, given_db, built_dims",
-        [
-            ("k", (1, 3), False, [32]),
-            ("k", (1, 3), True, []),
-            ("embedder", (16, 16, 64, 16), True, [16, 64, 16]),
-        ],
-        ids=["k-no-db", "k-matching-db", "embedder-per-fingerprint-change"],
+        "axis, values, built_dims",
+        [("k", (1, 3), [32]), ("embedder", (16, 16, 64, 16), [16, 64, 16])],
+        ids=["k-no-db", "embedder-per-fingerprint-change"],
     )
-    def test_database_builds(self, monkeypatch, axis, values, given_db, built_dims):
+    def test_database_builds(self, monkeypatch, axis, values, built_dims):
         bundle, val_preds, test_preds, db, cfg, _ = make_run(REGRESSION, MockEcho())
         built = []
 
@@ -334,17 +330,14 @@ class TestAblation:
         if axis == "embedder":
             values = tuple(LocalHashConfig(dim=d) for d in values)
         points = ablation_points(axis, cfg, EMB, values)
-        reports = run_ablation(
-            points, bundle, val_preds, Split.TEST, test_preds, MockEcho(),
-            db=db if given_db else None,
-        )
+        reports = run_ablation(points, bundle, val_preds, Split.TEST, test_preds, MockEcho())
         assert built == built_dims
         assert len(reports) == len(values)
 
     def sweep(self, monkeypatch, points, backend, run):
         bundle, val_preds, test_preds, db = run
         monkeypatch.setattr(correct, "complete", backend)
-        return run_ablation(points, bundle, val_preds, Split.TEST, test_preds, MockEcho(), db=db)
+        return run_ablation(points, bundle, val_preds, Split.TEST, test_preds, MockEcho())
 
     @pytest.mark.parametrize("jobs", [1, 3])
     def test_off_point_sends_only_what_did_not_parse(self, monkeypatch, jobs):

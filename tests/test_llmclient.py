@@ -339,7 +339,8 @@ class TestLoopback:
 
     @pytest.mark.parametrize(
         "url, error",
-        [("file://{json_file}", "URLError"), ("not-a-url", "URLError"), ("http://[::1/", "ValueError")],
+        [("file://{json_file}", "URLError"), ("not-a-url", "URLError"),
+         ("http://[::1/", "URLError")],
         ids=["file-url", "no-scheme", "unparseable"],
     )
     def test_url_urllib_must_not_open(self, tmp_path, url, error):

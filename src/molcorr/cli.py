@@ -43,13 +43,11 @@ from .ingest import (
 )
 from .knowledge import (
     KnowledgeError,
-    METADATA_FILE,
     STRATEGY_NAMES,
     Random,
     build_database,
     load_database,
     save_database,
-    stored_fingerprint,
 )
 from .llmclient import (
     AuditLog,
@@ -250,6 +248,17 @@ def _split_records(bundle: DatasetBundle, split: Split) -> Tuple[MoleculeRecord,
     return records
 
 
+def _check_baseline(
+    task: TaskSpec, records: Tuple[MoleculeRecord, ...], primaries: Dict[str, float]
+) -> None:
+    """A fully labeled split whose base predictions score 0 fails here, before
+    any query, with the error its report would raise."""
+    if all(rec.label is not None for rec in records):
+        truths = [rec.label for rec in records]
+        baseline = evaluate_mod.score(task, [primaries[rec.id] for rec in records], truths)
+        evaluate_mod.improvement_pct(baseline.value, 0.0)
+
+
 def _write_json(path: Path, record: Dict) -> None:
     path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
@@ -269,10 +278,6 @@ def cmd_build_db(rt: Runtime) -> int:
     db_dir = Path(rt.config["database_dir"])
     bundle = load_molecules(rt.config["dataset"], rt.task, (Split.TRAIN, Split.VALID))
     val_preds = load_predictions(rt.config["valid_predictions"], bundle, Split.VALID)
-    if (db_dir / METADATA_FILE).exists():
-        correct_mod.check_fingerprint(
-            stored_fingerprint(db_dir), rt.embedder, rt.run.include_description
-        )
     db = build_database(bundle, val_preds, rt.embedder, rt.run.include_description)
     save_database(db, db_dir)
     print(  # load_predictions covers the valid split exactly
@@ -287,6 +292,7 @@ def cmd_correct(rt: Runtime, split: Split) -> int:
     bundle = load_molecules(rt.config["dataset"], rt.task, (split,))
     records = _split_records(bundle, split)
     preds = load_predictions(rt.config[f"{split.value}_predictions"], bundle, split)
+    _check_baseline(rt.task, records, preds.entries)
     db = load_database(rt.config["database_dir"])
     out_dir = _output_dir(rt)
     audit = _audit_log(rt, out_dir, split.value)
@@ -371,7 +377,8 @@ def cmd_ablate(
 ) -> int:
     bundle = load_molecules(rt.config["dataset"], rt.task, (Split.TRAIN, Split.VALID, split))
     # every point is scored, so a split without labels fails before the first query
-    for rec in _split_records(bundle, split):
+    records = _split_records(bundle, split)
+    for rec in records:
         if rec.label is None:
             raise ConfigError(f"record {rec.id!r} has no label; cannot evaluate")
     val_preds = load_predictions(rt.config["valid_predictions"], bundle, Split.VALID)
@@ -379,6 +386,7 @@ def cmd_ablate(
         val_preds if split is Split.VALID
         else load_predictions(rt.config[f"{split.value}_predictions"], bundle, split)
     )
+    _check_baseline(rt.task, records, split_preds.entries)
     values: Tuple = ()
     if axis_name == "k":
         if not k_values:

@@ -120,18 +120,6 @@ def final_value(task: TaskSpec, answer: ParsedAnswer) -> Tuple[float, Optional[s
     return answer.prediction, None
 
 
-def check_fingerprint(
-    fingerprint: str, embedder: LocalHashConfig, include_description: bool
-) -> None:
-    """Raise CorrectionError unless the configured embedder made ``fingerprint``."""
-    expected = embedder_fingerprint(embedder, include_description)
-    if fingerprint != expected:
-        raise CorrectionError(
-            f"database fingerprint {fingerprint!r} does not match "
-            f"configured embedder {expected!r}"
-        )
-
-
 def ask(
     llm: LlmBackendConfig, prompt: PromptBundle, record: MoleculeRecord,
     primary: Optional[float], task: TaskSpec, log: List[LlmExchange],
@@ -257,7 +245,12 @@ def correct_split(
             f"database task {db.task.kind.value!r} does not match "
             f"configured task {bundle.task.kind.value!r}"
         )
-    check_fingerprint(db.fingerprint, embedder, cfg.include_description)
+    expected = embedder_fingerprint(embedder, cfg.include_description)
+    if db.fingerprint != expected:
+        raise CorrectionError(
+            f"database fingerprint {db.fingerprint!r} does not match "
+            f"configured embedder {expected!r}"
+        )
     queries = []
     for rec in bundle.split_records(split):
         primary = predictions.entries[rec.id]

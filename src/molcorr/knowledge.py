@@ -492,29 +492,6 @@ def save_database(db: KnowledgeDatabase, directory: Union[str, Path]) -> None:
         db.embeddings.astype("<f4", copy=False).tofile(fh)
 
 
-def _read_header(meta_path: Path, line: str) -> Tuple[TaskSpec, str, int, int]:
-    """Task, fingerprint, dim and entry count from the metadata header line,
-    parsed without its terminator; dim and count must be JSON integers."""
-    try:
-        header = json.loads(line.rstrip("\r\n"))
-        task = TaskSpec(TaskKind(header["task"]))
-        fingerprint, dim, count = header["fingerprint"], header["dim"], header["entries"]
-        if type(dim) is not int or type(count) is not int:
-            raise TypeError(f"dim {dim!r} and entries {count!r} must be integers")
-        return task, fingerprint, dim, count
-    except (KeyError, TypeError, ValueError, RecursionError) as exc:
-        raise KnowledgeError(
-            f"{meta_path}:1: corrupt metadata ({type(exc).__name__}: {exc})"
-        ) from exc
-
-
-def stored_fingerprint(directory: Union[str, Path]) -> str:
-    """The fingerprint of a saved database, read from its header line only."""
-    meta_path = Path(directory) / METADATA_FILE
-    with open_utf8(meta_path) as fh:
-        return _read_header(meta_path, fh.readline())[1]
-
-
 def load_database(directory: Union[str, Path]) -> KnowledgeDatabase:
     """Load a saved database; save -> load round-trips bit for bit. Each
     entry line's id and SMILES must be JSON strings, and no id may repeat,
@@ -528,7 +505,16 @@ def load_database(directory: Union[str, Path]) -> KnowledgeDatabase:
     with open_utf8(meta_path) as fh:
         first = next(fh, "")
         found = sum(1 for line in fh if line.strip())
-    task, fingerprint, dim, count = _read_header(meta_path, first)
+    try:
+        header = json.loads(first.rstrip("\r\n"))
+        task = TaskSpec(TaskKind(header["task"]))
+        fingerprint, dim, count = header["fingerprint"], header["dim"], header["entries"]
+        if type(dim) is not int or type(count) is not int:
+            raise TypeError(f"dim {dim!r} and entries {count!r} must be integers")
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+        raise KnowledgeError(
+            f"{meta_path}:1: corrupt metadata ({type(exc).__name__}: {exc})"
+        ) from exc
     if found != count:
         raise KnowledgeError(f"{meta_path}: header says {count} entries, found {found}")
 

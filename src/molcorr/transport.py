@@ -11,8 +11,8 @@ Requests go through the standard library's ``urllib.request``, one
 connection per request, and follow no redirect: a 3xx reply fails at
 once like any other status outside 2xx, so a request and its API key
 never go anywhere but the configured endpoint. ``send`` imports
-``urllib.request`` on the first remote request, so the embedder and the
-mock chat backends never load the HTTP stack. TLS uses
+``urllib.request`` on the first remote request, so the mock chat
+backends never load the HTTP stack. TLS uses
 ``ssl.create_default_context()`` (the system CA store, or
 ``SSL_CERT_FILE``), and proxies come from ``http_proxy``, ``https_proxy``
 and ``no_proxy``.
@@ -124,11 +124,17 @@ def backoff_delays(attempts: int = MAX_ATTEMPTS):
 
 
 def resolve_api_key(key_env: Optional[str]) -> Optional[str]:
+    """The API key in the environment variable ``key_env``, if one is named. A
+    key that is unset, empty, or holds a character no request header can carry
+    raises ``MissingApiKey``, whose message names the variable, not the key."""
     if not key_env:
         return None
     value = os.environ.get(key_env)
     if not value:
         raise MissingApiKey(f"environment variable {key_env!r} is not set")
+    if re.search(r"[^\x20-\x7e\xa0-\xff]", value):
+        raise MissingApiKey(f"environment variable {key_env!r} holds a control character "
+                            "or one outside Latin-1")
     return value
 
 
@@ -171,7 +177,7 @@ def post_json(
                     return resp.json(), attempt
                 except (ValueError, RecursionError):
                     last_error = "malformed JSON body"
-        # ValueError: a request http.client refuses, such as a key holding a newline
+        # ValueError: a request http.client refuses, such as one to a non-ASCII path
         except (OSError, ValueError, http.client.HTTPException) as exc:
             last_error = f"transport error: {_error_name(exc)}"
         if attempt < MAX_ATTEMPTS:

@@ -64,16 +64,22 @@ class TestBuildDb:
         assert "valid.jsonl" in capsys.readouterr().err
 
     def test_fingerprint_mismatch_with_existing_db(self, tmp_path, capsys):
-        _, cfg = write_workspace(tmp_path)
+        # build-db replaces what database_dir holds without reading it: first
+        # another embedder's database, then one whose metadata is corrupt
+        _, cfg = write_workspace(tmp_path, embedder_dim="64")
         assert main(["build-db", "--config", cfg]) == EXIT_OK
-        # same workspace, different embedder dim
-        text = Path(cfg).read_text().replace("embedder_dim=32", "embedder_dim=64")
-        Path(cfg).write_text(text)
-        assert main(["build-db", "--config", cfg]) == EXIT_CONFIG
-        assert "dim=64" in capsys.readouterr().err
+        _, cfg = write_workspace(tmp_path)
+        db = tmp_path / "db"
+        for corrupt in (False, True):
+            if corrupt:
+                (db / "metadata.jsonl").write_text("{not json\n")
+            capsys.readouterr()
+            assert main(["build-db", "--config", cfg]) == EXIT_OK
+            assert "dim 32, fingerprint localhash:dim=32:" in capsys.readouterr().out
+            assert main(["correct", "--config", cfg, "--split", "test"]) == EXIT_OK
 
-
-    @pytest.mark.parametrize("command", [["build-db"], ["correct", "--split", "test"]])
+    # the id keeps this case's name from when a build-db case came first
+    @pytest.mark.parametrize("command", [["correct", "--split", "test"]], ids=["command1"])
     def test_corrupt_metadata_exits_2(self, tmp_path, capsys, command):
         _, cfg = write_workspace(tmp_path)
         assert main(["build-db", "--config", cfg]) == EXIT_OK
@@ -314,6 +320,34 @@ class TestCorrect:
         assert capsys.readouterr().err == (
             "error: need at least one positive and one negative label\n"
         )
+        assert calls == []
+        assert list((tmp_path / "out").glob("*")) == []
+
+    @pytest.mark.parametrize("task", [REGRESSION, CLASSIFICATION], ids=["rmse", "roc-auc"])
+    @pytest.mark.parametrize(
+        "command", [["correct"], ["ablate", "--axis", "k", "--k-values", "1,3"]],
+        ids=["correct", "ablate"],
+    )
+    def test_zero_baseline_exits_2_before_any_query(
+        self, tmp_path, capsys, monkeypatch, command, task
+    ):
+        import molcorr.correct as correct_mod
+
+        calls, complete = [], correct_mod.complete
+        monkeypatch.setattr(
+            correct_mod, "complete", lambda *args: calls.append(args) or complete(*args)
+        )
+        bundle, cfg = write_workspace(tmp_path, task=task)
+        assert main(["build-db", "--config", cfg]) == EXIT_OK
+        # predictions equal to the labels score an RMSE of 0, and predictions
+        # opposite to the labels a ROC-AUC of 0
+        with (tmp_path / "test.jsonl").open("w") as fh:
+            for rec in bundle.split_records(Split.TEST):
+                value = 1.0 - rec.label if task.is_classification else rec.label
+                fh.write(json.dumps({"id": rec.id, "prediction": value}) + "\n")
+        capsys.readouterr()
+        assert main([*command, "--config", cfg, "--split", "test"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: improvement is undefined for a zero baseline\n"
         assert calls == []
         assert list((tmp_path / "out").glob("*")) == []
 
@@ -826,6 +860,27 @@ class TestConfigHandling:
         assert named in err
         assert "Traceback" not in err
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("char", ["\n", "\u20ac"], ids=["lf", "beyond-latin-1"])
+    def test_unusable_api_key_exits_2_with_nothing_sent(
+        self, tmp_path, capsys, monkeypatch, char
+    ):
+        calls = []
+        monkeypatch.setenv("MOLCORR_TEST_BAD_KEY", f"sk-secret{char}tail")
+        monkeypatch.setattr(transport, "send", lambda *args, **kwargs: calls.append("post"))
+        monkeypatch.setattr(transport.time, "sleep", lambda seconds: calls.append("sleep"))
+        _, cfg = write_workspace(
+            tmp_path, llm_backend="remote", llm_endpoint="http://127.0.0.1:9/v1/chat",
+            llm_model="m", llm_key_env="MOLCORR_TEST_BAD_KEY",
+        )
+        assert main(["build-db", "--config", cfg]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["correct", "--config", cfg, "--split", "test"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: environment variable 'MOLCORR_TEST_BAD_KEY' holds a control character "
+            "or one outside Latin-1\n"
+        )
+        assert calls == []
 
     def test_fault_of_a_class_with_required_fields_names_every_key(self):
         # a lone key cannot build a class with other required fields, so no

@@ -1,17 +1,17 @@
 """Property test of the stored database boundary: a mutated
-``metadata.jsonl`` or ``embeddings.lcdb`` makes ``correct`` and
-``build-db`` exit 0, 1 or 2, never raise, and an exit 2 prints one
-``error:`` line.
+``metadata.jsonl`` or ``embeddings.lcdb`` makes ``correct`` exit 0, 1 or
+2, never raise, and an exit 2 prints one ``error:`` line; ``build-db``
+then exits 0.
 
-``correct`` loads the whole database; ``build-db`` reads its header line
-to guard the overwrite, then rebuilds it. Each example writes a saved
-database, mutated, into a fresh temporary working directory and runs
-``correct`` (echo backend) and then ``build-db`` there. The metadata
-mutations delete, duplicate or truncate lines, and put a value JSON does
-not allow (NaN, 1e309), a value of the wrong type, a lone surrogate, a
-raw ``\\r``, a raw U+2028, a byte that is not UTF-8 or deep nesting in
-place of one of a line's values. The sidecar mutations truncate it,
-extend it, or write a NaN or an infinity into its payload.
+``correct`` loads the whole database; ``build-db`` replaces it without
+reading it. Each example writes a saved database, mutated, into a fresh
+temporary working directory and runs ``correct`` (echo backend) and then
+``build-db`` there. The metadata mutations delete, duplicate or truncate
+lines, and put a value JSON does not allow (NaN, 1e309), a value of the
+wrong type, a lone surrogate, a raw ``\\r``, a raw U+2028, a byte that is
+not UTF-8 or deep nesting in place of one of a line's values. The sidecar
+mutations truncate it, extend it, or write a NaN or an infinity into its
+payload.
 """
 
 import contextlib
@@ -94,7 +94,8 @@ def with_value(line, key, value):
     ) + b"}"
 
 
-def mutate_metadata(data, value_edits, line_edits):
+def mutate_lines(data, value_edits, line_edits):
+    """JSON-lines ``data`` with each value edit, then each line edit, applied."""
     saved = data.split(b"\n")  # the last is the empty text after the final newline
     lines = list(saved)
     for i, key, value in value_edits:  # a later edit of the same line replaces an earlier one
@@ -123,6 +124,33 @@ def mutate_sidecar(data, edits):
     return data
 
 
+def run_commands(files, commands):
+    """Each command's exit code, run in process in that order in a fresh
+    working directory holding ``files``, once each is checked: 0, 1 or 2,
+    and on 2 one ``error:`` line on stderr."""
+    codes = []
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            Path("db").mkdir()
+            for name, data in files.items():
+                Path(name).write_bytes(data)
+            for command in commands:
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                    code = cli.main([command, "--config", "molcorr.cfg"])
+                assert code in (0, 1, 2), command
+                if code == 2:
+                    message = err.getvalue()
+                    assert message.startswith("error: "), (command, message)
+                    assert message.count("\n") == 1 and message.endswith("\n"), message
+                codes.append(code)
+        finally:
+            os.chdir(cwd)
+    return codes
+
+
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(
     st.lists(VALUE_EDITS, max_size=2),
@@ -132,23 +160,6 @@ def mutate_sidecar(data, edits):
 def test_mutated_database_exits_cleanly(value_edits, line_edits, sidecar_edits):
     files = dict(workspace())
     meta, sidecar = f"db/{METADATA_FILE}", f"db/{SIDECAR_FILE}"
-    files[meta] = mutate_metadata(files[meta], value_edits, line_edits)
+    files[meta] = mutate_lines(files[meta], value_edits, line_edits)
     files[sidecar] = mutate_sidecar(files[sidecar], sidecar_edits)
-    cwd = os.getcwd()
-    with tempfile.TemporaryDirectory() as tmp:
-        os.chdir(tmp)
-        try:
-            Path("db").mkdir()
-            for name, data in files.items():
-                Path(name).write_bytes(data)
-            for command in ("correct", "build-db"):
-                err = io.StringIO()
-                with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-                    code = cli.main([command, "--config", "molcorr.cfg"])
-                assert code in (0, 1, 2), command
-                if code == 2:
-                    message = err.getvalue()
-                    assert message.startswith("error: "), (command, message)
-                    assert message.count("\n") == 1 and message.endswith("\n"), message
-        finally:
-            os.chdir(cwd)
+    assert run_commands(files, ("correct", "build-db"))[1] == 0

@@ -147,6 +147,27 @@ class TestImprovement:
             improvement_pct(0.0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: roc_auc([0.1, 0.9], [0, 1, 1]), "scores and labels must have equal length"),
+        (lambda: rmse([1.0], [1.0, 2.0]), "predictions and truths must have equal length"),
+        (lambda: evaluate_run(
+            make_bundle(REGRESSION, n_train=2, n_valid=1, n_test=2, test_labels=False),
+            Split.TEST, [], {}),
+         "record 'm00003' has no label; cannot evaluate"),
+        (lambda: ablation_points("dim", RunConfig(), EMB),
+         "unknown ablation axis 'dim'; expected one of "
+         "('k', 'strategy', 'self-correction', 'embedder')"),
+    ],
+    ids=["roc-auc-length-mismatch", "rmse-length-mismatch", "unlabeled-record", "unknown-axis"],
+)
+def test_unscorable_input_raises(call, message):
+    with pytest.raises(EvalError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def make_run(task, llm, n_test=20, seed=3, cfg=None):
     bundle = make_bundle(task, n_train=20, n_valid=8, n_test=n_test, seed=seed)
     val_preds = make_predictions(bundle, Split.VALID, seed=seed + 1)

@@ -269,6 +269,14 @@ class TestLoadPredictions:
         assert len(loaded) == regression_bundle.counts[Split.VALID]
         assert loaded.entries == preds.entries
 
+    def test_blank_lines_are_skipped(self, tmp_path, regression_bundle):
+        preds = make_predictions(regression_bundle, Split.VALID)
+        path = tmp_path / "p.jsonl"
+        write_predictions_jsonl(preds, path)
+        first, *rest = path.read_text().splitlines(keepends=True)
+        path.write_text("\n" + first + " \t\n" + "".join(rest) + "\n")
+        assert load_predictions(path, regression_bundle, Split.VALID).entries == preds.entries
+
     def test_missing_one_id(self, tmp_path, regression_bundle):
         preds = make_predictions(regression_bundle, Split.VALID)
         dropped = dict(preds.entries)

@@ -38,7 +38,6 @@ from molcorr.knowledge import (
     load_database,
     retrieve,
     save_database,
-    stored_fingerprint,
 )
 from conftest import SMILES_ALPHABET, make_bundle, make_predictions, traced
 
@@ -49,6 +48,15 @@ def build_db(n_train=12, n_valid=5, seed=3, task=REGRESSION):
     bundle = make_bundle(task, n_train=n_train, n_valid=n_valid, n_test=4, seed=seed)
     val_preds = make_predictions(bundle, Split.VALID, seed=seed + 1)
     return bundle, val_preds, build_database(bundle, val_preds, EMB)
+
+
+_ROWS = (("a", "C", 1.0, None), ("b", "CC", 2.0, None))
+
+
+def _unlabeled_train():
+    """A bundle of one train record without a label, which ``load_molecules`` refuses."""
+    rec = make_bundle(REGRESSION, n_train=1, n_valid=0, n_test=0).records[0]
+    return DatasetBundle(REGRESSION, (rec._replace(label=None),))
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +262,28 @@ class TestRetrieve:
         with pytest.raises(KnowledgeError, match="does not match database dim"):
             retrieve(db, np.zeros(7), k=1)
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: KnowledgeDatabase(REGRESSION, "fp", _ROWS, np.zeros(8, np.float32)),
+             "embedding matrix of shape (8,) for 2 rows"),
+            (lambda: KnowledgeDatabase(REGRESSION, "fp", _ROWS, np.zeros((3, 4), np.float32)),
+             "embedding matrix of shape (3, 4) for 2 rows"),
+            (lambda: KnowledgeDatabase(REGRESSION, "fp", _ROWS[:1] * 2, np.zeros((2, 4))),
+             "duplicate ids in database"),
+            (lambda: retrieve(build_db()[2], embed_text(EMB, "CCO"), k=0),
+             "k must be >= 1, got 0"),
+            (lambda: build_database(_unlabeled_train(), PredictionSet(Split.VALID, {}), EMB),
+             "knowledge entry 'm00000' has no label"),
+        ],
+        ids=["matrix-not-2d", "matrix-rows-mismatch", "duplicate-ids", "k-zero",
+             "unlabeled-train-record"],
+    )
+    def test_inconsistent_input_raises(self, call, message):
+        with pytest.raises(KnowledgeError) as info:
+            call()
+        assert str(info.value) == message
+
     def test_tie_break_by_ascending_id(self):
         vec = embed_text(EMB, "CCO")
         rows = tuple((mol_id, "CCO", 1.0, None) for mol_id in ("z", "a", "m"))
@@ -277,6 +307,14 @@ class TestPersistence:
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
             ).read_bytes()
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        bundle, _, db = build_db(n_train=3, n_valid=2)
+        save_database(db, tmp_path / "db")
+        meta = tmp_path / "db" / METADATA_FILE
+        header, first, *rest = meta.read_text().splitlines(keepends=True)
+        meta.write_text(header + "\n" + first + " \t\n" + "".join(rest) + "\n")
+        assert load_database(tmp_path / "db") == db
 
     def test_truncated_sidecar(self, tmp_path):
         bundle, _, db = build_db(n_train=3, n_valid=2)
@@ -337,14 +375,11 @@ class TestPersistence:
 
     @pytest.mark.parametrize("end", ["\n", "\r\n", "\r", ""])
     def test_corrupt_header_gives_one_message(self, tmp_path, end):
-        # the build-db overwrite guard and the loader parse the same header
-        # line, terminator stripped, so they report the same fault
+        # the header line is parsed with its terminator stripped, whichever it is
         (tmp_path / METADATA_FILE).write_text('{"task":' + end, newline="")
         with pytest.raises(KnowledgeError) as loading:
             load_database(tmp_path)
-        with pytest.raises(KnowledgeError) as reading:
-            stored_fingerprint(tmp_path)
-        assert str(reading.value) == str(loading.value) == (
+        assert str(loading.value) == (
             f"{tmp_path / METADATA_FILE}:1: corrupt metadata "
             "(JSONDecodeError: Expecting value: line 1 column 9 (char 8))"
         )
@@ -375,16 +410,12 @@ class TestPersistence:
     def test_corrupt_metadata_names_file_and_line(self, tmp_path, lineno, corrupt):
         bundle, _, db = build_db(n_train=3, n_valid=2)
         save_database(db, tmp_path / "db")
-        assert stored_fingerprint(tmp_path / "db") == db.fingerprint
         meta = tmp_path / "db" / METADATA_FILE
         lines = meta.read_text().splitlines()
         lines[lineno - 1] = corrupt(lines[lineno - 1])
         meta.write_text("\n".join(lines) + "\n")
         with pytest.raises(KnowledgeError, match=f"{METADATA_FILE}:{lineno}: "):
             load_database(tmp_path / "db")
-        if lineno == 1:
-            with pytest.raises(KnowledgeError, match=f"{METADATA_FILE}:1: "):
-                stored_fingerprint(tmp_path / "db")
 
     @pytest.mark.parametrize(
         "lineno, key, value, message",

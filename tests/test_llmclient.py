@@ -426,6 +426,25 @@ class TestRemoteChat:
         with pytest.raises(transport.MissingApiKey):
             complete(cfg, PROMPT, QueryMeta(id="a"), REGRESSION)
 
+    @pytest.mark.parametrize(
+        "char", ["\n", "\r", "\t", "\x01", "\x7f", "\x85", "\u20ac"],
+        ids=["lf", "cr", "tab", "soh", "del", "c1-nel", "beyond-latin-1"],
+    )
+    def test_unusable_key_sends_nothing(self, monkeypatch, char):
+        # a key no request header can carry fails before the first attempt
+        calls = []
+        monkeypatch.setenv("BAD_KEY", f"sk-secret{char}tail")
+        monkeypatch.setattr(transport, "send", lambda *args, **kwargs: calls.append("post"))
+        monkeypatch.setattr(transport.time, "sleep", lambda seconds: calls.append("sleep"))
+        cfg = RemoteChatConfig(
+            endpoint="http://127.0.0.1:9/v1/chat/completions", model="m", key_env="BAD_KEY"
+        )
+        with pytest.raises(transport.MissingApiKey) as info:
+            complete(cfg, PROMPT, QueryMeta(id="a"), REGRESSION)
+        assert "'BAD_KEY'" in str(info.value)
+        assert "secret" not in str(info.value)
+        assert calls == []
+
 
 def test_audit_log_fields(tmp_path):
     log_path = tmp_path / "audit.jsonl"

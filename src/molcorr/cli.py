@@ -125,15 +125,15 @@ class Config(dict):
 
 
 def read_config(path: Optional[str], overrides: Dict[str, object]) -> Config:
-    """Read a ``key=value`` file (``#`` starts a comment), then apply the
-    flag overrides that were given."""
+    """Read a ``key=value`` file (``#`` starts a comment, and a line ends only
+    at ``\\n``, ``\\r`` or ``\\r\\n``), then apply the flag overrides given."""
     config = Config()
     lines = []
     if path:
         if "\0" in path:
             raise ConfigError(f"--config {path!r} holds a NUL byte")
         with open_utf8(path) as fh:
-            lines = fh.read().splitlines()
+            lines = [line.rstrip("\r\n") for line in fh]
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:

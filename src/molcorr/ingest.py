@@ -151,10 +151,10 @@ def load_molecules(
     of ``splits``, in file order.
 
     Every row is checked, whatever its split; the other splits' records are
-    not built. Raises IngestError, its message naming the failed check, on
-    a bad header or row width, duplicate ids, missing required labels,
-    out-of-domain classification labels, empty SMILES or unknown split tokens.
-    """
+    not built. Raises IngestError, its message naming the failed check and
+    the physical line the faulty record ends on, on a bad header or row
+    width, duplicate ids, missing required labels, out-of-domain
+    classification labels, empty SMILES or unknown split tokens."""
     path = Path(path)
     kept = {s.value for s in splits}
     records = []
@@ -170,26 +170,26 @@ def load_molecules(
         if header != CSV_HEADER:
             raise IngestError(f"{path}: expected header {CSV_HEADER}, got {header}")
         test = Split.TEST
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             if not row:
                 continue
             if len(row) != len(CSV_HEADER):
-                raise IngestError(f"{path}:{lineno}: expected {len(CSV_HEADER)} cells")
+                raise IngestError(f"{path}:{reader.line_num}: expected {len(CSV_HEADER)} cells")
             mol_id, smiles, description, label_raw, split_raw = row
             if mol_id in seen:
-                raise IngestError(f"{path}:{lineno}: duplicate id {mol_id!r}")
+                raise IngestError(f"{path}:{reader.line_num}: duplicate id {mol_id!r}")
             seen.add(mol_id)
             if not smiles:
-                raise IngestError(f"{path}:{lineno}: empty SMILES for id {mol_id!r}")
+                raise IngestError(f"{path}:{reader.line_num}: empty SMILES for id {mol_id!r}")
             split = _SPLIT_TOKENS.get(split_raw)
             if split is None:
-                raise IngestError(f"{path}:{lineno}: unknown split {split_raw!r}")
+                raise IngestError(f"{path}:{reader.line_num}: unknown split {split_raw!r}")
             label = None
             if label_raw:
-                label = _parse_label(label_raw, is_classification, path, lineno, mol_id)
+                label = _parse_label(label_raw, is_classification, path, reader.line_num, mol_id)
             elif split is not test:
                 raise IngestError(
-                    f"{path}:{lineno}: id {mol_id!r} in split {split.value} has no label"
+                    f"{path}:{reader.line_num}: id {mol_id!r} in split {split.value} has no label"
                 )
             if split_raw in kept:
                 records.append(

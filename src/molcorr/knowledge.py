@@ -44,11 +44,11 @@ A line ends only at a line feed, a carriage return, or the two together.
 No phase holds a pool-sized temporary beside the matrix and the rows:
 building composes each entry's embedding text only when the embedder
 reads its block; saving writes the entry lines a block at a time;
-loading reads the metadata file line by line twice, once to count the
-entries and once to parse them, checks the matrix for non-finite values
-a block at a time, and drops its id -> line dict, which names a repeated
-id's first line, before the database builds its id index; the norm pass
-and the exact scoring convert a block of rows to float64 at a time.
+loading reads the metadata file once, line by line, checking the header,
+the matrix (a block at a time), each entry line and then the entry
+count, and drops its id -> line dict, which names a repeated id's first
+line, before the database builds its id index; the norm pass and the
+exact scoring convert a block of rows to float64 at a time.
 """
 
 from __future__ import annotations
@@ -500,50 +500,42 @@ def load_database(directory: Union[str, Path]) -> KnowledgeDatabase:
     directory = Path(directory)
     meta_path = directory / METADATA_FILE
     sidecar_path = directory / SIDECAR_FILE
-    # the file is read twice, line by line: once to count the entry lines,
-    # which decodes all of it before any check, and once to parse them
     with open_utf8(meta_path) as fh:
         first = next(fh, "")
-        found = sum(1 for line in fh if line.strip())
-    try:
-        header = json.loads(first.rstrip("\r\n"))
-        task = TaskSpec(TaskKind(header["task"]))
-        fingerprint, dim, count = header["fingerprint"], header["dim"], header["entries"]
-        if type(dim) is not int or type(count) is not int:
-            raise TypeError(f"dim {dim!r} and entries {count!r} must be integers")
-    except (KeyError, TypeError, ValueError, RecursionError) as exc:
-        raise KnowledgeError(
-            f"{meta_path}:1: corrupt metadata ({type(exc).__name__}: {exc})"
-        ) from exc
-    if found != count:
-        raise KnowledgeError(f"{meta_path}: header says {count} entries, found {found}")
+        try:
+            header = json.loads(first.rstrip("\r\n"))
+            task = TaskSpec(TaskKind(header["task"]))
+            fingerprint, dim, count = header["fingerprint"], header["dim"], header["entries"]
+            if type(dim) is not int or type(count) is not int:
+                raise TypeError(f"dim {dim!r} and entries {count!r} must be integers")
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
+            raise KnowledgeError(
+                f"{meta_path}:1: corrupt metadata ({type(exc).__name__}: {exc})"
+            ) from exc
 
-    raw = sidecar_path.read_bytes()
-    if raw[:4] != MAGIC:
-        raise KnowledgeError(f"{sidecar_path}: bad magic {raw[:4]!r}")
-    if len(raw) < 12:
-        raise KnowledgeError(f"{sidecar_path}: missing header")
-    side_dim, side_count = struct.unpack("<II", raw[4:12])
-    if side_dim != dim:
-        raise KnowledgeError(f"{sidecar_path}: sidecar dim {side_dim} != metadata dim {dim}")
-    if side_count != count:
-        raise KnowledgeError(
-            f"{sidecar_path}: sidecar count {side_count} != metadata count {count}"
-        )
-    expected = 4 * dim * count
-    if len(raw) - 12 != expected:
-        raise KnowledgeError(
-            f"{sidecar_path}: expected {expected} payload bytes, got {len(raw) - 12}"
-        )
-    matrix = np.frombuffer(raw, dtype="<f4", offset=12).reshape(count, dim)
-    for i in range(0, count, _CALL_ROWS):
-        if not np.isfinite(matrix[i : i + _CALL_ROWS]).all():
-            raise KnowledgeError(f"{sidecar_path}: non-finite embedding value")
+        raw = sidecar_path.read_bytes()
+        if raw[:4] != MAGIC:
+            raise KnowledgeError(f"{sidecar_path}: bad magic {raw[:4]!r}")
+        if len(raw) < 12:
+            raise KnowledgeError(f"{sidecar_path}: missing header")
+        side_dim, side_count = struct.unpack("<II", raw[4:12])
+        if side_dim != dim:
+            raise KnowledgeError(f"{sidecar_path}: sidecar dim {side_dim} != metadata dim {dim}")
+        if side_count != count:
+            raise KnowledgeError(
+                f"{sidecar_path}: sidecar count {side_count} != metadata count {count}"
+            )
+        expected = 4 * dim * count
+        if len(raw) - 12 != expected:
+            raise KnowledgeError(
+                f"{sidecar_path}: expected {expected} payload bytes, got {len(raw) - 12}"
+            )
+        matrix = np.frombuffer(raw, dtype="<f4", offset=12).reshape(count, dim)
+        for i in range(0, count, _CALL_ROWS):
+            if not np.isfinite(matrix[i : i + _CALL_ROWS]).all():
+                raise KnowledgeError(f"{sidecar_path}: non-finite embedding value")
 
-    rows = []
-    ids = {}
-    with open_utf8(meta_path) as fh:
-        next(fh, "")
+        rows, ids = [], {}
         for lineno, line in enumerate(fh, 2):
             if not line.strip():
                 continue
@@ -560,6 +552,8 @@ def load_database(directory: Union[str, Path]) -> KnowledgeDatabase:
                 raise KnowledgeError(
                     f"{meta_path}:{lineno}: corrupt metadata ({type(exc).__name__}: {exc})"
                 ) from exc
+    if len(rows) != count:
+        raise KnowledgeError(f"{meta_path}: header says {count} entries, found {len(rows)}")
     # the database builds its own id index; one pool-sized id dict at a time
     del ids
     return KnowledgeDatabase(task=task, fingerprint=fingerprint, rows=tuple(rows), embeddings=matrix)

@@ -18,6 +18,7 @@ in the environment and never appear in exchanges, logs or errors.
 from __future__ import annotations
 
 import json
+import re
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Union
@@ -41,9 +42,9 @@ class RemoteChatConfig:
     "temperature"}``; the response text is read from
     ``choices[0].message.content``. The endpoint must be an http(s) URL
     that urllib can send to (``transport.is_http_url``), so a bare
-    ``host:port/path``, a missing host or a space is a config fault, not a
-    dead endpoint that each request retries.
-    """
+    ``host:port/path``, a missing host, user info or a space is a config
+    fault, not a dead endpoint that each request retries; its message shows
+    a password as ``***``."""
 
     endpoint: str
     model: str
@@ -52,7 +53,8 @@ class RemoteChatConfig:
 
     def __post_init__(self):
         if not transport.is_http_url(self.endpoint):
-            raise LlmError(f"endpoint {self.endpoint!r} is not an http(s) URL")
+            shown = re.sub(r"(//[^/?#:]*:)[^/?#]*@", r"\1***@", self.endpoint)
+            raise LlmError(f"endpoint {shown!r} is not an http(s) URL")
 
 
 @dataclass(frozen=True)

@@ -76,16 +76,20 @@ def _opener():
 def is_http_url(url: str) -> bool:
     """Whether urllib can send a request to ``url``, the only kind a request
     goes to: an http(s) URL (its opener would also read file:, data: and
-    ftp: URLs) that ``urlsplit`` reads with a host and a valid port, and with
-    no character that http.client refuses (U+0000-U+0020, U+007F), looked
-    for in ``url`` itself, since ``urlsplit`` drops tabs and newlines."""
+    ftp: URLs) that ``urlsplit`` reads with a host, a valid port and no user
+    info (urllib would take it for part of the host), whose path and query
+    are ASCII (http.client sends its request line in ASCII; it IDNA-encodes
+    a host, and a fragment is never sent), and with no character that
+    http.client refuses (U+0000-U+0020, U+007F), looked for in ``url``
+    itself, since ``urlsplit`` drops tabs and newlines."""
     try:
         parts = urlsplit(url)  # raises ValueError on a bracket left open
         parts.port  # and on a port out of range or not a number
     except ValueError:
         return False
-    return parts.scheme in ("http", "https") and bool(parts.hostname) and not re.search(
-        r"[\x00-\x20\x7f]", url
+    return (
+        parts.scheme in ("http", "https") and bool(parts.hostname) and "@" not in parts.netloc
+        and (parts.path + parts.query).isascii() and not re.search(r"[\x00-\x20\x7f]", url)
     )
 
 
@@ -177,7 +181,7 @@ def post_json(
                     return resp.json(), attempt
                 except (ValueError, RecursionError):
                     last_error = "malformed JSON body"
-        # ValueError: a request http.client refuses, such as one to a non-ASCII path
+        # ValueError: a request http.client refuses, such as one to a host IDNA cannot encode
         except (OSError, ValueError, http.client.HTTPException) as exc:
             last_error = f"transport error: {_error_name(exc)}"
         if attempt < MAX_ATTEMPTS:

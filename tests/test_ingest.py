@@ -126,10 +126,14 @@ def load_text(tmp_path, text):
          r"d\.csv:2: unknown split 'dev'$"),
         (lambda tmp: load_text(tmp, HEADER + "m1,,,1\n"), IngestError,
          r"d\.csv:2: expected 5 cells$"),
+        # a quoted cell spans lines 2 and 3, so the faulty record is on line 4
+        (lambda tmp: load_text(tmp, HEADER + 'm1,CCO,"two\nlines",1,train\nm2,CCN,,x,train\n'),
+         IngestError, r"d\.csv:4: row 'm2': label 'x' is not a number$"),
     ],
     ids=["empty-csv", "wrong-header", "wrong-cell-count", "echo-no-primary", "oracle-no-label",
          "non-number-label", "non-finite-label", "duplicate-id-and-bad-label",
-         "unknown-split-and-empty-label", "cell-count-and-empty-smiles"],
+         "unknown-split-and-empty-label", "cell-count-and-empty-smiles",
+         "label-after-multi-line-cell"],
 )
 def test_each_fault_names_its_check(tmp_path, fault, error, message):
     with pytest.raises(error, match=message):

@@ -474,13 +474,14 @@ class TestPersistence:
     LOAD_FAULTS = [
         ("header", lambda lines, raw: lines.__setitem__(0, "{not json"),
          "{meta}:1: corrupt metadata (JSONDecodeError: "),
-        ("count", lambda lines, raw: lines.pop(), "{meta}: header says 5 entries, found 4"),
         ("short-sidecar", lambda lines, raw: raw.__delitem__(slice(-4, None)),
          "{sidecar}: expected 640 payload bytes, got 636"),
         ("non-finite", lambda lines, raw: raw.__setitem__(slice(12, 16), b"\x00\x00\xc0\x7f"),
          "{sidecar}: non-finite embedding value"),
         ("corrupt-line", lambda lines, raw: lines.__setitem__(2, "{broken"),
          "{meta}:3: corrupt metadata (JSONDecodeError: "),
+        # the entry lines are counted as they are parsed, so the count is checked last
+        ("count", lambda lines, raw: lines.pop(), "{meta}: header says 5 entries, found 4"),
     ]
 
     @pytest.mark.parametrize(
@@ -500,6 +501,19 @@ class TestPersistence:
         with pytest.raises(KnowledgeError) as info:
             load_database(tmp_path / "db")
         assert str(info.value).startswith(first[2].format(meta=meta, sidecar=sidecar))
+
+    def test_both_files_one_entry_short_names_the_sidecar(self, tmp_path):
+        # a copy cut short by one entry in each file: the two files agree on
+        # 4 entries, but the sidecar is checked against the header's 5
+        # before the entry lines are counted
+        bundle, _, db = build_db(n_train=3, n_valid=2)
+        save_database(db, tmp_path / "db")
+        meta, sidecar = tmp_path / "db" / METADATA_FILE, tmp_path / "db" / SIDECAR_FILE
+        meta.write_text("\n".join(meta.read_text().splitlines()[:-1]) + "\n")
+        sidecar.write_bytes(sidecar.read_bytes()[: -4 * db.embeddings.shape[1]])
+        with pytest.raises(KnowledgeError) as info:
+            load_database(tmp_path / "db")
+        assert str(info.value) == f"{sidecar}: expected 640 payload bytes, got 512"
 
     @pytest.mark.parametrize("char", ["\x85", "\u2028", "\u2029"], ids=["nel", "ls", "ps"])
     def test_raw_line_separator_inside_a_string_loads(self, tmp_path, char):

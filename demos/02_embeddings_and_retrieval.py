@@ -2,14 +2,16 @@
 Deterministic text embeddings and similarity retrieval
 ======================================================
 
-The local feature-hashing embedder maps any text to a unit vector with no
-model download or network call, which makes retrieval reproducible
-everywhere. A knowledge database pools labeled train molecules with
+The local feature-hashing embedder maps any text to a vector of signed
+n-gram bucket counts with no model download or network call, which makes
+retrieval reproducible everywhere. A knowledge database pools labeled train molecules with
 validation molecules (plus the model's prediction for those), and top-k /
 jump / random strategies select context for a query.
 """
 
 import random
+
+import numpy as np
 
 from molcorr import (
     REGRESSION,
@@ -29,9 +31,15 @@ emb = LocalHashConfig(dim=64, ngram=3)
 a = embed_text(emb, "CCCCO")
 b = embed_text(emb, "CCCCCO")
 c = embed_text(emb, "c1ccncc1[N+](=O)[O-]")
-# the local embedder's vectors have unit norm, so a dot product is their cosine
-print("cos(CCCCO, CCCCCO)      =", round(float(a @ b), 4))
-print("cos(CCCCO, nitropyridine) =", round(float(a @ c), 4))
+
+
+def cosine(u, v):
+    # the vectors hold bucket counts, not unit vectors, so divide by both norms
+    return float(u @ v / (np.linalg.norm(u) * np.linalg.norm(v)))
+
+
+print("cos(CCCCO, CCCCCO)      =", round(cosine(a, b), 4))
+print("cos(CCCCO, nitropyridine) =", round(cosine(a, c), 4))
 
 # a small pool: 16 train molecules and 6 validation molecules
 rng = random.Random(1)

@@ -4,8 +4,9 @@ retrieval is reproducible and fully testable offline.
 The hasher is pinned exactly (reproducible across languages):
 lowercase the UTF-8 bytes, enumerate contiguous byte n-grams (the whole
 string when shorter than n), hash each n-gram with FNV-1a 64, bucket by
-``hash % dim``, add +1 when bit 63 of the hash is 0 else -1, then
-L2-normalize. Empty text maps to the all-zero vector.
+``hash % dim``, and add +1 when bit 63 of the hash is 0 else -1. A
+vector holds these signed bucket counts, with no L2 normalisation, so
+every value is a small integer; empty text maps to the all-zero vector.
 
 ``embed_text`` embeds one query as a float64 vector, per text in a
 Python loop. ``embed_texts`` embeds a pool into one ``(len(texts),
@@ -17,13 +18,14 @@ boolean mask clearing each text's last n-1 windows; a text shorter than
 n keeps its first, which read past its end, so its one gram is hashed
 again over its own bytes. Beside its bytes and float64 rows a block
 holds at most three arrays of one 8-byte item per gram: the hashes,
-their float64 signs and one temporary. The bucket sums are small
-integers, so the two paths must and do agree bit for bit in float64.
+their float64 signs and one temporary. The counts are integers, so the
+two paths must and do agree bit for bit in float64, and float32 holds
+them exactly (below 2**24): the matrix row equals its query vector, and
+the knowledge database's dot products of them are exact integers.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -52,7 +54,7 @@ class LocalHashConfig:
 
     @property
     def fingerprint(self) -> str:
-        return f"localhash:dim={self.dim}:ngram={self.ngram}"
+        return f"localhash:dim={self.dim}:ngram={self.ngram}:counts"
 
 
 # texts per block of the numpy path: bounds its per-gram temporaries
@@ -78,9 +80,6 @@ def _local_hash_vector(cfg: LocalHashConfig, text: str) -> np.ndarray:
         h = fnv1a64(gram)
         sign = 1.0 if (h >> 63) == 0 else -1.0
         vec[h % cfg.dim] += sign
-    norm = math.sqrt(float(np.dot(vec, vec)))
-    if norm > 0.0:
-        vec /= norm
     return vec
 
 
@@ -121,12 +120,7 @@ def _local_hash_block(cfg: LocalHashConfig, texts: Sequence[str]) -> np.ndarray:
     slots += np.repeat(np.arange(len(data)) * cfg.dim, counts)
     # bincount returns int64 when the block holds no gram at all
     sums = np.bincount(slots, weights=signs, minlength=len(data) * cfg.dim)
-    vecs = sums.astype(np.float64, copy=False).reshape(len(data), cfg.dim)
-    # the sums of squares are small integers, so every order gives the same bits
-    norms = np.sqrt(np.einsum("ij,ij->i", vecs, vecs))
-    norms[norms == 0.0] = 1.0
-    vecs /= norms[:, None]
-    return vecs
+    return sums.astype(np.float64, copy=False).reshape(len(data), cfg.dim)
 
 
 def embed_texts(cfg: LocalHashConfig, texts: Sequence[str]) -> np.ndarray:
@@ -149,7 +143,7 @@ def embed_texts(cfg: LocalHashConfig, texts: Sequence[str]) -> np.ndarray:
 
 def embed_text(cfg: LocalHashConfig, text: str) -> np.ndarray:
     """Embed one string as a float64 vector, the query path: equal to its
-    ``embed_texts`` row before that row's rounding to float32."""
+    ``embed_texts`` row, which holds the same counts in float32."""
     return _local_hash_vector(cfg, text)
 
 

@@ -8,9 +8,9 @@ one ``(count, dim)`` float32 matrix holding every embedding, row i for
 entry i, as ``embed_texts`` returns it or as the sidecar file holds it.
 ``db[i]`` attaches a view of matrix row i to its metadata as an
 ``Entry``; nothing copies the vectors per entry, and no whole-pool
-float64 copy is ever made. Queries rank the pool by cosine similarity,
-computed in float64, and return the selected rows as ``db[i]`` entries,
-without their similarities, picked by one of three strategies:
+float64 copy is ever made. Queries rank the pool by cosine similarity
+and return the selected rows as ``db[i]`` entries, without their
+similarities, picked by one of three strategies:
 
   * top-k: the k most similar entries;
   * jump: k evenly spaced ranks, ``i*(n-1)//(k-1)``, always covering the
@@ -22,14 +22,14 @@ Ties in similarity break by ascending id so the ranking is a total order.
 A query coming from the validation split excludes its own entry from the
 pool (the leakage guard).
 
-The similarities are the bits a single-threaded float64 GEMV over the
-whole pool gives, ``(x . q) / (||x|| ||q||)``, but are computed in small
-row-aligned calls, each converting only its own rows to float64 (row
-norms are computed once, a block at a time). Jump and random score the
-whole pool that way. Top-k, as FAISS's exact flat search does, first
-scores every row with one float32 GEMV, then, following ScaNN's
-approximate score and exact re-rank, scores exactly only the rows whose
-float32 score lies within a proven error bound of the k-th best.
+The embeddings are the hasher's signed bucket counts, not normalised, and
+a query must hold integer counts too, so every dot product is an integer.
+``||x||_1 * ||q||_1``, for the largest row ``||x||_1``, caps every partial
+sum of every dot product. Below 2**24 float32 holds each of them exactly,
+in any summation order, so one float32 GEMV scores the pool; otherwise
+the rows are scored in float64 a block at a time, exact below 2**53. The
+cosine is then ``dots / (norms * ||q||)`` in float64, 0 for a zero row,
+and ranks are the same on any BLAS and any thread count.
 
 On disk a database is two files: ``metadata.jsonl`` (a header line, then
 one JSON object per entry) and ``embeddings.lcdb`` (magic ``LCDB``, u32
@@ -47,8 +47,8 @@ reads its block; saving writes the entry lines a block at a time;
 loading reads the metadata file once, line by line, checking the header,
 the matrix (a block at a time), each entry line and then the entry
 count, and drops its id -> line dict, which names a repeated id's first
-line, before the database builds its id index; the norm pass and the
-exact scoring convert a block of rows to float64 at a time.
+line, before the database builds its id index; the norm and ||x||_1
+passes and float64 scoring convert a block of rows at a time.
 """
 
 from __future__ import annotations
@@ -73,12 +73,8 @@ MAGIC = b"LCDB"
 METADATA_FILE = "metadata.jsonl"
 SIDECAR_FILE = "embeddings.lcdb"
 
-# rows per group of exact scoring: every GEMV kernel's row unroll divides it
-_GROUP_ROWS = 4
-
-# most rows per block of any pass over the pool (norms, finiteness, saving,
-# exact-scoring GEMV calls): bounds each pass's temporaries, and keeps a
-# GEMV call small enough that BLAS runs it in one thread
+# most rows per block of any pass over the pool (norms, ||x||_1, the load
+# checks, saving, float64 scoring): bounds each pass's temporaries
 _CALL_ROWS = 128
 
 
@@ -147,8 +143,9 @@ def check_entry(
 
 class KnowledgeDatabase:
     """Immutable metadata rows over one ``(count, dim)`` float32 embedding
-    matrix, plus the embedder fingerprint that produced them. ``db[i]``
-    is row i as an Entry whose embedding is a view of ``embeddings[i]``."""
+    matrix of integer counts, plus the embedder fingerprint that produced
+    them. ``db[i]`` is row i as an Entry whose embedding is a view of
+    ``embeddings[i]``."""
 
     def __init__(
         self, task: TaskSpec, fingerprint: str, rows: Tuple[Row, ...], embeddings: np.ndarray
@@ -203,52 +200,14 @@ class KnowledgeDatabase:
         return norms
 
     @cached_property
-    def _inv_norms(self) -> np.ndarray:
-        """``1 / norm`` per row, 0 for a zero row: scales the approximate
-        top-k scores."""
-        inv = np.zeros(len(self._norms))
-        np.divide(1.0, self._norms, out=inv, where=self._norms > 0.0)
-        return inv
-
-    @cached_property
-    def _slack(self) -> float:
-        """ε, a bound on |approximate cosine - exact cosine| that holds for
-        every row and every query with ``2**-500 < ||q|| < 2**500``.
-
-        The exact cosine of row x, the one the ranking sorts by, is
-        ``s = fl(fl(x . q) / fl(n * ||q||))`` in float64, n the row's
-        ``_norms`` entry. The approximate one is ``a = fl(t * fl(1 / n))``,
-        with ``t = fl32(x . q')`` from a float32 GEMV and
-        ``q' = fl32(q / ||q||)``. Write u = 2**-24 and v = 2**-53 for the
-        float32 and float64 unit roundoffs, γ_m(w) = m w / (1 - m w), d for
-        the dim, N = ||x|| and c = x . q / (N ||q||) for the true cosine.
-
-          * A float32 dot product errs by at most γ_d(u) Σ|x_i q'_i|
-            (Higham, *Accuracy and Stability of Numerical Algorithms*,
-            ch. 3), in any summation order, with or without FMA. By
-            Cauchy-Schwarz Σ|x_i q'_i| <= N ||q'||, and ||q'|| <= 1 + 2u.
-            Products below float32's normal range add at most 2**-150
-            each, so d 2**-150 in all.
-          * Rounding q / ||q|| to float32 moves each entry by at most u of
-            itself, or by 2**-150 below the normal range, so
-            |x . q' - x . q / ||q||| <= N (u + sqrt(d) 2**-150).
-          * Divided by N: |t / N - c| <= γ_d(u) (1 + 2u) + u
-            + sqrt(d) 2**-150 + d 2**-150 / N.
-          * Every float64 step of both paths (the dot product, both norms,
-            q / ||q||, 1 / n and the two scalings) moves a cosine by at most
-            γ_{4d+16}(v) in all, which is below u / 2 for d < 2**23.
-
-        So |a - s| <= γ_d(u) + 2u + d 2**-149 / N, up to second-order terms.
-        ε doubles that, which covers those terms and the rounding of ε and
-        of the comparison it enters, and puts the smallest nonzero row norm
-        for N; a zero row scores 0 on both paths. For d >= 2**23 ε is
-        infinite, and top-k ranks the whole pool."""
-        d, u = self.dim, 2.0**-24
-        if d >= 2**23:
-            return math.inf
-        nonzero = self._norms[self._norms > 0.0]
-        smallest = float(nonzero.min()) if nonzero.size else 1.0
-        return 2.0 * (d * u / (1.0 - d * u) + 2.0 * u + d * 2.0**-149 / smallest)
+    def _largest_l1(self) -> float:
+        """The largest row ||x||_1 (0 for no rows), summed in float64
+        ``_CALL_ROWS`` rows at a time, as ``_norms`` is."""
+        largest = 0.0
+        for i in range(0, len(self.embeddings), _CALL_ROWS):
+            block = np.abs(self.embeddings[i : i + _CALL_ROWS]).sum(axis=1, dtype=np.float64)
+            largest = max(largest, float(block.max()))
+        return largest
 
     @cached_property
     def _id_ranks(self) -> np.ndarray:
@@ -329,96 +288,34 @@ class _PoolTexts(Sequence):
         return compose_molecule_text(self._records[i], self._include_description)
 
 
-def _calls(count: int) -> List[Tuple[int, int]]:
-    """Split ``count`` stacked rows into GEMV calls of ``_CALL_ROWS`` rows;
-    the last call takes the rest, so it is never a lone row (which numpy
-    would hand to a dot product instead) unless ``count`` is 1."""
-    stops = [*range(_CALL_ROWS, count - 1, _CALL_ROWS), count]
-    return list(zip([0, *stops[:-1]], stops))
-
-
-def _dots(db: KnowledgeDatabase, q: np.ndarray, rows: Union[slice, np.ndarray]) -> np.ndarray:
-    """``x . q`` in float64 for the rows ``rows`` selects, in one GEMV call."""
-    return np.matmul(db.embeddings[rows].astype(np.float64), q)
-
-
-def _cosines(
-    db: KnowledgeDatabase, dots: np.ndarray, qn: float, rows: Union[slice, np.ndarray]
-) -> np.ndarray:
-    """The rows' dot products over their norm times ``qn``; 0 for a zero row."""
-    norms = db._norms[rows]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        sims = dots / (norms * qn)
-    return np.where(norms == 0.0, 0.0, sims)
-
-
-def _exact_scores(
-    db: KnowledgeDatabase, q: np.ndarray, qn: float, rows: np.ndarray
-) -> np.ndarray:
-    """The exact cosines of the sorted row indices ``rows``, each bit for
-    bit what ``_ranked_pool`` gives it, without scoring the whole pool.
-
-    A GEMV kernel scores rows in groups of its row unroll, a divisor of
-    ``_GROUP_ROWS``, and the rows after the last full group one by one,
-    each row in an order fixed by its own values alone. So each row is
-    scored inside its aligned group, the groups stacked into calls. The
-    pool's last group runs to the end of the pool (up to
-    ``_GROUP_ROWS + 1`` rows) and ends the stack, so its rows stay the
-    tail they are in the whole pool."""
-    count = len(db)
-    last = max(count - 2, 0) // _GROUP_ROWS
-    # ``rows`` is sorted, so equal groups are adjacent
-    groups = np.minimum(rows // _GROUP_ROWS, last)
-    groups = groups[np.concatenate(([True], groups[1:] != groups[:-1]))]
-    members = (groups[:, None] * _GROUP_ROWS + np.arange(_GROUP_ROWS)).ravel()
-    members = members[members < count]
-    if groups[-1] == last and count - last * _GROUP_ROWS == _GROUP_ROWS + 1:
-        members = np.append(members, count - 1)
-    dots = np.concatenate([_dots(db, q, members[lo:hi]) for lo, hi in _calls(len(members))])
-    return _cosines(db, dots[np.searchsorted(members, rows)], qn, rows)
-
-
-def _ranked_pool(
-    db: KnowledgeDatabase, q: np.ndarray, qn: float, excluded: Optional[int]
-) -> np.ndarray:
-    """Entry indices ranked by exact similarity desc, id asc on ties. The
-    pool is scored ``_CALL_ROWS`` rows at a time, so each row's cosine
-    has the bits one single-threaded GEMV over the pool would give it."""
+def _cosines(db: KnowledgeDatabase, q: np.ndarray) -> np.ndarray:
+    """Every row's cosine with the integer query ``q``, ``dots / (norms *
+    ||q||)``, 0 for a zero row or a zero query. ``bound`` caps every
+    partial sum of every dot product, and ``q``'s own counts, so the dots
+    are exact in float32 below 2**24 and in float64 below 2**53."""
+    qn = float(np.linalg.norm(q))
     if qn == 0.0:
-        sims = np.zeros(len(db))
+        return np.zeros(len(db))
+    bound = max(db._largest_l1, 1.0) * float(np.abs(q).sum())
+    if bound < 2.0**24:
+        dots = np.matmul(db.embeddings, q.astype(np.float32)).astype(np.float64)
     else:
-        dots = np.concatenate([_dots(db, q, slice(lo, hi)) for lo, hi in _calls(len(db))])
-        sims = _cosines(db, dots, qn, slice(None))
-    order = np.lexsort((db._id_ranks, -sims))
-    if excluded is not None:
-        order = order[order != excluded]
-    return order
+        blocks = range(0, len(db), _CALL_ROWS)
+        dots = np.concatenate(
+            [np.matmul(db.embeddings[i : i + _CALL_ROWS].astype(np.float64), q) for i in blocks]
+        )
+    with np.errstate(invalid="ignore", divide="ignore"):
+        sims = dots / (db._norms * qn)
+    return np.where(db._norms == 0.0, 0.0, sims)
 
 
-def _top_k(
-    db: KnowledgeDatabase, q: np.ndarray, qn: float, k: int, excluded: Optional[int]
-) -> Optional[np.ndarray]:
-    """The first k indices of ``_ranked_pool``, scoring only candidates
-    exactly.
-
-    A float32 GEMV gives every row an approximate cosine within
-    ``db._slack`` (ε) of its exact one. At least k rows have an exact
-    cosine of at least the k-th largest approximate one minus ε, so every
-    row of the exact top k, ties included, has an approximate cosine
-    within 2ε of it. Only those candidates are scored exactly and sorted.
-    Returns None when the bound does not apply (see ``_slack``) or a
-    float32 score overflowed; the caller then ranks the whole pool."""
-    if not (2.0**-500 < qn < 2.0**500 and db._slack < 1.0):
-        return None
-    approx = (db.embeddings @ (q / qn).astype(np.float32)) * db._inv_norms
-    if not np.isfinite(approx).all():
-        return None
-    if excluded is not None:
-        approx[excluded] = -np.inf
-    kth = np.partition(approx, len(approx) - k)[len(approx) - k]
-    candidates = np.flatnonzero(approx >= kth - 2.0 * db._slack)
-    sims = _exact_scores(db, q, qn, candidates)
-    return candidates[np.lexsort((db._id_ranks[candidates], -sims))[:k]]
+def _ranked(db: KnowledgeDatabase, sims: np.ndarray, k: int) -> np.ndarray:
+    """The indices of the k rows with the highest ``sims``, ranked by
+    similarity desc, id asc on ties: a partition finds the k-th score, and
+    only the rows at or above it are sorted."""
+    kth = np.partition(sims, len(sims) - k)[len(sims) - k]
+    rows = np.flatnonzero(sims >= kth)
+    return rows[np.lexsort((db._id_ranks[rows], -sims[rows]))[:k]]
 
 
 def retrieve(
@@ -438,19 +335,19 @@ def retrieve(
     q = np.asarray(query_vec, dtype=np.float64)
     if q.shape != (db.dim,):
         raise KnowledgeError(f"query dim {q.shape} does not match database dim {db.dim}")
+    if not (np.isfinite(q) & (q == np.trunc(q))).all():
+        raise KnowledgeError("query vector holds a non-integer value")
     excluded = db._index_of.get(exclude_id)
     n = len(db) - (excluded is not None)
     if n == 0:
         raise KnowledgeError("retrieval pool is empty")
-    qn = float(np.linalg.norm(q))
-    picked = _top_k(db, q, qn, k, excluded) if isinstance(strategy, TopK) and k < n else None
-    if picked is None:
-        order = _ranked_pool(db, q, qn, excluded)
-        if k >= n:
-            ranks = range(n)
-        elif isinstance(strategy, TopK):
-            ranks = range(k)
-        elif isinstance(strategy, Jump):
+    sims = _cosines(db, q)
+    if excluded is not None:
+        sims[excluded] = -np.inf
+    if isinstance(strategy, TopK) or k >= n:
+        picked = _ranked(db, sims, min(k, n))
+    else:
+        if isinstance(strategy, Jump):
             ranks = [0] if k == 1 else [i * (n - 1) // (k - 1) for i in range(k)]
         else:
             rng = SplitMix64(strategy.seed)
@@ -459,7 +356,7 @@ def retrieve(
                 j = i + rng.next_uint64() % (n - i)
                 indices[i], indices[j] = indices[j], indices[i]
             ranks = sorted(indices[:k])
-        picked = [order[r] for r in ranks]
+        picked = _ranked(db, sims, n)[ranks]
     return RetrievedContext(items=tuple(db[i] for i in picked))
 
 
@@ -532,8 +429,11 @@ def load_database(directory: Union[str, Path]) -> KnowledgeDatabase:
             )
         matrix = np.frombuffer(raw, dtype="<f4", offset=12).reshape(count, dim)
         for i in range(0, count, _CALL_ROWS):
-            if not np.isfinite(matrix[i : i + _CALL_ROWS]).all():
+            block = matrix[i : i + _CALL_ROWS]
+            if not np.isfinite(block).all():
                 raise KnowledgeError(f"{sidecar_path}: non-finite embedding value")
+            if not (block == np.trunc(block)).all():
+                raise KnowledgeError(f"{sidecar_path}: non-integer embedding value")
 
         rows, ids = [], {}
         for lineno, line in enumerate(fh, 2):

@@ -79,12 +79,15 @@ def is_http_url(url: str) -> bool:
     ftp: URLs) that ``urlsplit`` reads with a host, a valid port and no user
     info (urllib would take it for part of the host), whose path and query
     are ASCII (http.client sends its request line in ASCII; it IDNA-encodes
-    a host, and a fragment is never sent), and with no character that
-    http.client refuses (U+0000-U+0020, U+007F), looked for in ``url``
-    itself, since ``urlsplit`` drops tabs and newlines."""
+    a host, so the host must be one IDNA can encode, and a fragment is
+    never sent), and with no character that http.client refuses
+    (U+0000-U+0020, U+007F), looked for in ``url`` itself, since
+    ``urlsplit`` drops tabs and newlines."""
     try:
         parts = urlsplit(url)  # raises ValueError on a bracket left open
         parts.port  # and on a port out of range or not a number
+        # UnicodeError, a ValueError, on an empty label or one over 63 characters
+        (parts.hostname or "").encode("idna")
     except ValueError:
         return False
     return (
@@ -181,7 +184,7 @@ def post_json(
                     return resp.json(), attempt
                 except (ValueError, RecursionError):
                     last_error = "malformed JSON body"
-        # ValueError: a request http.client refuses, such as one to a host IDNA cannot encode
+        # ValueError: a request http.client refuses that ``is_http_url`` let through
         except (OSError, ValueError, http.client.HTTPException) as exc:
             last_error = f"transport error: {_error_name(exc)}"
         if attempt < MAX_ATTEMPTS:

@@ -6,12 +6,13 @@ import threading
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from molcorr import transport
 from molcorr.cli import EXIT_CONFIG, EXIT_OK, Config, ConfigError, _build, main, make_parser
 from molcorr.ingest import CLASSIFICATION, REGRESSION, DatasetBundle, Split
-from molcorr.knowledge import RetrievedContext
+from molcorr.knowledge import METADATA_FILE, SIDECAR_FILE, RetrievedContext
 from molcorr.llmclient import LlmError
 from molcorr.prompt import build_corrector_prompt
 from conftest import make_bundle, make_predictions, write_dataset_csv, write_predictions_jsonl
@@ -45,6 +46,19 @@ def write_workspace(tmp_path, task=REGRESSION, seed=3, n_train=20, n_valid=8,
     lines = [f"{key}={value}" for key, value in config.items() if value is not None]
     (tmp_path / "molcorr.cfg").write_text("\n".join(lines) + "\n")
     return bundle, str(tmp_path / "molcorr.cfg")
+
+
+def _as_saved_before_counts(db_dir):
+    """Rewrite a saved database as the hasher wrote it before it stored
+    bucket counts: each row divided by its L2 norm in float64, then rounded
+    to float32, and the fingerprint without its ``:counts`` marker."""
+    meta, sidecar = db_dir / METADATA_FILE, db_dir / SIDECAR_FILE
+    meta.write_text(meta.read_text().replace(":counts", "", 1))
+    raw = sidecar.read_bytes()
+    rows = np.frombuffer(raw, "<f4", offset=12).reshape(-1, 32).astype(np.float64)
+    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    sidecar.write_bytes(raw[:12] + (rows / norms).astype("<f4").tobytes())
 
 
 class TestBuildDb:
@@ -281,8 +295,32 @@ class TestCorrect:
         Path(cfg).write_text(text)
         assert main([*command, "--config", cfg]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert "localhash:dim=32:ngram=3:desc=0" in err
-        assert "localhash:dim=64:ngram=3:desc=0" in err
+        assert "localhash:dim=32:ngram=3:counts:desc=0" in err
+        assert "localhash:dim=64:ngram=3:counts:desc=0" in err
+
+    def test_database_saved_before_counts_exits_2(self, tmp_path, capsys):
+        # a database as saved when the hasher L2-normalised its rows: a
+        # typical one holds non-integer values, which the load refuses
+        # before the fingerprint is compared; a pool whose every vector has
+        # one nonzero bucket normalised to +-1, so it loads and then fails
+        # the fingerprint check
+        bundle, cfg = write_workspace(tmp_path)
+        db = tmp_path / "db"
+        assert main(["build-db", "--config", cfg]) == EXIT_OK
+        _as_saved_before_counts(db)
+        assert main(["correct", "--config", cfg, "--split", "test"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"error: {db / SIDECAR_FILE}: non-integer embedding value\n"
+        records = [rec._replace(smiles="C" * (i % 6 + 1)) for i, rec in enumerate(bundle.records)]
+        write_dataset_csv(DatasetBundle(bundle.task, tuple(records)), tmp_path / "dataset.csv")
+        assert main(["build-db", "--config", cfg]) == EXIT_OK
+        _as_saved_before_counts(db)
+        capsys.readouterr()
+        assert main(["correct", "--config", cfg, "--split", "test"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: database fingerprint 'localhash:dim=32:ngram=3:desc=0' does not match "
+            "configured embedder 'localhash:dim=32:ngram=3:counts:desc=0'\n"
+        )
 
     @pytest.mark.parametrize("command", [["correct", "--split", "test"]])
     def test_task_mismatch_with_db(self, tmp_path, capsys, command):
@@ -1101,7 +1139,7 @@ class TestReportBytes:
 {
   "config": {
     "backend": "scripted",
-    "embedder": "localhash:dim=32:ngram=3:desc=0",
+    "embedder": "localhash:dim=32:ngram=3:counts:desc=0",
     "include_description": false,
     "jobs": 1,
     "k": 5,
@@ -1161,7 +1199,7 @@ class TestReportBytes:
   "config": {
     "axis": "k",
     "backend": "echo",
-    "embedder": "localhash:dim=32:ngram=3:desc=0",
+    "embedder": "localhash:dim=32:ngram=3:counts:desc=0",
     "include_description": false,
     "jobs": 1,
     "k": 1,

@@ -504,7 +504,7 @@ class TestSummaryAndSerialization:
             ("k", 5), ("strategy", "jump"), ("self_correction", True),
             ("regression_trigger_fraction", 0.2), ("token_budget", 3000), ("seed", 0),
             ("include_description", False), ("jobs", 1),
-            ("embedder", "localhash:dim=32:ngram=3:desc=0"), ("backend", "perfect"),
+            ("embedder", "localhash:dim=32:ngram=3:counts:desc=0"), ("backend", "perfect"),
         ]
         prompt = PromptBundle(kind=PromptKind.CORRECTOR, text="p", token_estimate=1)
         answers = [

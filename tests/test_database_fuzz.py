@@ -55,7 +55,7 @@ VALUE_EDITS = st.tuples(st.integers(0, 40), st.integers(0, 3), st.sampled_from(l
 SIDECAR_EDITS = st.tuples(
     st.sampled_from(("truncate", "extend", "float")),
     st.integers(0, 600),
-    st.sampled_from((float("nan"), float("inf"), float("-inf"))),
+    st.sampled_from((float("nan"), float("inf"), float("-inf"), 0.5)),
 )
 
 

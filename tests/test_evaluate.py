@@ -317,12 +317,12 @@ class TestAblation:
         )
         reports = run_ablation(sweep, bundle, val_preds, Split.TEST, test_preds, MockEcho())
         assert [r["config"]["value"] for r in reports] == [
-            "localhash:dim=16:ngram=3",
-            "localhash:dim=64:ngram=3",
+            "localhash:dim=16:ngram=3:counts",
+            "localhash:dim=64:ngram=3:counts",
         ]
         assert [r["config"]["embedder"] for r in reports] == [
-            "localhash:dim=16:ngram=3:desc=0",
-            "localhash:dim=64:ngram=3:desc=0",
+            "localhash:dim=16:ngram=3:counts:desc=0",
+            "localhash:dim=64:ngram=3:counts:desc=0",
         ]
 
     def test_reports_share_seed(self):

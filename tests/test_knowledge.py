@@ -273,11 +273,15 @@ class TestRetrieve:
              "duplicate ids in database"),
             (lambda: retrieve(build_db()[2], embed_text(EMB, "CCO"), k=0),
              "k must be >= 1, got 0"),
+            (lambda: retrieve(build_db()[2], embed_text(EMB, "CCO") * 0.5, k=1),
+             "query vector holds a non-integer value"),
+            (lambda: retrieve(build_db()[2], np.full(EMB.dim, np.inf), k=1),
+             "query vector holds a non-integer value"),
             (lambda: build_database(_unlabeled_train(), PredictionSet(Split.VALID, {}), EMB),
              "knowledge entry 'm00000' has no label"),
         ],
         ids=["matrix-not-2d", "matrix-rows-mismatch", "duplicate-ids", "k-zero",
-             "unlabeled-train-record"],
+             "non-integer-query", "infinite-query", "unlabeled-train-record"],
     )
     def test_inconsistent_input_raises(self, call, message):
         with pytest.raises(KnowledgeError) as info:
@@ -478,6 +482,10 @@ class TestPersistence:
          "{sidecar}: expected 640 payload bytes, got 636"),
         ("non-finite", lambda lines, raw: raw.__setitem__(slice(12, 16), b"\x00\x00\xc0\x7f"),
          "{sidecar}: non-finite embedding value"),
+        # the block scan checks finiteness first, so a NaN and a 0.5 in one
+        # block name the NaN
+        ("non-integer", lambda lines, raw: raw.__setitem__(slice(16, 20), struct.pack("<f", 0.5)),
+         "{sidecar}: non-integer embedding value"),
         ("corrupt-line", lambda lines, raw: lines.__setitem__(2, "{broken"),
          "{meta}:3: corrupt metadata (JSONDecodeError: "),
         # the entry lines are counted as they are parsed, so the count is checked last
@@ -744,8 +752,8 @@ def test_pinned_pool_bytes(tmp_path):
         for name in (METADATA_FILE, SIDECAR_FILE)
     }
     assert digests == {
-        METADATA_FILE: "eaef38e978b3af6035bcb44aa26ceb71b88c441c7b698c39590c10493996d9f7",
-        SIDECAR_FILE: "b7a9832ba188b3b3e9822bf6fc5e729ae19b465c186f1ee94f7e11d27ea882c1",
+        METADATA_FILE: "3ca60c1b8df02ab295476a2d4a2d8cba2ea15a05d45b16df18957b358eaba0cd",
+        SIDECAR_FILE: "318eda6acf88a7be8b87574480ea04c6f38a8d1db131928e49cccdadfac63fca",
     }
 
 
@@ -764,9 +772,11 @@ class TestEntryEquality:
 
 
 def _matrix_db(count, dim, seed, zero_rows):
+    """A pool of integer counts like the hasher's, each row's magnitude
+    drawn from 1 to 100, some rows zero."""
     rng = np.random.default_rng(seed)
-    scales = 10.0 ** rng.uniform(-3, 3, size=(count, 1))
-    matrix = (rng.standard_normal((count, dim)) * scales).astype(np.float32)
+    scales = 10.0 ** rng.uniform(0, 2, size=(count, 1))
+    matrix = np.round(rng.standard_normal((count, dim)) * scales).astype(np.float32)
     matrix[rng.random(count) < zero_rows] = 0.0
     rows = tuple(check_entry(f"m{i:05d}", "C", 0.0, None) for i in range(count))
     return KnowledgeDatabase(REGRESSION, "fp", rows, matrix)
@@ -797,14 +807,19 @@ def test_norms_are_bit_identical_to_linalg_norm(count, dim, seed, zero_rows):
 
 @pytest.mark.parametrize("strategy", [TopK(), Jump()], ids=["topk", "jump"])
 def test_first_query_holds_no_whole_pool_float64_copy(strategy):
-    # the first query computes the row norms, and top-k its approximate
-    # scores; the float64 rows exist only one block at a time, so the
-    # peak stays far below one float64 copy of the pool
+    # the first query computes the row norms and the largest ||x||_1, and
+    # a query past the float32 bound scores in float64; each converts one
+    # block of rows at a time, so the peak stays below a quarter of the
+    # pool's float64 size, which a whole-pool float32 temporary exceeds
     count, dim = 16000, 256
     db = _matrix_db(count, dim, seed=7, zero_rows=0.0)
-    query = np.random.default_rng(8).standard_normal(dim)
-    _, peak, _ = traced(lambda: retrieve(db, query, k=10, strategy=strategy))
-    assert peak <= 0.5 * count * dim * 8
+    query = np.random.default_rng(8).integers(-3, 4, dim).astype(np.float64)
+    bound = db._largest_l1 * np.abs(query).sum()
+    assert bound < 2**24 <= bound * 2**10
+    _, peak, _ = traced(
+        lambda: [retrieve(db, q, k=10, strategy=strategy) for q in (query, query * 2**10)]
+    )
+    assert peak <= 0.25 * count * dim * 8
 
 
 def test_save_and_load_hold_no_pool_sized_temporary(tmp_path):
@@ -867,67 +882,63 @@ def test_saved_metadata_is_json_dumps_lines(tmp_path, count):
 
 
 # ---------------------------------------------------------------------------
-# block scoring and the top-k prefilter
-
-GROUP = knowledge._GROUP_ROWS
+# exact integer scoring and the top-k partition
 
 
 @given(
-    count=st.one_of(
-        st.sampled_from([1, 2, 3, 5, GROUP + 1, CALL, CALL + 1, CALL + 2, 2 * CALL + 5]),
-        st.integers(1, 1200),
-    ),
-    dim=st.one_of(st.sampled_from([1, 7, 31, 33, 255, 257]), st.integers(1, 300)),
-    rows=st.sampled_from([GROUP, 16, 64, CALL, 256]),
+    count=st.one_of(st.sampled_from([1, 2, CALL, CALL + 1]), st.integers(1, 1200)),
+    dim=st.one_of(st.sampled_from([1, 7, 33, 256]), st.integers(1, 300)),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(count=22000, dim=256, rows=CALL, seed=11)
-@example(count=CALL + 1, dim=256, rows=GROUP, seed=1)
-@example(count=3 * CALL + 1, dim=300, rows=GROUP, seed=2)
+@example(count=22000, dim=256, seed=11)
 @settings(max_examples=60, deadline=None)
-def test_block_gemv_equals_whole_pool_gemv(count, dim, rows, seed):
-    # exact scoring multiplies stacks of aligned row groups; each row must
-    # get the bits one GEMV over the whole pool gives it, or ranks would
-    # move. This holds where BLAS runs the whole-pool GEMV in one thread
-    # or splits it at a multiple of its row unroll; elsewhere it must fail
+def test_float32_gemv_dots_equal_float64_dots(count, dim, seed):
+    # integer rows and a query as large as the 2**24 bound allows: every
+    # partial sum is an integer float32 holds exactly, so the float32 GEMV
+    # equals the float64 dot products bit for bit, in any summation order
+    # and on any thread count, and so do the cosines scored from it
     rng = np.random.default_rng(seed)
     db = _matrix_db(count, dim, seed, zero_rows=0.1)
-    q = rng.standard_normal(dim)
-    matrix = db.embeddings.astype(np.float64)
-    whole = matrix @ q
-    # aligned blocks at random starts; the last block runs to the end of
-    # the pool, so it is never a lone row unless the pool is one row
-    last = max(count - 2, 0) // rows * rows
-    for start in set(rng.integers(0, count, size=6).tolist()) | {0, count - 1}:
-        lo = min(start - start % rows, last)
-        hi = count if lo == last else lo + rows
-        part = np.matmul(matrix[lo:hi], q)
-        assert part.tobytes() == whole[lo:hi].tobytes(), (lo, hi)
-    # the program's stacked groups, for random row sets and for every row
+    top = max(1, int((2**24 - 1) // max(db._largest_l1, 1.0) // dim))
+    q = rng.integers(-top, top + 1, dim).astype(np.float64)
+    assert max(db._largest_l1, 1.0) * np.abs(q).sum() < 2**24
+    exact = db.embeddings.astype(np.float64) @ q
+    got = np.matmul(db.embeddings, q.astype(np.float32)).astype(np.float64)
+    assert got.tobytes() == exact.tobytes()
     qn = float(np.linalg.norm(q))
     with np.errstate(invalid="ignore", divide="ignore"):
-        sims = whole / (db._norms * qn)
+        sims = exact / (db._norms * qn)
+    sims = np.where((db._norms == 0.0) | (qn == 0.0), 0.0, sims)
+    assert knowledge._cosines(db, q).tobytes() == sims.tobytes()
+
+
+def test_float64_scoring_past_the_float32_bound_matches_oracle():
+    # a query whose ||q||_1 puts ||x||_1 * ||q||_1 past 2**24 is scored in
+    # float64 blocks: its counts, and so its dot products, need more bits
+    # than float32 has (a power-of-two scale would not, and the actual dot
+    # products of a smaller one can stay below 2**24)
+    _, _, db = build_db(n_train=160, n_valid=40, seed=12)
+    q = embed_text(EMB, "NCCCO=1") * (2**24 + 1)
+    assert db._largest_l1 * np.abs(q).sum() >= 2**24
+    exact = db.embeddings.astype(np.float64) @ q
+    with np.errstate(invalid="ignore", divide="ignore"):
+        sims = exact / (db._norms * float(np.linalg.norm(q)))
     sims = np.where(db._norms == 0.0, 0.0, sims)
-    for picked in (
-        np.array([count - 1]),
-        np.unique(rng.integers(0, count, size=2)),
-        np.unique(rng.integers(0, count, size=10)),
-        np.arange(count),
-    ):
-        got = knowledge._exact_scores(db, q, qn, picked)
-        assert got.tobytes() == sims[picked].tobytes(), picked
-    # the whole-pool pass of jump and random
-    calls = [knowledge._dots(db, q, slice(lo, hi)) for lo, hi in knowledge._calls(count)]
-    assert np.concatenate(calls).tobytes() == whole.tobytes()
+    assert knowledge._cosines(db, q).tobytes() == sims.tobytes()
+    for k in (1, 7, 200):
+        assert list(retrieve(db, q, k).ids) == oracle_topk(db, q, k)
+        assert list(retrieve(db, q, k, Jump()).ids) == oracle_jump(db, q, k)
+    valid_id = db.rows[-1][0]
+    assert list(retrieve(db, q, 9, exclude_id=valid_id).ids) == oracle_topk(db, q, 9, valid_id)
 
 
-def _tied_db(count, dim, distinct, zero_rows, seed, spread=1.0):
-    """A pool of ``count`` rows drawn from ``distinct`` vectors, some rows
-    zero, with ids in an order unrelated to row order. A small ``spread``
-    makes the vectors near-duplicates of one another, so their cosines
-    differ by about what float32 scoring gets wrong."""
+def _tied_db(count, dim, distinct, zero_rows, seed, spread=20):
+    """A pool of ``count`` rows drawn from ``distinct`` integer vectors,
+    some rows zero, with ids in an order unrelated to row order. A small
+    ``spread`` makes the vectors near-duplicates of one another (0 makes
+    them equal), so their cosines differ in the last few digits or tie."""
     rng = np.random.default_rng(seed)
-    vectors = rng.standard_normal(dim) + spread * rng.standard_normal((distinct, dim))
+    vectors = rng.integers(-50, 51, dim) + rng.integers(-spread, spread + 1, (distinct, dim))
     vectors = vectors.astype(np.float32)
     matrix = vectors[rng.integers(0, distinct, size=count)]
     matrix[rng.random(count) < zero_rows] = 0.0
@@ -940,10 +951,10 @@ def _tied_db(count, dim, distinct, zero_rows, seed, spread=1.0):
     count=st.integers(2, 400),
     dim=st.sampled_from([3, 8, 33, 256]),
     distinct=st.one_of(st.integers(1, 6), st.integers(7, 80)),
-    spread=st.sampled_from([1.0, 1e-5, 1e-6]),
+    spread=st.sampled_from([20, 1, 0]),
     zero_rows=st.sampled_from([0.0, 0.3, 1.0]),
     k_from_end=st.integers(-3, 40),
-    query=st.sampled_from(["row", "noisy row", "random", "zero"]),
+    query=st.sampled_from(["row", "noisy row", "random", "zero", "scaled row"]),
     exclude=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -951,33 +962,20 @@ def _tied_db(count, dim, distinct, zero_rows, seed, spread=1.0):
 def test_prefiltered_topk_matches_oracle(
     count, dim, distinct, spread, zero_rows, k_from_end, query, exclude, seed
 ):
-    # rows tie exactly or nearly, so the k-th score usually sits inside a
-    # tie or among cosines that float32 scoring orders wrongly
+    # top-k sorts only the rows at or above the partition's k-th score;
+    # rows tie exactly or nearly, so that score usually sits inside a tie
     db, vectors = _tied_db(count, dim, distinct, zero_rows, seed, spread)
     rng = np.random.default_rng(seed + 1)
     q = {
-        "row": vectors[0].astype(np.float64),
-        "noisy row": vectors[0] + 1e-6 * rng.standard_normal(dim),
-        "random": rng.standard_normal(dim),
+        "row": vectors[0],
+        "noisy row": vectors[0] + rng.integers(-1, 2, dim),
+        "random": rng.integers(-50, 51, dim),
         "zero": np.zeros(dim),
-    }[query]
+        "scaled row": vectors[0] * (2**14 + 1),  # mostly past the float32 bound
+    }[query].astype(np.float64)
     exclude_id = db.rows[seed % count][0] if exclude else None
     n = count - exclude
     # a draw below 4 puts k within 3 of the pool size n; k >= n returns it all
     k = max(1, n - k_from_end) if k_from_end < 4 else min(k_from_end, n)
     ctx = retrieve(db, q, k, TopK(), exclude_id=exclude_id)
     assert list(ctx.ids) == oracle_topk(db, q, k, exclude_id)
-
-
-def test_prefilter_rescores_few_rows(monkeypatch):
-    # on a spread-out pool the candidates are a few rows, not the pool
-    db, _ = _tied_db(4096, 64, distinct=4096, zero_rows=0.0, seed=3)
-    q = np.random.default_rng(4).standard_normal(64)
-    scored = []
-    exact_scores = knowledge._exact_scores
-    monkeypatch.setattr(
-        knowledge, "_exact_scores", lambda *args: scored.append(args[3]) or exact_scores(*args)
-    )
-    ctx = retrieve(db, q, k=5)
-    assert list(ctx.ids) == oracle_topk(db, q, 5)
-    assert len(scored) == 1 and 5 <= len(scored[0]) <= 20

@@ -368,9 +368,11 @@ class TestLoopback:
         ("http://user@127.0.0.1:9/v1/chat", False),
         ("http://127.0.0.1:9/v1/ch\xe9", False),  # http.client sends the request line in ASCII
         ("http://127.0.0.1:9/v1/chat?q=\xe9", False),
+        ("http://ch\xe9..x/v1", False),  # IDNA cannot encode an empty label
+        ("http://" + "\xe9" * 64 + ".example/v1", False),  # nor one over 63 characters
     ],
     ids=["plain", "non-ascii-fragment", "non-ascii-host", "password", "user",
-         "non-ascii-path", "non-ascii-query"],
+         "non-ascii-path", "non-ascii-query", "empty-label", "long-label"],
 )
 def test_is_http_url(url, sendable):
     assert transport.is_http_url(url) is sendable

@@ -1,10 +1,18 @@
 """End-to-end correction of one query or one split.
 
-A split embeds every query, retrieves its context (excluding the query's
-own entry when it comes from the validation split) and renders its
-corrector prompt before the first request, so a prompt fault sends
-nothing. Then, per query: send the prompt, parse the response, optionally
-run one self-correction round, and record the refined prediction.
+A split first checks every query, with no retrieval: its pool must not
+be empty once its own entry is excluded (the leakage guard, for a
+validation query) and the token budget must hold its corrector prompt
+with no context line. So a prompt fault sends nothing and opens no audit
+log, which is opened only after the check, just before the first chunk
+is rendered. Then the split streams: ``QUERY_CHUNK`` queries at a time
+are embedded, retrieved and rendered in one tight loop, which keeps the
+pool matrix in cache, and are handed one by one to ``run_queries``,
+which keeps at most ``2 * jobs`` of them submitted ahead of the one
+whose result it takes. A split so holds one chunk of prompts plus that
+window, never all of them. Per query: send the prompt, parse the
+response, optionally run one self-correction round, and record the
+refined prediction.
 
 Self-correction fires when the proposed correction deviates strongly from
 the base model: a flipped label for classification, or a relative change
@@ -34,24 +42,30 @@ from __future__ import annotations
 
 import json
 import logging
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .embed import LocalHashConfig, embed_molecule, embedder_fingerprint
 from .ingest import DatasetBundle, MoleculeRecord, PredictionSet, Split, TaskSpec
-from .knowledge import KnowledgeDatabase, RetrievalStrategy, TopK, retrieve, strategy_name
+from .knowledge import (KnowledgeDatabase, RetrievalStrategy, TopK, excluded_row, retrieve,
+                        strategy_name)
 from .llmclient import (AuditLog, LlmBackendConfig, LlmError, LlmExchange, QueryMeta,
                         backend_name, complete)
 from .parse import ParseError, ParsedAnswer, consistency_rate, parse_response
 from .prompt import (DEFAULT_TOKEN_BUDGET, PromptBundle, build_corrector_prompt,
-                     build_self_correction_prompt)
+                     build_self_correction_prompt, check_corrector_budget)
 
 logger = logging.getLogger(__name__)
 
 ZERO_PRIMARY_EPSILON = 1e-9
+
+# queries of a split embedded, retrieved and rendered together, ahead of
+# their sends: retrieving one query at a time between sends runs slower
+QUERY_CHUNK = 64
 
 # parsed answers by (query id, prompt text), shared by the points of an ablation
 Answers = Dict[Tuple[str, str], ParsedAnswer]
@@ -154,30 +168,46 @@ def ask(
 
 
 def run_queries(
-    step: Callable, queries: Sequence[tuple], jobs: int, audit: Optional[AuditLog]
+    step: Callable, queries: Iterable[tuple], jobs: int, audit: Optional[AuditLog]
 ) -> List:
     """``step(*query, log)`` for each query, a tuple of arguments whose
     first is the query's record, on up to ``jobs`` workers; ``step`` adds
     its exchanges to the list ``log``. ``audit`` is entered, which empties
-    its file, before the first query. Results are taken in query order,
-    each query's exchanges going to ``audit`` as its result is taken, so
-    neither results nor log depend on the worker count, and a crash keeps
-    the lines of every query taken before it."""
+    its file, before the first query is drawn from ``queries``. Results are
+    taken in query order, each query's exchanges going to ``audit`` as its
+    result is taken, so neither results nor log depend on the worker
+    count, and a crash keeps the lines of every query taken before it.
+
+    ``queries`` may be a generator: with one job each query runs inline as
+    it is drawn; with more, a query is drawn only while fewer than
+    ``2 * jobs`` are submitted ahead of the one whose result is taken next,
+    so neither a taken query nor one far ahead stays held."""
 
     def run(query):
         log: List[LlmExchange] = []
-        return step(*query, log), log
+        return query[0].id, step(*query, log), log
+
+    def take(done):
+        id, result, log = done
+        if audit is not None:
+            for exchange in log:
+                audit.append(id, exchange)
+        return result
 
     results = []
     pool = ThreadPoolExecutor(max_workers=jobs)  # starts no thread before the first submit
     try:
         with audit if audit is not None else nullcontext():
-            taken = pool.map(run, queries) if jobs > 1 else map(run, queries)
-            for query, (result, log) in zip(queries, taken):
-                if audit is not None:
-                    for exchange in log:
-                        audit.append(query[0].id, exchange)
-                results.append(result)
+            if jobs == 1:
+                results.extend(take(run(query)) for query in queries)
+            else:
+                window = deque()
+                for query in queries:
+                    window.append(pool.submit(run, query))
+                    if len(window) > 2 * jobs:
+                        results.append(take(window.popleft().result()))
+                while window:
+                    results.append(take(window.popleft().result()))
     finally:
         pool.shutdown(cancel_futures=True)  # after a fault, start no further query
     return results
@@ -235,10 +265,14 @@ def correct_split(
 ) -> List[CorrectionOutcome]:
     """Correct every molecule of a split, outcomes in dataset order.
 
-    Every corrector prompt is rendered before ``run_queries`` sends the
-    first one. The leakage guard applies only to validation queries. A
-    database built for another task or embedder raises CorrectionError.
-    ``answers`` is passed to every ``ask`` of the split.
+    Every query is checked before ``run_queries`` opens ``audit``: a
+    database built for another task or embedder raises CorrectionError,
+    an empty pool KnowledgeError and a budget that cannot hold a query's
+    zero-context prompt PromptError, naming the first such query in
+    dataset order. Then ``QUERY_CHUNK`` queries at a time are embedded,
+    retrieved and rendered, each chunk only once ``run_queries`` has drawn
+    the previous one. The leakage guard applies only to validation
+    queries. ``answers`` is passed to every ``ask`` of the split.
     """
     if db.task != bundle.task:
         raise CorrectionError(
@@ -251,15 +285,31 @@ def correct_split(
             f"database fingerprint {db.fingerprint!r} does not match "
             f"configured embedder {expected!r}"
         )
-    queries = []
-    for rec in bundle.split_records(split):
-        primary = predictions.entries[rec.id]
+    if db.dim != embedder.dim:
+        raise CorrectionError(f"database dim {db.dim} does not match embedder dim {embedder.dim}")
+    records = bundle.split_records(split)
+    primaries = predictions.entries
+
+    def own_id(rec):
+        return rec.id if rec.split is Split.VALID else None
+
+    for rec in records:
+        excluded_row(db, own_id(rec))
+        check_corrector_budget(rec, primaries[rec.id], db.task, cfg.token_budget)
+
+    def render(rec):
+        primary = primaries[rec.id]
         query_vec = embed_molecule(embedder, rec, cfg.include_description)
-        exclude = rec.id if rec.split is Split.VALID else None
-        ctx = retrieve(db, query_vec, cfg.k, cfg.strategy, exclude_id=exclude)
+        ctx = retrieve(db, query_vec, cfg.k, cfg.strategy, exclude_id=own_id(rec))
         prompt = build_corrector_prompt(rec, primary, ctx, db.task, cfg.token_budget)
-        queries.append((rec, primary, prompt, db.task, cfg, llm))
-    return run_queries(partial(correct_one, answers=answers), queries, cfg.jobs, audit)
+        return rec, primary, prompt, db.task, cfg, llm
+
+    def stream():
+        for i in range(0, len(records), QUERY_CHUNK):
+            # the chunk's list goes once its last query is drawn
+            yield from [render(rec) for rec in records[i : i + QUERY_CHUNK]]
+
+    return run_queries(partial(correct_one, answers=answers), stream(), cfg.jobs, audit)
 
 
 def run_summary(

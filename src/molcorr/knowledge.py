@@ -23,7 +23,8 @@ A query coming from the validation split excludes its own entry from the
 pool (the leakage guard).
 
 The embeddings are the hasher's signed bucket counts, not normalised, and
-a query must hold integer counts too, so every dot product is an integer.
+a query must hold integer counts too, so every dot product is an integer;
+the first retrieval refuses a matrix holding any other value.
 ``||x||_1 * ||q||_1``, for the largest row ``||x||_1``, caps every partial
 sum of every dot product. Below 2**24 float32 holds each of them exactly,
 in any summation order, so one float32 GEMV scores the pool; otherwise
@@ -202,11 +203,16 @@ class KnowledgeDatabase:
     @cached_property
     def _largest_l1(self) -> float:
         """The largest row ||x||_1 (0 for no rows), summed in float64
-        ``_CALL_ROWS`` rows at a time, as ``_norms`` is."""
+        ``_CALL_ROWS`` rows at a time, as ``_norms`` is. A block holding a
+        non-finite or non-integer value raises KnowledgeError, since exact
+        scoring needs integer counts; the first retrieval makes this pass,
+        so building a database costs no extra scan."""
         largest = 0.0
         for i in range(0, len(self.embeddings), _CALL_ROWS):
-            block = np.abs(self.embeddings[i : i + _CALL_ROWS]).sum(axis=1, dtype=np.float64)
-            largest = max(largest, float(block.max()))
+            rows = self.embeddings[i : i + _CALL_ROWS]
+            if not (np.isfinite(rows) & (rows == np.trunc(rows))).all():
+                raise KnowledgeError("embedding matrix holds a non-integer value")
+            largest = max(largest, float(np.abs(rows).sum(axis=1, dtype=np.float64).max()))
         return largest
 
     @cached_property
@@ -293,10 +299,10 @@ def _cosines(db: KnowledgeDatabase, q: np.ndarray) -> np.ndarray:
     ||q||)``, 0 for a zero row or a zero query. ``bound`` caps every
     partial sum of every dot product, and ``q``'s own counts, so the dots
     are exact in float32 below 2**24 and in float64 below 2**53."""
+    bound = max(db._largest_l1, 1.0) * float(np.abs(q).sum())
     qn = float(np.linalg.norm(q))
     if qn == 0.0:
         return np.zeros(len(db))
-    bound = max(db._largest_l1, 1.0) * float(np.abs(q).sum())
     if bound < 2.0**24:
         dots = np.matmul(db.embeddings, q.astype(np.float32)).astype(np.float64)
     else:
@@ -318,6 +324,15 @@ def _ranked(db: KnowledgeDatabase, sims: np.ndarray, k: int) -> np.ndarray:
     return rows[np.lexsort((db._id_ranks[rows], -sims[rows]))[:k]]
 
 
+def excluded_row(db: KnowledgeDatabase, exclude_id: Optional[str]) -> Optional[int]:
+    """The row of ``exclude_id``, which leaves the query's pool (None when
+    no row has that id); KnowledgeError when nothing is left."""
+    excluded = db._index_of.get(exclude_id)
+    if len(db) - (excluded is not None) == 0:
+        raise KnowledgeError("retrieval pool is empty")
+    return excluded
+
+
 def retrieve(
     db: KnowledgeDatabase,
     query_vec: np.ndarray,
@@ -337,10 +352,8 @@ def retrieve(
         raise KnowledgeError(f"query dim {q.shape} does not match database dim {db.dim}")
     if not (np.isfinite(q) & (q == np.trunc(q))).all():
         raise KnowledgeError("query vector holds a non-integer value")
-    excluded = db._index_of.get(exclude_id)
+    excluded = excluded_row(db, exclude_id)
     n = len(db) - (excluded is not None)
-    if n == 0:
-        raise KnowledgeError("retrieval pool is empty")
     sims = _cosines(db, q)
     if excluded is not None:
         sims[excluded] = -np.inf
@@ -433,7 +446,10 @@ def load_database(directory: Union[str, Path]) -> KnowledgeDatabase:
             if not np.isfinite(block).all():
                 raise KnowledgeError(f"{sidecar_path}: non-finite embedding value")
             if not (block == np.trunc(block)).all():
-                raise KnowledgeError(f"{sidecar_path}: non-integer embedding value")
+                raise KnowledgeError(
+                    f"{sidecar_path}: non-integer embedding value (a database saved "
+                    f"before embeddings held integer bucket counts? rerun build-db)"
+                )
 
         rows, ids = [], {}
         for lineno, line in enumerate(fh, 2):

@@ -17,7 +17,8 @@ classification labels as bare 0/1. The token estimate is
 ``ceil(utf8_bytes / 4)``. A corrector prompt is rendered once; when it
 exceeds its budget, context lines are dropped lowest-rank-first, each
 taking its own byte count off the total, until it fits (the query and
-instruction are never dropped).
+instruction are never dropped). ``check_corrector_budget`` tells, without
+any context, whether the budget holds a query's prompt at all.
 """
 
 from __future__ import annotations
@@ -144,30 +145,17 @@ def _context_line(task: TaskSpec, index: int, entry: Entry) -> str:
     return line
 
 
-def build_corrector_prompt(
-    record: MoleculeRecord,
-    primary: float,
-    ctx: RetrievedContext,
-    task: TaskSpec,
-    token_budget: int = DEFAULT_TOKEN_BUDGET,
-) -> PromptBundle:
-    """Render the corrector prompt, trimming context to the token budget.
+def _render_corrector(train: List[str], valid: List[str], tail: List[str]) -> str:
+    return "\n\n".join([CORRECTOR_INSTRUCTION, "\n".join(train), "\n".join(valid), *tail])
 
-    The prompt is rendered once. Each entry of ``ctx.items`` gives one
-    context line, in the validation section when it carries a prediction
-    and in the training section otherwise. Lines are numbered within their
-    section in rank order, so dropping the lowest-rank entry pops its
-    section's last line and takes that line's UTF-8 bytes and newline off
-    the byte count. The instruction, question and footer always survive.
-    Descriptions are never included in corrector prompts.
-    """
-    train = [TRAIN_CONTEXT_HEADER]
-    valid = [VALID_CONTEXT_HEADER]
-    homes: List[List[str]] = []
-    for entry in ctx.items:
-        lines = train if entry.primary_prediction is None else valid
-        lines.append(_context_line(task, len(lines), entry))
-        homes.append(lines)
+
+def check_corrector_budget(
+    record: MoleculeRecord, primary: float, task: TaskSpec, token_budget: int
+) -> List[str]:
+    """The question and answer footer of ``record``'s corrector prompt,
+    once ``token_budget`` holds that prompt with every context line
+    dropped; PromptError otherwise. It needs no retrieved context, so a
+    split can check every query before it retrieves for any."""
     question = "\n".join(
         [
             QUESTION_HEADER,
@@ -178,23 +166,52 @@ def build_corrector_prompt(
         ]
     )
     tail = [question, answer_footer(task, PromptKind.CORRECTOR)]
+    estimate = estimate_tokens(
+        _render_corrector([TRAIN_CONTEXT_HEADER], [VALID_CONTEXT_HEADER], tail)
+    )
+    if estimate > token_budget:
+        raise PromptError(
+            f"token budget {token_budget} cannot hold the zero-context "
+            f"prompt ({estimate} tokens)"
+        )
+    return tail
 
-    def render() -> str:
-        return "\n\n".join([CORRECTOR_INSTRUCTION, "\n".join(train), "\n".join(valid), *tail])
 
-    text = render()
+def build_corrector_prompt(
+    record: MoleculeRecord,
+    primary: float,
+    ctx: RetrievedContext,
+    task: TaskSpec,
+    token_budget: int = DEFAULT_TOKEN_BUDGET,
+) -> PromptBundle:
+    """Render the corrector prompt, trimming context to the token budget.
+
+    ``check_corrector_budget`` first checks the prompt with no context
+    line, then the prompt is rendered once. Each entry of ``ctx.items``
+    gives one context line, in the validation section when it carries a
+    prediction and in the training section otherwise. Lines are numbered
+    within their section in rank order, so dropping the lowest-rank entry
+    pops its section's last line and takes that line's UTF-8 bytes and
+    newline off the byte count. The instruction, question and footer
+    always survive. Descriptions are never included in corrector prompts.
+    """
+    tail = check_corrector_budget(record, primary, task, token_budget)
+    train = [TRAIN_CONTEXT_HEADER]
+    valid = [VALID_CONTEXT_HEADER]
+    homes: List[List[str]] = []
+    for entry in ctx.items:
+        lines = train if entry.primary_prediction is None else valid
+        lines.append(_context_line(task, len(lines), entry))
+        homes.append(lines)
+    text = _render_corrector(train, valid, tail)
     size = len(text.encode("utf-8"))
     kept = len(homes)
+    # the zero-context prompt fits, so this stops by the time kept is 0
     while (estimate := math.ceil(size / 4)) > token_budget:
-        if not kept:
-            raise PromptError(
-                f"token budget {token_budget} cannot hold the zero-context "
-                f"prompt ({estimate} tokens)"
-            )
         kept -= 1
         size -= len(homes[kept].pop().encode("utf-8")) + 1
     if kept < len(homes):
-        text = render()
+        text = _render_corrector(train, valid, tail)
     return PromptBundle(
         kind=PromptKind.CORRECTOR,
         text=text,

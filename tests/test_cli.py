@@ -310,7 +310,10 @@ class TestCorrect:
         _as_saved_before_counts(db)
         assert main(["correct", "--config", cfg, "--split", "test"]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err == f"error: {db / SIDECAR_FILE}: non-integer embedding value\n"
+        assert err == (
+            f"error: {db / SIDECAR_FILE}: non-integer embedding value (a database saved "
+            f"before embeddings held integer bucket counts? rerun build-db)\n"
+        )
         records = [rec._replace(smiles="C" * (i % 6 + 1)) for i, rec in enumerate(bundle.records)]
         write_dataset_csv(DatasetBundle(bundle.task, tuple(records)), tmp_path / "dataset.csv")
         assert main(["build-db", "--config", cfg]) == EXIT_OK
@@ -451,6 +454,46 @@ class TestCorrect:
         assert capsys.readouterr().err == (
             f"error: token budget {budget} cannot hold the zero-context prompt "
             f"({max(sizes)} tokens)\n"
+        )
+        assert calls == []
+        assert not (tmp_path / "out" / "outcomes_test.jsonl").exists()
+        assert not (tmp_path / "out" / "audit_test.jsonl").exists()
+
+    def test_budget_fault_past_the_first_chunk_sends_nothing(self, tmp_path, capsys, monkeypatch):
+        # two queries a chunk, and only the sixth query's zero-context prompt
+        # over budget: the split is checked before its first chunk is sent
+        import molcorr.correct as correct_mod
+
+        monkeypatch.setattr(correct_mod, "QUERY_CHUNK", 2)
+        calls, complete = [], correct_mod.complete
+        monkeypatch.setattr(
+            correct_mod, "complete", lambda *args: calls.append(args) or complete(*args)
+        )
+        bundle, cfg = write_workspace(tmp_path, audit_log="true")
+        long_id = bundle.split_records(Split.TEST)[5].id
+        records = [
+            rec._replace(smiles=rec.smiles + "C" * 40) if rec.id == long_id else rec
+            for rec in bundle.records
+        ]
+        bundle = DatasetBundle(bundle.task, tuple(records))
+        write_dataset_csv(bundle, tmp_path / "dataset.csv")
+        assert main(["build-db", "--config", cfg]) == EXIT_OK
+        rows = [json.loads(line) for line in (tmp_path / "test.jsonl").read_text().splitlines()]
+        primaries = {row["id"]: row["prediction"] for row in rows}
+        sizes = {
+            rec.id: build_corrector_prompt(
+                rec, primaries[rec.id], RetrievedContext(items=()), REGRESSION, 10**6
+            ).token_estimate
+            for rec in bundle.split_records(Split.TEST)
+        }
+        budget = max(size for id, size in sizes.items() if id != long_id)
+        assert sizes[long_id] > budget
+        Path(cfg).write_text(Path(cfg).read_text() + f"token_budget={budget}\n")
+        capsys.readouterr()
+        assert main(["correct", "--config", cfg, "--split", "test"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: token budget {budget} cannot hold the zero-context prompt "
+            f"({sizes[long_id]} tokens)\n"
         )
         assert calls == []
         assert not (tmp_path / "out" / "outcomes_test.jsonl").exists()

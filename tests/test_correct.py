@@ -1,6 +1,8 @@
 import json
 import threading
 import time
+import weakref
+from dataclasses import replace
 
 import pytest
 
@@ -16,8 +18,8 @@ from molcorr.correct import (
     write_outcomes,
 )
 from molcorr.embed import LocalHashConfig, embed_molecule
-from molcorr.ingest import CLASSIFICATION, REGRESSION, Split
-from molcorr.knowledge import Jump, build_database, retrieve
+from molcorr.ingest import CLASSIFICATION, REGRESSION, DatasetBundle, Split
+from molcorr.knowledge import Jump, KnowledgeDatabase, KnowledgeError, build_database, retrieve
 from molcorr import correct as correct_mod
 from molcorr import llmclient, transport
 from molcorr.llmclient import (
@@ -366,6 +368,66 @@ class TestCorrectSplit:
                 audit=FullDisk(tmp_path / "audit.jsonl"),
             )
         assert len(calls) <= 3
+
+    def test_split_holds_a_window_of_prompts(self, tmp_path, monkeypatch):
+        # at every request, the corrector prompts still alive are at most
+        # one chunk's and those of the queries submitted ahead; latencies
+        # are zeroed so the audit logs compare byte for byte
+        n_test = 3 * correct_mod.QUERY_CHUNK + 5
+        bundle, _, test_preds, db = setup_pipeline(n_test=n_test)
+        alive, counts = weakref.WeakSet(), []
+
+        def tracked(*args):
+            prompt = build_corrector_prompt(*args)
+            alive.add(prompt)
+            return prompt
+
+        def counted(*args):
+            counts.append(len(alive))
+            return replace(complete(*args), latency=0.0)
+
+        monkeypatch.setattr(correct_mod, "build_corrector_prompt", tracked)
+        monkeypatch.setattr(correct_mod, "complete", counted)
+        written = {}
+        for jobs in (1, 3):
+            counts.clear()
+            outcomes = correct_split(
+                Split.TEST, bundle, test_preds, db, RunConfig(k=5, jobs=jobs), EMB,
+                MockNoisyOracle(p=0.5, seed=11), audit=AuditLog(tmp_path / f"audit_{jobs}.jsonl"),
+            )
+            assert len(counts) > n_test  # some queries self-correct
+            assert max(counts) <= correct_mod.QUERY_CHUNK + 2 * jobs
+            write_outcomes(outcomes, tmp_path / f"outcomes_{jobs}.jsonl")
+            written[jobs] = [
+                (tmp_path / f"{name}_{jobs}.jsonl").read_bytes() for name in ("outcomes", "audit")
+            ]
+        assert written[3] == written[1]
+
+    @pytest.mark.parametrize("fault", ["empty-pool", "dim"])
+    def test_fault_past_the_first_chunk_sends_nothing(self, tmp_path, monkeypatch, fault):
+        # one query a chunk: the last validation query's pool is empty, as
+        # the database holds only its own entry, or the database's dim is
+        # not the embedder's; either is found before anything is sent
+        monkeypatch.setattr(correct_mod, "QUERY_CHUNK", 1)
+        calls = []
+        monkeypatch.setattr(
+            correct_mod, "complete", lambda *args: calls.append(args) or complete(*args)
+        )
+        bundle, val_preds, _, db = setup_pipeline(n_train=0, n_valid=3, n_test=0)
+        if fault == "empty-pool":
+            last = bundle.split_records(Split.VALID)[-1]
+            db = build_database(DatasetBundle(bundle.task, (last,)), val_preds, EMB)
+            error, message = KnowledgeError, "retrieval pool is empty"
+        else:
+            db = KnowledgeDatabase(db.task, db.fingerprint, db.rows, db.embeddings[:, :16])
+            error, message = CorrectionError, "database dim 16 does not match embedder dim 32"
+        path = tmp_path / "audit.jsonl"
+        with pytest.raises(error, match=f"^{message}$"):
+            correct_split(
+                Split.VALID, bundle, val_preds, db, CFG, EMB, MockEcho(), audit=AuditLog(path)
+            )
+        assert calls == []
+        assert not path.exists()
 
     def test_audit_log_bytes_unchanged_at_one_job(self, tmp_path):
         # nothing rewrites the log after its last append

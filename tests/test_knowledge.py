@@ -53,6 +53,11 @@ def build_db(n_train=12, n_valid=5, seed=3, task=REGRESSION):
 _ROWS = (("a", "C", 1.0, None), ("b", "CC", 2.0, None))
 
 
+def _db_over(matrix):
+    """A database of ``_ROWS`` over ``matrix``, as a direct caller builds it."""
+    return KnowledgeDatabase(REGRESSION, "fp", _ROWS, np.array(matrix, np.float32))
+
+
 def _unlabeled_train():
     """A bundle of one train record without a label, which ``load_molecules`` refuses."""
     rec = make_bundle(REGRESSION, n_train=1, n_valid=0, n_test=0).records[0]
@@ -158,16 +163,12 @@ class TestBuild:
 
 class TestRetrieve:
     def test_topk_forced_ordering(self):
-        # similarities engineered via vectors at known angles to the query
-        angles = [0.9, 0.8, 0.7, 0.6, 0.5]
-        rows, vecs = [], []
-        for i, cos_target in enumerate(angles):
-            vec = np.zeros(4, dtype=np.float64)
-            vec[0] = cos_target
-            vec[1] = np.sqrt(1 - cos_target**2)
-            rows.append((f"e{i}", f"C{i}", 0.0, None))
-            vecs.append(vec)
-        db = KnowledgeDatabase(REGRESSION, "test", tuple(rows), np.array(vecs, np.float32))
+        # integer counts at falling angles to the query: cosines 0.914,
+        # 0.8, 0.707, 0.6 and 0.447
+        counts = [(9, 4), (4, 3), (1, 1), (3, 4), (1, 2)]
+        rows = tuple((f"e{i}", f"C{i}", 0.0, None) for i in range(len(counts)))
+        vecs = np.array([(x, y, 0, 0) for x, y in counts], np.float32)
+        db = KnowledgeDatabase(REGRESSION, "test", rows, vecs)
         query = np.array([1.0, 0.0, 0.0, 0.0])
         ctx = retrieve(db, query, k=2, strategy=TopK())
         assert ctx.ids == ("e0", "e1")
@@ -279,9 +280,15 @@ class TestRetrieve:
              "query vector holds a non-integer value"),
             (lambda: build_database(_unlabeled_train(), PredictionSet(Split.VALID, {}), EMB),
              "knowledge entry 'm00000' has no label"),
+            # checked by the first retrieval, so even a zero query refuses them
+            (lambda: retrieve(_db_over([[1, 0], [0.5, 0]]), np.zeros(2), k=1),
+             "embedding matrix holds a non-integer value"),
+            (lambda: retrieve(_db_over([[1, 0], [np.nan, 0]]), np.ones(2), k=1),
+             "embedding matrix holds a non-integer value"),
         ],
         ids=["matrix-not-2d", "matrix-rows-mismatch", "duplicate-ids", "k-zero",
-             "non-integer-query", "infinite-query", "unlabeled-train-record"],
+             "non-integer-query", "infinite-query", "unlabeled-train-record",
+             "non-integer-matrix", "non-finite-matrix"],
     )
     def test_inconsistent_input_raises(self, call, message):
         with pytest.raises(KnowledgeError) as info:
@@ -485,7 +492,8 @@ class TestPersistence:
         # the block scan checks finiteness first, so a NaN and a 0.5 in one
         # block name the NaN
         ("non-integer", lambda lines, raw: raw.__setitem__(slice(16, 20), struct.pack("<f", 0.5)),
-         "{sidecar}: non-integer embedding value"),
+         "{sidecar}: non-integer embedding value (a database saved before embeddings held "
+         "integer bucket counts? rerun build-db)"),
         ("corrupt-line", lambda lines, raw: lines.__setitem__(2, "{broken"),
          "{meta}:3: corrupt metadata (JSONDecodeError: "),
         # the entry lines are counted as they are parsed, so the count is checked last

@@ -40,7 +40,7 @@ from molcorr import Split
 
 preds = load_predictions(workdir / "test_preds.jsonl", bundle, Split.TEST)
 truths = [rec.label for rec in bundle.split_records(Split.TEST)]
-values = [preds.entries[rec.id] for rec in bundle.split_records(Split.TEST)]
+values = [preds[rec.id] for rec in bundle.split_records(Split.TEST)]
 
 baseline = rmse(values, truths)
 print(f"model RMSE on test: {baseline.value:.4f} over {baseline.n} molecules")

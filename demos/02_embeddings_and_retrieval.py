@@ -23,7 +23,7 @@ from molcorr import (
     embed_text,
     retrieve,
 )
-from molcorr.ingest import DatasetBundle, MoleculeRecord, PredictionSet, Split
+from molcorr.ingest import DatasetBundle, MoleculeRecord, Split
 
 emb = LocalHashConfig(dim=64, ngram=3)
 
@@ -41,7 +41,8 @@ def cosine(u, v):
 print("cos(CCCCO, CCCCCO)      =", round(cosine(a, b), 4))
 print("cos(CCCCO, nitropyridine) =", round(cosine(a, c), 4))
 
-# a small pool: 16 train molecules and 6 validation molecules
+# a small pool: 16 train molecules and 6 validation molecules, whose model
+# predictions are a plain {id: prediction} dict, as load_predictions returns
 rng = random.Random(1)
 records, val_preds = [], {}
 for i in range(22):
@@ -53,7 +54,7 @@ for i in range(22):
         val_preds[f"m{i}"] = round(label + rng.uniform(-1, 1), 4)
 
 bundle = DatasetBundle(REGRESSION, tuple(records))
-db = build_database(bundle, PredictionSet(Split.VALID, val_preds), emb)
+db = build_database(bundle, val_preds, emb)
 print(f"\ndatabase: {len(db)} entries, fingerprint {db.fingerprint}")
 
 query = embed_text(emb, "CCCCCCS8")

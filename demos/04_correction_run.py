@@ -21,10 +21,11 @@ from molcorr import (
     rmse,
     run_summary,
 )
-from molcorr.ingest import DatasetBundle, MoleculeRecord, PredictionSet, Split
+from molcorr.ingest import DatasetBundle, MoleculeRecord, Split
 
 rng = random.Random(4)
 records = []
+# each split's predictions: a plain {id: prediction} dict, as load_predictions returns
 val_preds, test_preds = {}, {}
 for i in range(90):
     split = Split.TRAIN if i < 50 else (Split.VALID if i < 70 else Split.TEST)
@@ -39,15 +40,14 @@ for i in range(90):
 
 bundle = DatasetBundle(REGRESSION, tuple(records))
 emb = LocalHashConfig(dim=64)
-db = build_database(bundle, PredictionSet(Split.VALID, val_preds), emb)
+db = build_database(bundle, val_preds, emb)
 cfg = RunConfig(k=8, seed=0)
 truths = [r.label for r in bundle.split_records(Split.TEST)]
-preds = PredictionSet(Split.TEST, test_preds)
 
 print(f"baseline RMSE: {rmse(list(test_preds.values()), truths).value:.4f}\n")
 
 for llm in (MockEcho(), MockNoisyOracle(p=0.5, seed=3), MockNoisyOracle(p=1.0, seed=3)):
-    outcomes = correct_split(Split.TEST, bundle, preds, db, cfg, emb, llm)
+    outcomes = correct_split(Split.TEST, bundle, test_preds, db, cfg, emb, llm)
     corrected = rmse([o.final for o in outcomes], truths)
     summary = run_summary(outcomes, cfg, emb, llm)
     name = summary["config"]["backend"]

@@ -20,7 +20,7 @@ from molcorr import (
     ablation_points,
     run_ablation,
 )
-from molcorr.ingest import DatasetBundle, MoleculeRecord, PredictionSet, Split
+from molcorr.ingest import DatasetBundle, MoleculeRecord, Split
 
 rng = random.Random(12)
 records = []
@@ -40,8 +40,6 @@ bundle = DatasetBundle(REGRESSION, tuple(records))
 emb = LocalHashConfig(dim=64)
 cfg = RunConfig(k=5, seed=1)
 llm = MockNoisyOracle(p=0.6, seed=9)
-val_set = PredictionSet(Split.VALID, val_preds)
-test_set = PredictionSet(Split.TEST, test_preds)
 
 # the k axis takes k values and the embedder axis embedder configs; the
 # strategy and self-correction axes have fixed points
@@ -56,7 +54,7 @@ for axis_name, values in axes.items():
     print(axis_name)
     print("=" * 52)
     points = ablation_points(axis_name, cfg, emb, values)
-    reports = run_ablation(points, bundle, val_set, Split.TEST, test_set, llm)
+    reports = run_ablation(points, bundle, val_preds, Split.TEST, test_preds, llm)
     for report in reports:
         row = report["splits"]["test"]
         print(

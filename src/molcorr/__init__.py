@@ -38,7 +38,6 @@ from .ingest import (
     DatasetBundle,
     Metric,
     MoleculeRecord,
-    PredictionSet,
     Split,
     TaskKind,
     TaskSpec,

@@ -126,7 +126,8 @@ class Config(dict):
 
 def read_config(path: Optional[str], overrides: Dict[str, object]) -> Config:
     """Read a ``key=value`` file (``#`` starts a comment, and a line ends only
-    at ``\\n``, ``\\r`` or ``\\r\\n``), then apply the flag overrides given."""
+    at ``\\n``, ``\\r`` or ``\\r\\n``), then apply the flag overrides given.
+    A fault in a line (no ``=``, an unknown key, a rejected value) names that line."""
     config = Config()
     lines = []
     if path:
@@ -138,15 +139,16 @@ def read_config(path: Optional[str], overrides: Dict[str, object]) -> Config:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        at = f"{path}:{lineno}:"
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+            raise ConfigError(f"{at} expected key=value, got {raw!r}")
         key, text = (part.strip() for part in line.split("=", 1))
         if key not in _KEYS:
-            raise ConfigError(f"unknown config key {key!r}")
+            raise ConfigError(f"{at} unknown config key {key!r}")
         try:
             config[key] = _KEYS[key](text)
         except ValueError as exc:
-            raise ConfigError(f"config key {key!r}: {exc}") from None
+            raise ConfigError(f"{at} config key {key!r}: {exc}") from None
     config.update((key, value) for key, value in overrides.items() if value is not None)
     return config
 
@@ -292,7 +294,7 @@ def cmd_correct(rt: Runtime, split: Split) -> int:
     bundle = load_molecules(rt.config["dataset"], rt.task, (split,))
     records = _split_records(bundle, split)
     preds = load_predictions(rt.config[f"{split.value}_predictions"], bundle, split)
-    _check_baseline(rt.task, records, preds.entries)
+    _check_baseline(rt.task, records, preds)
     db = load_database(rt.config["database_dir"])
     out_dir = _output_dir(rt)
     audit = _audit_log(rt, out_dir, split.value)
@@ -334,7 +336,7 @@ def cmd_predict(rt: Runtime, kind: PromptKind, split: Split, shots: int) -> int:
                 + (f"there is no {key}: base predictions exist only for the valid and test splits"
                    if split is Split.TRAIN else f"set {key} to predict on the {split.value} split")
             )
-        primaries = load_predictions(rt.config[key], bundle, split).entries
+        primaries = load_predictions(rt.config[key], bundle, split)
     # every prompt is rendered before the first request, so a prompt fault sends nothing
     queries = [(rec, build_predictor_prompt(kind, rec, rt.task, examples)) for rec in records]
     out_dir = _output_dir(rt)
@@ -386,7 +388,7 @@ def cmd_ablate(
         val_preds if split is Split.VALID
         else load_predictions(rt.config[f"{split.value}_predictions"], bundle, split)
     )
-    _check_baseline(rt.task, records, split_preds.entries)
+    _check_baseline(rt.task, records, split_preds)
     values: Tuple = ()
     if axis_name == "k":
         if not k_values:

@@ -50,7 +50,7 @@ from functools import partial
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .embed import LocalHashConfig, embed_molecule, embedder_fingerprint
-from .ingest import DatasetBundle, MoleculeRecord, PredictionSet, Split, TaskSpec
+from .ingest import DatasetBundle, MoleculeRecord, Split, TaskSpec
 from .knowledge import (KnowledgeDatabase, RetrievalStrategy, TopK, excluded_row, retrieve,
                         strategy_name)
 from .llmclient import (AuditLog, LlmBackendConfig, LlmError, LlmExchange, QueryMeta,
@@ -255,7 +255,7 @@ def correct_one(
 def correct_split(
     split: Split,
     bundle: DatasetBundle,
-    predictions: PredictionSet,
+    predictions: Dict[str, float],
     db: KnowledgeDatabase,
     cfg: RunConfig,
     embedder: LocalHashConfig,
@@ -288,17 +288,16 @@ def correct_split(
     if db.dim != embedder.dim:
         raise CorrectionError(f"database dim {db.dim} does not match embedder dim {embedder.dim}")
     records = bundle.split_records(split)
-    primaries = predictions.entries
 
     def own_id(rec):
         return rec.id if rec.split is Split.VALID else None
 
     for rec in records:
         excluded_row(db, own_id(rec))
-        check_corrector_budget(rec, primaries[rec.id], db.task, cfg.token_budget)
+        check_corrector_budget(rec, predictions[rec.id], db.task, cfg.token_budget)
 
     def render(rec):
-        primary = primaries[rec.id]
+        primary = predictions[rec.id]
         query_vec = embed_molecule(embedder, rec, cfg.include_description)
         ctx = retrieve(db, query_vec, cfg.k, cfg.strategy, exclude_id=own_id(rec))
         prompt = build_corrector_prompt(rec, primary, ctx, db.task, cfg.token_budget)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .correct import Answers, CorrectionOutcome, RunConfig, correct_split, run_summary
 from .embed import LocalHashConfig, embedder_fingerprint
-from .ingest import DatasetBundle, Metric, PredictionSet, Split, TaskSpec
+from .ingest import DatasetBundle, Metric, Split, TaskSpec
 from .knowledge import Jump, Random, TopK, build_database, strategy_name
 from .llmclient import LlmBackendConfig
 
@@ -168,9 +168,9 @@ def ablation_points(
 def run_ablation(
     points: Sequence[AblationPoint],
     bundle: DatasetBundle,
-    val_predictions: PredictionSet,
+    val_predictions: Dict[str, float],
     split: Split,
-    split_predictions: PredictionSet,
+    split_predictions: Dict[str, float],
     llm: LlmBackendConfig,
 ) -> List[Dict]:
     """One report per point, in point order, each with its echo merged

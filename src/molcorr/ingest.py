@@ -11,7 +11,7 @@ File formats:
     UTF-8). ``split`` is one of ``train``, ``valid``, ``test``. ``label``
     and ``description`` cells may be empty where permitted.
   * Predictions: JSON-lines, one ``{"id": <str>, "prediction": <number>}``
-    object per line.
+    object per line; a split's file loads as a plain ``{id: prediction}`` dict.
 """
 
 from __future__ import annotations
@@ -98,17 +98,6 @@ class MoleculeRecord(NamedTuple):
     description: Optional[str]
     split: Split
     label: Optional[float]
-
-
-@dataclass(frozen=True)
-class PredictionSet:
-    """Per-split model predictions, keyed by molecule id."""
-
-    split: Split
-    entries: Dict[str, float]
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 @dataclass(frozen=True)
@@ -200,8 +189,8 @@ def load_molecules(
 
 def load_predictions(
     path: Union[str, Path], bundle: DatasetBundle, split: Split
-) -> PredictionSet:
-    """Load a JSON-lines prediction file covering one split exactly.
+) -> Dict[str, float]:
+    """Load a JSON-lines prediction file covering one split exactly, as a dict.
 
     Ids are strings; every id of the split must appear exactly once, and
     ids outside the split are rejected. Predictions must be finite, and classification
@@ -243,4 +232,4 @@ def load_predictions(
             f"{path}: {len(missing)} {split.value} id(s) without predictions, "
             f"e.g. {shown}"
         )
-    return PredictionSet(split=split, entries=entries)
+    return entries

@@ -23,10 +23,11 @@ A query coming from the validation split excludes its own entry from the
 pool (the leakage guard).
 
 The embeddings are the hasher's signed bucket counts, not normalised, and
-a query must hold integer counts too, so every dot product is an integer;
-the first retrieval refuses a matrix holding any other value.
-``||x||_1 * ||q||_1``, for the largest row ``||x||_1``, caps every partial
-sum of every dot product. Below 2**24 float32 holds each of them exactly,
+a query must hold integer counts too, so every dot product is an integer.
+One scan, made by loading or else by the first retrieval, refuses a
+matrix holding any other value and measures the row norms and the largest
+row ``||x||_1``, which times ``||q||_1`` caps every partial sum of every
+dot product. Below 2**24 float32 holds each of them exactly,
 in any summation order, so one float32 GEMV scores the pool; otherwise
 the rows are scored in float64 a block at a time, exact below 2**53. The
 cosine is then ``dots / (norms * ||q||)`` in float64, 0 for a zero row,
@@ -46,10 +47,10 @@ No phase holds a pool-sized temporary beside the matrix and the rows:
 building composes each entry's embedding text only when the embedder
 reads its block; saving writes the entry lines a block at a time;
 loading reads the metadata file once, line by line, checking the header,
-the matrix (a block at a time), each entry line and then the entry
-count, and drops its id -> line dict, which names a repeated id's first
-line, before the database builds its id index; the norm and ||x||_1
-passes and float64 scoring convert a block of rows at a time.
+the matrix (the scan), each entry line and then the entry count, and
+drops its id -> line dict, which names a repeated id's first line, before
+the database builds its id index; the scan and float64 scoring convert a
+block of rows at a time.
 """
 
 from __future__ import annotations
@@ -61,21 +62,21 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
 from .embed import LocalHashConfig, compose_molecule_text, embed_texts, embedder_fingerprint
 from .hashing import SplitMix64
-from .ingest import DatasetBundle, MoleculeRecord, PredictionSet, Split, TaskKind, TaskSpec
+from .ingest import DatasetBundle, MoleculeRecord, Split, TaskKind, TaskSpec
 from .ingest import json_number, open_utf8
 
 MAGIC = b"LCDB"
 METADATA_FILE = "metadata.jsonl"
 SIDECAR_FILE = "embeddings.lcdb"
 
-# most rows per block of any pass over the pool (norms, ||x||_1, the load
-# checks, saving, float64 scoring): bounds each pass's temporaries
+# most rows per block of any pass over the pool (the matrix scan, saving,
+# float64 scoring): bounds each pass's temporaries
 _CALL_ROWS = 128
 
 
@@ -142,6 +143,32 @@ def check_entry(
     return (id, smiles, float(label), primary_prediction)
 
 
+class _MatrixStats(NamedTuple):
+    """The row norms in float64, and the largest row ||x||_1 (0 for no rows)."""
+
+    norms: np.ndarray
+    largest_l1: float
+
+
+def _scan_matrix(matrix: np.ndarray, non_finite: str, non_integer: str) -> _MatrixStats:
+    """A matrix's stats, ``_CALL_ROWS`` rows at a time. Exact scoring needs
+    integer counts, so each block is checked for a non-finite value, then a
+    non-integer one, raising KnowledgeError with that message. Integer
+    squares and sums are exact in float64 below 2**53, so the norms equal
+    ``np.linalg.norm(matrix.astype(np.float64), axis=1)`` bit for bit."""
+    norms = np.empty(len(matrix))
+    largest = 0.0
+    for i in range(0, len(matrix), _CALL_ROWS):
+        rows = matrix[i : i + _CALL_ROWS]
+        if not np.isfinite(rows).all():
+            raise KnowledgeError(non_finite)
+        if not (rows == np.trunc(rows)).all():
+            raise KnowledgeError(non_integer)
+        norms[i : i + len(rows)] = np.sqrt(np.einsum("ij,ij->i", rows, rows, dtype=np.float64))
+        largest = max(largest, float(np.abs(rows).sum(axis=1, dtype=np.float64).max()))
+    return _MatrixStats(norms, largest)
+
+
 class KnowledgeDatabase:
     """Immutable metadata rows over one ``(count, dim)`` float32 embedding
     matrix of integer counts, plus the embedder fingerprint that produced
@@ -188,32 +215,12 @@ class KnowledgeDatabase:
         )
 
     @cached_property
-    def _norms(self) -> np.ndarray:
-        """Each row's Euclidean norm in float64, converting ``_CALL_ROWS``
-        rows at a time so no whole-pool float64 array is ever held. Each row
-        is summed along its own contiguous axis, so the result is
-        bit-identical to ``np.linalg.norm(embeddings.astype(np.float64),
-        axis=1)``."""
-        norms = np.empty(len(self.embeddings))
-        for i in range(0, len(norms), _CALL_ROWS):
-            block = self.embeddings[i : i + _CALL_ROWS].astype(np.float64)
-            np.sqrt(np.add.reduce(block * block, axis=1), out=norms[i : i + _CALL_ROWS])
-        return norms
-
-    @cached_property
-    def _largest_l1(self) -> float:
-        """The largest row ||x||_1 (0 for no rows), summed in float64
-        ``_CALL_ROWS`` rows at a time, as ``_norms`` is. A block holding a
-        non-finite or non-integer value raises KnowledgeError, since exact
-        scoring needs integer counts; the first retrieval makes this pass,
-        so building a database costs no extra scan."""
-        largest = 0.0
-        for i in range(0, len(self.embeddings), _CALL_ROWS):
-            rows = self.embeddings[i : i + _CALL_ROWS]
-            if not (np.isfinite(rows) & (rows == np.trunc(rows))).all():
-                raise KnowledgeError("embedding matrix holds a non-integer value")
-            largest = max(largest, float(np.abs(rows).sum(axis=1, dtype=np.float64).max()))
-        return largest
+    def _stats(self) -> _MatrixStats:
+        """The embeddings' ``_scan_matrix``, made by the first retrieval so
+        that building a database costs no extra scan; ``load_database``
+        sets it from the scan its own checks make."""
+        fault = "embedding matrix holds a non-integer value"
+        return _scan_matrix(self.embeddings, fault, fault)
 
     @cached_property
     def _id_ranks(self) -> np.ndarray:
@@ -241,7 +248,7 @@ class RetrievedContext:
 
 def build_database(
     bundle: DatasetBundle,
-    val_predictions: PredictionSet,
+    val_predictions: Dict[str, float],
     embedder: LocalHashConfig,
     include_description: bool = False,
 ) -> KnowledgeDatabase:
@@ -249,10 +256,9 @@ def build_database(
 
     Entry order follows dataset order. Valid entries must all be covered
     by ``val_predictions`` (the prediction loader guarantees this when the
-    set was loaded against the same bundle).
+    dict was loaded against the same bundle).
     """
     train, valid = Split.TRAIN, Split.VALID
-    predictions = val_predictions.entries
     rows = []
     pool = []
     for rec in bundle.records:
@@ -260,9 +266,9 @@ def build_database(
         if split is train:
             prediction = None
         elif split is valid:
-            if rec.id not in predictions:
+            if rec.id not in val_predictions:
                 raise KnowledgeError(f"no validation prediction for id {rec.id!r}")
-            prediction = predictions[rec.id]
+            prediction = val_predictions[rec.id]
         else:
             continue
         if rec.label is None:
@@ -299,7 +305,8 @@ def _cosines(db: KnowledgeDatabase, q: np.ndarray) -> np.ndarray:
     ||q||)``, 0 for a zero row or a zero query. ``bound`` caps every
     partial sum of every dot product, and ``q``'s own counts, so the dots
     are exact in float32 below 2**24 and in float64 below 2**53."""
-    bound = max(db._largest_l1, 1.0) * float(np.abs(q).sum())
+    norms, largest_l1 = db._stats  # read first: a zero query refuses a bad matrix too
+    bound = max(largest_l1, 1.0) * float(np.abs(q).sum())
     qn = float(np.linalg.norm(q))
     if qn == 0.0:
         return np.zeros(len(db))
@@ -311,8 +318,8 @@ def _cosines(db: KnowledgeDatabase, q: np.ndarray) -> np.ndarray:
             [np.matmul(db.embeddings[i : i + _CALL_ROWS].astype(np.float64), q) for i in blocks]
         )
     with np.errstate(invalid="ignore", divide="ignore"):
-        sims = dots / (db._norms * qn)
-    return np.where(db._norms == 0.0, 0.0, sims)
+        sims = dots / (norms * qn)
+    return np.where(norms == 0.0, 0.0, sims)
 
 
 def _ranked(db: KnowledgeDatabase, sims: np.ndarray, k: int) -> np.ndarray:
@@ -441,15 +448,11 @@ def load_database(directory: Union[str, Path]) -> KnowledgeDatabase:
                 f"{sidecar_path}: expected {expected} payload bytes, got {len(raw) - 12}"
             )
         matrix = np.frombuffer(raw, dtype="<f4", offset=12).reshape(count, dim)
-        for i in range(0, count, _CALL_ROWS):
-            block = matrix[i : i + _CALL_ROWS]
-            if not np.isfinite(block).all():
-                raise KnowledgeError(f"{sidecar_path}: non-finite embedding value")
-            if not (block == np.trunc(block)).all():
-                raise KnowledgeError(
-                    f"{sidecar_path}: non-integer embedding value (a database saved "
-                    f"before embeddings held integer bucket counts? rerun build-db)"
-                )
+        stats = _scan_matrix(
+            matrix, f"{sidecar_path}: non-finite embedding value",
+            f"{sidecar_path}: non-integer embedding value (a database saved "
+            f"before embeddings held integer bucket counts? rerun build-db)",
+        )
 
         rows, ids = [], {}
         for lineno, line in enumerate(fh, 2):
@@ -472,4 +475,6 @@ def load_database(directory: Union[str, Path]) -> KnowledgeDatabase:
         raise KnowledgeError(f"{meta_path}: header says {count} entries, found {len(rows)}")
     # the database builds its own id index; one pool-sized id dict at a time
     del ids
-    return KnowledgeDatabase(task=task, fingerprint=fingerprint, rows=tuple(rows), embeddings=matrix)
+    db = KnowledgeDatabase(task=task, fingerprint=fingerprint, rows=tuple(rows), embeddings=matrix)
+    db._stats = stats  # so the loaded pool is never walked again
+    return db

@@ -15,18 +15,18 @@ import math
 import random
 import tracemalloc
 from pathlib import Path
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 import pytest
 
+from molcorr import knowledge
 from molcorr.ingest import (
     CLASSIFICATION,
     CSV_HEADER,
     REGRESSION,
     DatasetBundle,
     MoleculeRecord,
-    PredictionSet,
     Split,
     TaskSpec,
 )
@@ -101,7 +101,7 @@ def make_bundle(
 
 def make_predictions(
     bundle: DatasetBundle, split: Split, seed: int = 11, noise: float = 0.8
-) -> PredictionSet:
+) -> Dict[str, float]:
     """Imperfect primaries: correlated with the label but off by noise."""
     rng = random.Random(seed)
     entries = {}
@@ -116,7 +116,7 @@ def make_predictions(
             base = 0.0 if rec.label is None else rec.label
             value = base + rng.uniform(-noise, noise)
         entries[rec.id] = round(value, 4)
-    return PredictionSet(split=split, entries=entries)
+    return entries
 
 
 def write_dataset_csv(bundle: DatasetBundle, path: Path) -> None:
@@ -157,10 +157,25 @@ def traced(fn):
     return out, peak - before, current - before
 
 
-def write_predictions_jsonl(preds: PredictionSet, path: Path) -> None:
+def write_predictions_jsonl(preds: Dict[str, float], path: Path) -> None:
     with path.open("w", encoding="utf-8") as fh:
-        for mol_id, value in preds.entries.items():
+        for mol_id, value in preds.items():
             fh.write(json.dumps({"id": mol_id, "prediction": value}) + "\n")
+
+
+@pytest.fixture
+def matrix_scans(monkeypatch) -> List[int]:
+    """A list that gains one item per call of the knowledge module's matrix
+    scan, the one pass that checks and measures a pool's embeddings."""
+    calls: List[int] = []
+    scan = knowledge._scan_matrix
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return scan(*args)
+
+    monkeypatch.setattr(knowledge, "_scan_matrix", counted)
+    return calls
 
 
 @pytest.fixture

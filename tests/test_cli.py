@@ -71,6 +71,15 @@ class TestBuildDb:
         assert "28 entries" in out  # 20 train + 8 valid
         assert "dim 32" in out
 
+    def test_build_db_scans_no_matrix_and_correct_one(self, tmp_path, matrix_scans):
+        # build-db embeds and saves the pool without checking it again;
+        # correct scans the loaded matrix once, for every query it retrieves
+        _, cfg = write_workspace(tmp_path)
+        assert main(["build-db", "--config", cfg]) == EXIT_OK
+        assert matrix_scans == []
+        assert main(["correct", "--config", cfg, "--split", "test"]) == EXIT_OK
+        assert matrix_scans == [28]
+
     def test_missing_predictions_file_names_path(self, tmp_path, capsys):
         _, cfg = write_workspace(tmp_path)
         (tmp_path / "valid.jsonl").unlink()
@@ -548,7 +557,7 @@ class TestPredict:
             json.loads(line)
             for line in (tmp_path / "out" / "predict_ip_test.jsonl").read_text().splitlines()
         ]
-        base = make_predictions(bundle, Split.TEST, seed=5).entries
+        base = make_predictions(bundle, Split.TEST, seed=5)
         labels = {rec.id: rec.label for rec in bundle.split_records(Split.TEST)}
         assert [row["id"] for row in rows] == list(labels)
         for row in rows:
@@ -856,7 +865,9 @@ class TestConfigHandling:
     @pytest.mark.parametrize(
         "extra, named",
         [
-            ({"k": "ten"}, "'k'"),
+            # a value its converter rejects is named by its line, as is an unknown key
+            ({"k": "ten"},
+             "molcorr.cfg:8: config key 'k': invalid literal for int() with base 10: 'ten'\n"),
             ({"llm_backend": "scripted", "scripted_responses": "{scripted}"}, "scripted_responses"),
             ({"llm_backend": "noisy", "noisy_p": "2"}, "noisy_p"),
             (
@@ -865,13 +876,15 @@ class TestConfigHandling:
                 "MOLCORR_TEST_UNSET_KEY",
             ),
             ({"jobs": "0"}, "jobs must be >= 1, got 0"),
-            ({"audit_log": "maybe"}, "config key 'audit_log': expected a boolean, got 'maybe'"),
-            ({"noisy_p": "nan"}, "config key 'noisy_p': expected a finite number, got 'nan'"),
+            ({"audit_log": "maybe"},
+             "molcorr.cfg:9: config key 'audit_log': expected a boolean, got 'maybe'"),
+            ({"noisy_p": "nan"},
+             "molcorr.cfg:9: config key 'noisy_p': expected a finite number, got 'nan'"),
             # the value's newline puts a line without "=" after the k line, line 8
             ({"k": "5\nno equals sign"}, "molcorr.cfg:9: expected key=value, got 'no equals sign'"),
             # a line ends only at \n, \r or \r\n, so the comment on line 9 is one line
             ({"k": "5\n# a\u2028b\x85c\x0cd\nk=ten"},
-             "error: config key 'k': invalid literal for int() with base 10: 'ten'\n"),
+             "molcorr.cfg:10: config key 'k': invalid literal for int() with base 10: 'ten'\n"),
             ({"k": "5\n# a\u2028b\x85c\x0cd\nk ten"},
              "molcorr.cfg:10: expected key=value, got 'k ten'"),
             ({"database_dir": None}, "config key 'database_dir' is required for this command"),
@@ -923,12 +936,13 @@ class TestConfigHandling:
                f"config key(s) llm_endpoint, llm_model: endpoint {url!r} is not an http(s) URL")
               for url in ("http://127.0.0.1:9/v1/ch\xe9", "http://127.0.0.1:9/v1?q=\xe9")),
             # the keys of the remote embedder, which is gone
-            ({"embedder_backend": "localhash"}, "unknown config key 'embedder_backend'"),
+            ({"embedder_backend": "localhash"},
+             "molcorr.cfg:9: unknown config key 'embedder_backend'"),
             ({"embedder_endpoint": "http://127.0.0.1:9/v1/embeddings"},
-             "unknown config key 'embedder_endpoint'"),
-            ({"embedder_model": "m"}, "unknown config key 'embedder_model'"),
+             "molcorr.cfg:9: unknown config key 'embedder_endpoint'"),
+            ({"embedder_model": "m"}, "molcorr.cfg:9: unknown config key 'embedder_model'"),
             ({"embedder_key_env": "MOLCORR_TEST_UNSET_KEY"},
-             "unknown config key 'embedder_key_env'"),
+             "molcorr.cfg:9: unknown config key 'embedder_key_env'"),
         ],
         ids=["non-integer", "malformed-scripted-json", "noisy-p-out-of-range", "unset-api-key",
              "jobs-below-one", "non-boolean", "non-finite-float", "line-without-equals",
@@ -1005,11 +1019,14 @@ class TestConfigHandling:
             "config key(s) llm_endpoint, llm_model: endpoint must be an http(s) URL"
         )
 
-    @pytest.mark.parametrize(
-        "key",
-        ["dataset", "valid_predictions", "test_predictions", "database_dir", "output_dir",
-         "scripted_responses"],
-    )
+    # each path key with the line write_workspace puts it on, when the
+    # scripted backend (line 9) reads scripted_responses (line 10)
+    PATH_KEY_LINES = {
+        "dataset": 2, "valid_predictions": 3, "test_predictions": 4, "database_dir": 5,
+        "output_dir": 6, "scripted_responses": 10,
+    }
+
+    @pytest.mark.parametrize("key", list(PATH_KEY_LINES))
     def test_nul_in_a_path_key_exits_2(self, tmp_path, capsys, key):
         # open() and mkdir() raise a bare ValueError on a NUL byte
         scripted = tmp_path / "scripted.json"
@@ -1019,14 +1036,11 @@ class TestConfigHandling:
         for command in ("build-db", "correct"):
             assert main([command, "--config", cfg]) == EXIT_CONFIG
             assert capsys.readouterr().err == (
-                f"error: config key {key!r}: 'd\\x00x' holds a NUL byte\n"
+                f"error: {cfg}:{self.PATH_KEY_LINES[key]}: config key {key!r}: "
+                "'d\\x00x' holds a NUL byte\n"
             )
 
-    @pytest.mark.parametrize(
-        "key",
-        ["dataset", "valid_predictions", "test_predictions", "database_dir", "output_dir",
-         "scripted_responses"],
-    )
+    @pytest.mark.parametrize("key", list(PATH_KEY_LINES))
     def test_empty_path_value_exits_2(self, tmp_path, capsys, monkeypatch, key):
         # Path("") is the working directory, where build-db would save the database
         monkeypatch.chdir(tmp_path)
@@ -1036,8 +1050,19 @@ class TestConfigHandling:
         _, cfg = write_workspace(tmp_path, llm_backend="scripted", **paths)
         for command in ("build-db", "correct"):
             assert main([command, "--config", cfg]) == EXIT_CONFIG
-            assert capsys.readouterr().err == f"error: config key {key!r}: empty path\n"
+            assert capsys.readouterr().err == (
+                f"error: {cfg}:{self.PATH_KEY_LINES[key]}: config key {key!r}: empty path\n"
+            )
         assert not (tmp_path / "metadata.jsonl").exists()
+
+    def test_repeated_key_fault_names_the_line_it_is_on(self, tmp_path, capsys):
+        # k is set on lines 2 and 5, and only line 5's value is rejected
+        cfg = tmp_path / "molcorr.cfg"
+        cfg.write_text("task=regression\nk=5\nseed=1\njobs=1\nk=five\n")
+        assert main(["correct", "--config", str(cfg)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: {cfg}:5: config key 'k': invalid literal for int() with base 10: 'five'\n"
+        )
 
     def test_nul_in_the_config_path_exits_2(self, tmp_path, capsys):
         # a shell argv cannot hold a NUL byte; an in-process caller can

@@ -91,7 +91,7 @@ class TestCorrectOne:
     def test_echo_never_triggers(self):
         bundle, _, test_preds, db = setup_pipeline()
         rec = bundle.split_records(Split.TEST)[0]
-        primary = test_preds.entries[rec.id]
+        primary = test_preds[rec.id]
         out = correct_query(rec, primary, db, CFG, MockEcho())
         assert out.final == primary
         assert not out.self_correction_invoked
@@ -111,7 +111,7 @@ class TestCorrectOne:
     def test_scripted_garbage_falls_back(self):
         bundle, _, test_preds, db = setup_pipeline()
         rec = bundle.split_records(Split.TEST)[0]
-        primary = test_preds.entries[rec.id]
+        primary = test_preds[rec.id]
         llm = MockScripted(responses={rec.id: "garbage"})
         out = correct_query(rec, primary, db, CFG, llm)
         assert out.fallback_used
@@ -137,7 +137,7 @@ class TestCorrectOne:
             complete(llm, prompt, QueryMeta(id="a"), REGRESSION)
         bundle, _, test_preds, db = setup_pipeline()
         rec = bundle.split_records(Split.TEST)[0]
-        primary = test_preds.entries[rec.id]
+        primary = test_preds[rec.id]
         out = correct_query(rec, primary, db, CFG, llm)
         assert out.fallback_used
         assert out.final == primary
@@ -145,7 +145,7 @@ class TestCorrectOne:
     def test_unmapped_scripted_id_falls_back(self):
         bundle, _, test_preds, db = setup_pipeline()
         rec = bundle.split_records(Split.TEST)[0]
-        out = correct_query(rec, test_preds.entries[rec.id], db, CFG, MockScripted())
+        out = correct_query(rec, test_preds[rec.id], db, CFG, MockScripted())
         assert out.fallback_used
 
     @staticmethod
@@ -166,7 +166,7 @@ class TestCorrectOne:
     def test_corrector_request_failure_falls_back(self, monkeypatch, caplog):
         bundle, _, test_preds, db = setup_pipeline()
         rec = bundle.split_records(Split.TEST)[0]
-        primary = test_preds.entries[rec.id]
+        primary = test_preds[rec.id]
         calls = self.failing_transport(monkeypatch, 1, "Prediction: 1.0")
         log = []
         llm = RemoteChatConfig(endpoint="http://127.0.0.1:9/v1/chat", model="m")
@@ -241,7 +241,7 @@ class TestCorrectOne:
         cfg = RunConfig(k=40, token_budget=400)
         outs = correct_split(Split.TEST, bundle, test_preds, db, cfg, EMB, llm)
         for rec, out in zip(bundle.split_records(Split.TEST), outs, strict=True):
-            primary = test_preds.entries[rec.id]
+            primary = test_preds[rec.id]
             ctx = retrieve(db, embed_molecule(EMB, rec), cfg.k, cfg.strategy)
             prompt = build_corrector_prompt(rec, primary, ctx, db.task, cfg.token_budget)
             assert out.fallback_used is isinstance(llm, MockScripted)
@@ -259,7 +259,7 @@ class TestCorrectOne:
     def test_trigger_soundness(self):
         bundle, _, test_preds, db = setup_pipeline(seed=21)
         for rec in bundle.split_records(Split.TEST):
-            primary = test_preds.entries[rec.id]
+            primary = test_preds[rec.id]
             out = correct_query(rec, primary, db, CFG, MockPerfectOracle())
             assert out.initial is not None
             want = should_self_correct(REGRESSION, primary, out.initial.prediction, CFG)
@@ -275,11 +275,7 @@ class TestCorrectSplit:
 
     def test_empty_split(self):
         bundle, val_preds, _, db = setup_pipeline(n_test=0)
-        from molcorr.ingest import PredictionSet
-
-        outs = correct_split(
-            Split.TEST, bundle, PredictionSet(Split.TEST, {}), db, CFG, EMB, MockEcho()
-        )
+        outs = correct_split(Split.TEST, bundle, {}, db, CFG, EMB, MockEcho())
         assert outs == []
 
     def test_valid_split_excludes_self(self):
@@ -512,9 +508,9 @@ class TestSummaryAndSerialization:
         scripted = {}
         for i, rec in enumerate(records):
             if i < 3:
-                scripted[rec.id] = f"Prediction: {test_preds.entries[rec.id]:.4f}"
+                scripted[rec.id] = f"Prediction: {test_preds[rec.id]:.4f}"
             elif i < 5:
-                scripted[rec.id] = f"maybe around {test_preds.entries[rec.id]:.4f} or so"
+                scripted[rec.id] = f"maybe around {test_preds[rec.id]:.4f} or so"
         outs = correct_split(
             Split.TEST, bundle, test_preds, db, CFG, EMB, MockScripted(scripted)
         )

@@ -271,7 +271,7 @@ class TestLoadPredictions:
         write_predictions_jsonl(preds, path)
         loaded = load_predictions(path, regression_bundle, Split.VALID)
         assert len(loaded) == regression_bundle.counts[Split.VALID]
-        assert loaded.entries == preds.entries
+        assert loaded == preds
 
     def test_blank_lines_are_skipped(self, tmp_path, regression_bundle):
         preds = make_predictions(regression_bundle, Split.VALID)
@@ -279,11 +279,11 @@ class TestLoadPredictions:
         write_predictions_jsonl(preds, path)
         first, *rest = path.read_text().splitlines(keepends=True)
         path.write_text("\n" + first + " \t\n" + "".join(rest) + "\n")
-        assert load_predictions(path, regression_bundle, Split.VALID).entries == preds.entries
+        assert load_predictions(path, regression_bundle, Split.VALID) == preds
 
     def test_missing_one_id(self, tmp_path, regression_bundle):
         preds = make_predictions(regression_bundle, Split.VALID)
-        dropped = dict(preds.entries)
+        dropped = dict(preds)
         missing_id = sorted(dropped)[0]
         del dropped[missing_id]
         path = tmp_path / "p.jsonl"
@@ -316,7 +316,7 @@ class TestLoadPredictions:
         preds = make_predictions(regression_bundle, Split.VALID)
         path = tmp_path / "p.jsonl"
         write_predictions_jsonl(preds, path)
-        first = sorted(preds.entries)[0]
+        first = sorted(preds)[0]
         with path.open("a") as fh:
             fh.write('{"id": "%s", "prediction": 0.5}\n' % first)
         with pytest.raises(IngestError, match=f"duplicate id '{first}'"):
@@ -335,7 +335,7 @@ class TestLoadPredictions:
         preds = make_predictions(regression_bundle, Split.VALID)
         path = tmp_path / "p.jsonl"
         with path.open("w") as fh:
-            for i, (mol_id, v) in enumerate(preds.entries.items()):
+            for i, (mol_id, v) in enumerate(preds.items()):
                 fh.write('{"id": "%s", "prediction": %s}\n' % (mol_id, value if i == 1 else v))
         with pytest.raises(IngestError, match=r"p\.jsonl:2: .*not finite"):
             load_predictions(path, regression_bundle, Split.VALID)
@@ -349,7 +349,7 @@ class TestLoadPredictions:
         preds = make_predictions(regression_bundle, Split.VALID)
         path = tmp_path / "p.jsonl"
         with path.open("w") as fh:
-            for i, (mol_id, v) in enumerate(preds.entries.items()):
+            for i, (mol_id, v) in enumerate(preds.items()):
                 fh.write('{"id": "%s", "prediction": %s}\n' % (mol_id, value if i == 1 else v))
         with pytest.raises(IngestError) as info:
             load_predictions(path, regression_bundle, Split.VALID)

@@ -22,7 +22,6 @@ from molcorr.ingest import (
     REGRESSION,
     DatasetBundle,
     MoleculeRecord,
-    PredictionSet,
     Split,
 )
 from molcorr.knowledge import (
@@ -142,7 +141,7 @@ class TestBuild:
     def test_missing_prediction_rejected(self):
         bundle = make_bundle(REGRESSION, n_train=2, n_valid=2, n_test=0)
         with pytest.raises(KnowledgeError):
-            build_database(bundle, PredictionSet(Split.VALID, {}), EMB)
+            build_database(bundle, {}, EMB)
 
     def test_entry_invariants(self):
         with pytest.raises(KnowledgeError, match=r"^entry 'a' has a non-finite label nan$"):
@@ -278,7 +277,7 @@ class TestRetrieve:
              "query vector holds a non-integer value"),
             (lambda: retrieve(build_db()[2], np.full(EMB.dim, np.inf), k=1),
              "query vector holds a non-integer value"),
-            (lambda: build_database(_unlabeled_train(), PredictionSet(Split.VALID, {}), EMB),
+            (lambda: build_database(_unlabeled_train(), {}, EMB),
              "knowledge entry 'm00000' has no label"),
             # checked by the first retrieval, so even a zero query refuses them
             (lambda: retrieve(_db_over([[1, 0], [0.5, 0]]), np.zeros(2), k=1),
@@ -611,13 +610,13 @@ def pools(draw, smiles=st.text(SMILES_ALPHABET, min_size=1, max_size=12)):
         if split is Split.VALID:
             predictions[mol_id] = draw(st.floats(0.0, 1.0))
     bundle = DatasetBundle(task=task, records=tuple(records))
-    return bundle, PredictionSet(Split.VALID, predictions)
+    return bundle, predictions
 
 
 class TestStore:
     @given(pool=pools(), dim=st.sampled_from([8, 16, 32]), described=st.booleans())
     @example(
-        pool=(DatasetBundle(REGRESSION, ()), PredictionSet(Split.VALID, {})), dim=8, described=False
+        pool=(DatasetBundle(REGRESSION, ()), {}), dim=8, described=False
     )
     @settings(max_examples=60, deadline=None)
     def test_round_trip_over_random_pools(self, pool, dim, described):
@@ -709,7 +708,7 @@ def test_int_numbers_save_the_same_bytes_after_a_reload(tmp_path):
         MoleculeRecord("b", "CCN", "ring", Split.VALID, -1),
         MoleculeRecord("c", "C", None, Split.VALID, np.float64(1.5)),
     )
-    val_preds = PredictionSet(Split.VALID, {"b": 2, "c": np.float64(0.25)})
+    val_preds = {"b": 2, "c": np.float64(0.25)}
     db = build_database(DatasetBundle(REGRESSION, records), val_preds, EMB)
     assert all(type(row[2]) is float for row in db.rows)
     assert all(type(row[3]) is float for row in db.rows if row[3] is not None)
@@ -745,7 +744,7 @@ def pinned_pool():
         records.append(MoleculeRecord(mol_id, smiles, description, split, label))
         if split is Split.VALID:
             predictions[mol_id] = round(rng.uniform(-5.0, 5.0), 4)
-    return DatasetBundle(REGRESSION, tuple(records)), PredictionSet(Split.VALID, predictions)
+    return DatasetBundle(REGRESSION, tuple(records)), predictions
 
 
 def test_pinned_pool_bytes(tmp_path):
@@ -810,7 +809,24 @@ CALL = knowledge._CALL_ROWS
 def test_norms_are_bit_identical_to_linalg_norm(count, dim, seed, zero_rows):
     db = _matrix_db(count, dim, seed, zero_rows)
     want = np.linalg.norm(db.embeddings.astype(np.float64), axis=1)
-    assert db._norms.tobytes() == want.tobytes()
+    assert db._stats.norms.tobytes() == want.tobytes()
+
+
+def test_a_pool_is_scanned_once(tmp_path, matrix_scans):
+    # a database built in code checks and measures its matrix on its first
+    # retrieval; loading does so in its own checks, and retrieval reads that
+    _, _, db = build_db()
+    query = embed_text(EMB, "CCO")
+    assert matrix_scans == []
+    for _ in range(2):
+        retrieve(db, query, k=3)
+        assert matrix_scans == [len(db)]
+    save_database(db, tmp_path)
+    matrix_scans.clear()
+    loaded = load_database(tmp_path)
+    for _ in range(2):
+        retrieve(loaded, query, k=3)
+    assert matrix_scans == [len(db)]
 
 
 @pytest.mark.parametrize("strategy", [TopK(), Jump()], ids=["topk", "jump"])
@@ -822,7 +838,7 @@ def test_first_query_holds_no_whole_pool_float64_copy(strategy):
     count, dim = 16000, 256
     db = _matrix_db(count, dim, seed=7, zero_rows=0.0)
     query = np.random.default_rng(8).integers(-3, 4, dim).astype(np.float64)
-    bound = db._largest_l1 * np.abs(query).sum()
+    bound = db._stats.largest_l1 * np.abs(query).sum()
     assert bound < 2**24 <= bound * 2**10
     _, peak, _ = traced(
         lambda: [retrieve(db, q, k=10, strategy=strategy) for q in (query, query * 2**10)]
@@ -907,16 +923,16 @@ def test_float32_gemv_dots_equal_float64_dots(count, dim, seed):
     # and on any thread count, and so do the cosines scored from it
     rng = np.random.default_rng(seed)
     db = _matrix_db(count, dim, seed, zero_rows=0.1)
-    top = max(1, int((2**24 - 1) // max(db._largest_l1, 1.0) // dim))
+    top = max(1, int((2**24 - 1) // max(db._stats.largest_l1, 1.0) // dim))
     q = rng.integers(-top, top + 1, dim).astype(np.float64)
-    assert max(db._largest_l1, 1.0) * np.abs(q).sum() < 2**24
+    assert max(db._stats.largest_l1, 1.0) * np.abs(q).sum() < 2**24
     exact = db.embeddings.astype(np.float64) @ q
     got = np.matmul(db.embeddings, q.astype(np.float32)).astype(np.float64)
     assert got.tobytes() == exact.tobytes()
     qn = float(np.linalg.norm(q))
     with np.errstate(invalid="ignore", divide="ignore"):
-        sims = exact / (db._norms * qn)
-    sims = np.where((db._norms == 0.0) | (qn == 0.0), 0.0, sims)
+        sims = exact / (db._stats.norms * qn)
+    sims = np.where((db._stats.norms == 0.0) | (qn == 0.0), 0.0, sims)
     assert knowledge._cosines(db, q).tobytes() == sims.tobytes()
 
 
@@ -927,11 +943,11 @@ def test_float64_scoring_past_the_float32_bound_matches_oracle():
     # products of a smaller one can stay below 2**24)
     _, _, db = build_db(n_train=160, n_valid=40, seed=12)
     q = embed_text(EMB, "NCCCO=1") * (2**24 + 1)
-    assert db._largest_l1 * np.abs(q).sum() >= 2**24
+    assert db._stats.largest_l1 * np.abs(q).sum() >= 2**24
     exact = db.embeddings.astype(np.float64) @ q
     with np.errstate(invalid="ignore", divide="ignore"):
-        sims = exact / (db._norms * float(np.linalg.norm(q)))
-    sims = np.where(db._norms == 0.0, 0.0, sims)
+        sims = exact / (db._stats.norms * float(np.linalg.norm(q)))
+    sims = np.where(db._stats.norms == 0.0, 0.0, sims)
     assert knowledge._cosines(db, q).tobytes() == sims.tobytes()
     for k in (1, 7, 200):
         assert list(retrieve(db, q, k).ids) == oracle_topk(db, q, k)

@@ -12,16 +12,17 @@ every value is a small integer; empty text maps to the all-zero vector.
 Python loop. ``embed_texts`` embeds a pool into one ``(len(texts),
 dim)`` float32 matrix, the knowledge database's storage type, 512 texts
 at a time, so nothing pool-sized is held beside it. A block lowers its
-joined UTF-8 bytes once, hashes the n bytes from every byte (zero-padded
-at the end) in numpy uint64 arithmetic, and keeps the gram starts with a
-boolean mask clearing each text's last n-1 windows; a text shorter than
-n keeps its first, which read past its end, so its one gram is hashed
-again over its own bytes. Beside its bytes and float64 rows a block
-holds at most three arrays of one 8-byte item per gram: the hashes,
-their float64 signs and one temporary. The counts are integers, so the
-two paths must and do agree bit for bit in float64, and float32 holds
-them exactly (below 2**24): the matrix row equals its query vector, and
-the knowledge database's dot products of them are exact integers.
+joined UTF-8 bytes once and walks a gram's n bytes once, in numpy uint64
+arithmetic, hashing a window at every byte (zero-padded at the end). Step
+j hands a text of exactly j < n bytes its one gram's hash from its first
+window, clears from a boolean mask of gram starts the window j bytes
+before each longer text's end, then hashes byte j into every window. Beside
+its bytes and float64 rows a block holds at most three arrays of one
+8-byte item per gram: the hashes, their float64 signs and one
+temporary. The counts are integers, so the two paths must and do agree
+bit for bit in float64, and float32 holds them exactly (below 2**24):
+the matrix row equals its query vector, and the knowledge database's
+dot products of them are exact integers.
 """
 
 from __future__ import annotations
@@ -95,21 +96,19 @@ def _local_hash_block(cfg: LocalHashConfig, texts: Sequence[str]) -> np.ndarray:
     buf = np.frombuffer(b"".join(data).lower() + bytes(n), dtype=np.uint8)
     windows = len(buf) - n
     h = (buf[:windows].astype(np.uint64) ^ _FNV_OFFSET64) * _FNV_PRIME64
+    keep = np.ones(windows, dtype=bool)
+    short_hashes = np.empty(len(data), dtype=np.uint64)
     for j in range(1, n):
+        # h[w] hashes the j bytes from w: a j-byte text's one gram, at its start
+        exact = lengths == j
+        short_hashes[exact] = h[text_ends[exact] - j]
+        # keep the gram starts: clear the window j bytes before a longer text's end
+        keep[text_ends[lengths > j] - j] = False
         h ^= buf[j : j + windows]
         h *= _FNV_PRIME64
-    # keep the gram starts: clear each text's last min(n, length) - 1 windows
-    keep = np.ones(windows, dtype=bool)
-    for j in range(1, n):
-        keep[text_ends[lengths > j] - j] = False
     h = h[keep]
-    short = np.flatnonzero((lengths > 0) & (lengths < n))
-    short_lengths = lengths[short]
-    short_starts = text_ends[short] - short_lengths
-    hs = np.full(short.size, _FNV_OFFSET64, dtype=np.uint64)
-    for j in range(n - 1):
-        hs = np.where(short_lengths > j, (hs ^ buf[short_starts + j]) * _FNV_PRIME64, hs)
-    h[(np.cumsum(counts) - counts)[short]] = hs
+    short = (lengths > 0) & (lengths < n)
+    h[(np.cumsum(counts) - counts)[short]] = short_hashes[short]
     # +1 or -1 as float64, the type bincount weighs in: bit 63 of the hash
     # becomes the sign bit of 1.0's bits
     signs = ((h & np.uint64(1 << 63)) | np.uint64(0x3FF0000000000000)).view(np.float64)

@@ -1,3 +1,4 @@
+import json
 from itertools import combinations
 
 import pytest
@@ -354,3 +355,21 @@ class TestLoadPredictions:
         with pytest.raises(IngestError) as info:
             load_predictions(path, regression_bundle, Split.VALID)
         assert str(info.value) == f"{path}:2: malformed prediction line"
+
+    def test_each_line_must_parse_on_its_own(self, tmp_path):
+        # three lines, none of them JSON alone, that read as one prediction
+        # for each valid id once joined into one array: a parse of joined
+        # lines would load this file
+        bundle = make_bundle(REGRESSION, n_train=2, n_valid=3, n_test=0)
+        a, b, c = (r.id for r in bundle.split_records(Split.VALID))
+        lines = [
+            '{"id":"%s","prediction":0.5,"x":"}' % a,
+            '{"}',
+            '{"id":"%s","prediction":1.5},{"id":"%s","prediction":2.5}' % (b, c),
+        ]
+        assert len(json.loads("[" + ",".join(lines) + "]")) == 3
+        path = tmp_path / "p.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(IngestError) as info:
+            load_predictions(path, bundle, Split.VALID)
+        assert str(info.value) == f"{path}:1: malformed prediction line"

@@ -556,6 +556,26 @@ class TestPersistence:
             f"{meta}:2: corrupt metadata (JSONDecodeError: Invalid control character"
         )
 
+    def test_each_line_must_parse_on_its_own(self, tmp_path):
+        # three entry lines, none of them JSON alone, that read as three valid
+        # entries once joined into one array: a parse of joined lines would
+        # load this file
+        bundle, _, db = build_db(n_train=3, n_valid=0)
+        save_database(db, tmp_path / "db")
+        meta = tmp_path / "db" / METADATA_FILE
+        header = meta.read_text().splitlines()[0]
+        entries = [
+            '{"id":"p","smiles":"C","label":1.0,"primary_prediction":null,"x":"}',
+            '{"}',
+            '{"id":"q","smiles":"CC","label":2.0,"primary_prediction":null},'
+            '{"id":"r","smiles":"CCC","label":3.0,"primary_prediction":null}',
+        ]
+        assert len(json.loads("[" + ",".join(entries) + "]")) == 3
+        meta.write_text("\n".join([header, *entries]) + "\n")
+        with pytest.raises(KnowledgeError) as info:
+            load_database(tmp_path / "db")
+        assert str(info.value).startswith(f"{meta}:2: corrupt metadata (JSONDecodeError: ")
+
     @pytest.mark.parametrize("value", [float("nan"), float("-inf")], ids=["nan", "-inf"])
     def test_non_finite_embedding_names_sidecar(self, tmp_path, value):
         bundle, _, db = build_db(n_train=3, n_valid=2)

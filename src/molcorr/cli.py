@@ -130,9 +130,11 @@ def read_config(path: Optional[str], overrides: Dict[str, object]) -> Config:
     A fault in a line (no ``=``, an unknown key, a rejected value) names that line."""
     config = Config()
     lines = []
-    if path:
-        if "\0" in path:
-            raise ConfigError(f"--config {path!r} holds a NUL byte")
+    if path is not None:
+        try:
+            _path(path)
+        except ValueError as exc:
+            raise ConfigError(f"--config {exc}") from None
         with open_utf8(path) as fh:
             lines = [line.rstrip("\r\n") for line in fh]
     for lineno, raw in enumerate(lines, 1):

@@ -12,6 +12,10 @@ File formats:
     and ``description`` cells may be empty where permitted.
   * Predictions: JSON-lines, one ``{"id": <str>, "prediction": <number>}``
     object per line; a split's file loads as a plain ``{id: prediction}`` dict.
+    In any JSON-lines input a line of only ``JSON_WHITESPACE`` is blank, and
+    any other is ``json.loads`` of the line without its terminator.
+
+``check_label`` and ``check_prediction`` check each value wherever it enters.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Collection, Dict, Iterator, NamedTuple, Optional, TextIO, Tuple, Union
 
@@ -73,11 +78,9 @@ class TaskSpec:
 
     @property
     def metric(self) -> Metric:
-        if self.kind is TaskKind.BINARY_CLASSIFICATION:
-            return Metric.ROC_AUC
-        return Metric.RMSE
+        return Metric.ROC_AUC if self.is_classification else Metric.RMSE
 
-    @property
+    @cached_property  # read once per row by the value rules
     def is_classification(self) -> bool:
         return self.kind is TaskKind.BINARY_CLASSIFICATION
 
@@ -117,20 +120,30 @@ class DatasetBundle:
 CSV_HEADER = ["id", "smiles", "description", "label", "split"]
 
 _SPLIT_TOKENS = {s.value: s for s in Split}
+JSON_WHITESPACE = " \t\r\n"  # all the whitespace JSON allows around a value
 
 
-def _parse_label(raw: str, is_classification: bool, path: Path, lineno: int, row_id: str) -> float:
+def check_label(value: Union[str, float], task: TaskSpec) -> float:
+    """``value`` (a number or a CSV cell) as a label of ``task``, else ValueError."""
     try:
-        value = float(raw)
-    except ValueError as exc:
-        raise IngestError(f"{path}:{lineno}: row {row_id!r}: label {raw!r} is not a number") from exc
-    if not math.isfinite(value):
-        raise IngestError(f"{path}:{lineno}: row {row_id!r}: label {raw!r} is not finite")
-    if is_classification and value not in (0.0, 1.0):
-        raise IngestError(
-            f"{path}:{lineno}: row {row_id!r}: classification label must be 0 or 1, got {raw!r}"
-        )
-    return value
+        label = float(value)
+    except ValueError:
+        raise ValueError(f"label {value!r} is not a number") from None
+    if not math.isfinite(label):
+        raise ValueError(f"label {value!r} is not finite")
+    if task.is_classification and label not in (0.0, 1.0):
+        raise ValueError(f"classification label must be 0 or 1, got {value!r}")
+    return label
+
+
+def check_prediction(value: float, task: TaskSpec) -> float:
+    """``value`` as a float prediction of ``task``, else ValueError."""
+    prediction = float(value)
+    if not math.isfinite(prediction):
+        raise ValueError(f"prediction {prediction} is not finite")
+    if task.is_classification and not 0.0 <= prediction <= 1.0:
+        raise ValueError(f"probability {prediction} outside [0, 1]")
+    return prediction
 
 
 def load_molecules(
@@ -142,20 +155,18 @@ def load_molecules(
     Every row is checked, whatever its split; the other splits' records are
     not built. Raises IngestError, its message naming the failed check and
     the physical line the faulty record ends on, on a bad header or row
-    width, duplicate ids, missing required labels, out-of-domain
-    classification labels, empty SMILES or unknown split tokens."""
+    width, duplicate ids, missing required labels, labels ``check_label``
+    refuses, empty SMILES or unknown split tokens."""
     path = Path(path)
     kept = {s.value for s in splits}
     records = []
     seen = set()
     new = tuple.__new__  # a record without the named tuple's Python-level __new__
-    is_classification = task.is_classification
     with open_utf8(path) as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestError(f"{path}: empty file") from None
+        header = next(reader, None)
+        if header is None:
+            raise IngestError(f"{path}: empty file")
         if header != CSV_HEADER:
             raise IngestError(f"{path}: expected header {CSV_HEADER}, got {header}")
         test = Split.TEST
@@ -175,7 +186,10 @@ def load_molecules(
                 raise IngestError(f"{path}:{reader.line_num}: unknown split {split_raw!r}")
             label = None
             if label_raw:
-                label = _parse_label(label_raw, is_classification, path, reader.line_num, mol_id)
+                try:
+                    label = check_label(label_raw, task)
+                except ValueError as exc:
+                    raise IngestError(f"{path}:{reader.line_num}: row {mol_id!r}: {exc}") from None
             elif split is not test:
                 raise IngestError(
                     f"{path}:{reader.line_num}: id {mol_id!r} in split {split.value} has no label"
@@ -192,44 +206,39 @@ def load_predictions(
 ) -> Dict[str, float]:
     """Load a JSON-lines prediction file covering one split exactly, as a dict.
 
-    Ids are strings; every id of the split must appear exactly once, and
-    ids outside the split are rejected. Predictions must be finite, and classification
-    predictions must be probabilities in [0, 1].
+    Ids are strings; each id of the split appears once, and no other id
+    does. A line's value meets ``check_prediction`` before its id is looked up.
     """
     path = Path(path)
     wanted = {r.id for r in bundle.records if r.split is split}
     entries: Dict[str, float] = {}
     with open_utf8(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip(JSON_WHITESPACE):
                 continue
             try:
-                obj = json.loads(line)
+                obj = json.loads(line.rstrip("\r\n"))
                 mol_id = obj["id"]
                 value = json_number(obj["prediction"])
             except (KeyError, TypeError, ValueError, RecursionError) as exc:
                 raise IngestError(f"{path}:{lineno}: malformed prediction line") from exc
             if not isinstance(mol_id, str):
                 raise IngestError(f"{path}:{lineno}: id {mol_id!r} is not a string")
-            if not math.isfinite(value):
-                raise IngestError(f"{path}:{lineno}: prediction {value} is not finite")
+            try:
+                value = check_prediction(value, bundle.task)
+            except ValueError as exc:
+                raise IngestError(f"{path}:{lineno}: {exc} for {mol_id!r}") from None
             if mol_id not in wanted:
                 raise IngestError(
                     f"{path}:{lineno}: id {mol_id!r} is not in the {split.value} split"
                 )
             if mol_id in entries:
                 raise IngestError(f"{path}:{lineno}: duplicate id {mol_id!r}")
-            if bundle.task.is_classification and not 0.0 <= value <= 1.0:
-                raise IngestError(
-                    f"{path}:{lineno}: probability {value} outside [0, 1] for {mol_id!r}"
-                )
             entries[mol_id] = value
     missing = wanted - entries.keys()
     if missing:
-        shown = sorted(missing)[:5]
         raise IngestError(
             f"{path}: {len(missing)} {split.value} id(s) without predictions, "
-            f"e.g. {shown}"
+            f"e.g. {sorted(missing)[:5]}"
         )
     return entries

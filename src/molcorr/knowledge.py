@@ -33,15 +33,13 @@ the rows are scored in float64 a block at a time, exact below 2**53. The
 cosine is then ``dots / (norms * ||q||)`` in float64, 0 for a zero row,
 and ranks are the same on any BLAS and any thread count.
 
-On disk a database is two files: ``metadata.jsonl`` (a header line, then
-one JSON object per entry) and ``embeddings.lcdb`` (magic ``LCDB``, u32
+On disk a database is two files: ``metadata.jsonl`` (a header line by
+``json.dumps``, then one line per entry, which ``_metadata_lines`` writes
+byte-equal to ``json.dumps``) and ``embeddings.lcdb`` (magic ``LCDB``, u32
 little-endian dim and count, then count*dim float32 little-endian values
-in metadata order). The header line is written by ``json.dumps``; each
-entry line by one f-string, with strings quoted by
-``json.encoder.encode_basestring_ascii`` (the escaper ``json.dumps``
-itself uses), floats by ``float.__repr__`` and ``None`` as ``null``, so
-the line is byte-equal to ``json.dumps(record, separators=(",", ":"))``.
-A line ends only at a line feed, a carriage return, or the two together.
+in metadata order). A line ends only at LF, CR or CRLF, and is read by
+``ingest``'s JSON-lines rule; each entry's label and prediction, built or
+loaded, meet ``ingest.check_label`` and ``check_prediction``.
 
 No phase holds a pool-sized temporary beside the matrix and the rows:
 building composes each entry's embedding text only when the embedder
@@ -56,7 +54,6 @@ block of rows at a time.
 from __future__ import annotations
 
 import json
-import math
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -69,7 +66,7 @@ import numpy as np
 from .embed import LocalHashConfig, compose_molecule_text, embed_texts, embedder_fingerprint
 from .hashing import SplitMix64
 from .ingest import DatasetBundle, MoleculeRecord, Split, TaskKind, TaskSpec
-from .ingest import json_number, open_utf8
+from .ingest import JSON_WHITESPACE, check_label, check_prediction, json_number, open_utf8
 
 MAGIC = b"LCDB"
 METADATA_FILE = "metadata.jsonl"
@@ -125,22 +122,6 @@ class Entry(NamedTuple):
 
 # an Entry without its embedding: (id, smiles, label, primary_prediction)
 Row = Tuple[str, str, float, Optional[float]]
-
-
-def check_entry(
-    id: str, smiles: str, label: float, primary_prediction: Optional[float]
-) -> Row:
-    """The row for one entry, once its label and prediction are finite. The
-    row holds them as Python floats, whatever number type they came in as."""
-    if not math.isfinite(label):
-        raise KnowledgeError(f"entry {id!r} has a non-finite label {label!r}")
-    if primary_prediction is not None:
-        if not math.isfinite(primary_prediction):
-            raise KnowledgeError(
-                f"entry {id!r} has a non-finite prediction {primary_prediction!r}"
-            )
-        primary_prediction = float(primary_prediction)
-    return (id, smiles, float(label), primary_prediction)
 
 
 class _MatrixStats(NamedTuple):
@@ -258,9 +239,8 @@ def build_database(
     by ``val_predictions`` (the prediction loader guarantees this when the
     dict was loaded against the same bundle).
     """
-    train, valid = Split.TRAIN, Split.VALID
-    rows = []
-    pool = []
+    train, valid, task = Split.TRAIN, Split.VALID, bundle.task
+    rows, pool = [], []
     for rec in bundle.records:
         split = rec.split
         if split is train:
@@ -273,10 +253,15 @@ def build_database(
             continue
         if rec.label is None:
             raise KnowledgeError(f"knowledge entry {rec.id!r} has no label")
-        rows.append(check_entry(rec.id, rec.smiles, rec.label, prediction))
+        try:
+            label = check_label(rec.label, task)
+            prediction = None if prediction is None else check_prediction(prediction, task)
+        except ValueError as exc:
+            raise KnowledgeError(f"knowledge entry {rec.id!r}: {exc}") from None
+        rows.append((rec.id, rec.smiles, label, prediction))
         pool.append(rec)
     return KnowledgeDatabase(
-        task=bundle.task,
+        task=task,
         fingerprint=embedder_fingerprint(embedder, include_description),
         rows=tuple(rows),
         embeddings=embed_texts(embedder, _PoolTexts(pool, include_description)),
@@ -383,7 +368,7 @@ def retrieve(
 def _metadata_lines(rows: Sequence[Row]) -> List[str]:
     """One metadata line per row, each byte-equal to ``json.dumps`` of the
     row's record with ``separators=(",", ":")``. Labels and predictions
-    must be floats, as ``check_entry`` leaves them."""
+    must be floats, as ``check_label`` and ``check_prediction`` return them."""
     quote = json.encoder.encode_basestring_ascii
     number = float.__repr__
     return [
@@ -456,7 +441,7 @@ def load_database(directory: Union[str, Path]) -> KnowledgeDatabase:
 
         rows, ids = [], {}
         for lineno, line in enumerate(fh, 2):
-            if not line.strip():
+            if not line.strip(JSON_WHITESPACE):
                 continue
             try:
                 rec = json.loads(line.rstrip("\r\n"))
@@ -466,7 +451,10 @@ def load_database(directory: Union[str, Path]) -> KnowledgeDatabase:
                 if ids.setdefault(id, lineno) != lineno:
                     raise ValueError(f"duplicate id {id!r}, first on line {ids[id]}")
                 prediction = None if prediction is None else json_number(prediction)
-                rows.append(check_entry(id, smiles, json_number(rec["label"]), prediction))
+                label = check_label(json_number(rec["label"]), task)
+                if prediction is not None:
+                    check_prediction(prediction, task)
+                rows.append((id, smiles, label, prediction))
             except (KeyError, TypeError, ValueError, RecursionError) as exc:
                 raise KnowledgeError(
                     f"{meta_path}:{lineno}: corrupt metadata ({type(exc).__name__}: {exc})"

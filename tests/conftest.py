@@ -33,6 +33,12 @@ from molcorr.ingest import (
 
 SMILES_ALPHABET = "CNOPSFclnor()=#123[]"
 
+# characters str.strip() removes but JSON does not allow around a value, none
+# of which ends a line of a file opened with newline=""
+NON_JSON_WHITESPACE = {
+    "vt": "\x0b", "ff": "\x0c", "fs": "\x1c", "nel": "\x85", "nbsp": "\xa0", "em-space": "\u2003",
+}
+
 
 def synth_smiles(rng: random.Random, taken: set) -> str:
     while True:

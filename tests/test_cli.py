@@ -1070,6 +1070,11 @@ class TestConfigHandling:
         assert main(["correct", "--config", path]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: --config {path!r} holds a NUL byte\n"
 
+    def test_empty_config_path_exits_2(self, capsys):
+        # an empty --config names no file; it is not read as "no config file"
+        assert main(["correct", "--config", ""]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: --config empty path\n"
+
     @pytest.mark.parametrize(
         "key, target", [("dataset", "."), ("output_dir", "dataset.csv")],
         ids=["dataset-is-a-directory", "output-dir-is-a-file"],

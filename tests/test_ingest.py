@@ -18,7 +18,10 @@ from molcorr.ingest import (
 )
 from molcorr.llmclient import LlmError, MockEcho, MockPerfectOracle, QueryMeta, complete
 from molcorr.prompt import PromptBundle, PromptKind
-from conftest import make_bundle, make_predictions, write_dataset_csv, write_predictions_jsonl
+from conftest import (
+    NON_JSON_WHITESPACE, make_bundle, make_predictions, write_dataset_csv,
+    write_predictions_jsonl,
+)
 
 HEADER = "id,smiles,description,label,split\n"
 
@@ -275,12 +278,31 @@ class TestLoadPredictions:
         assert loaded == preds
 
     def test_blank_lines_are_skipped(self, tmp_path, regression_bundle):
+        # and so is JSON whitespace around a line
         preds = make_predictions(regression_bundle, Split.VALID)
         path = tmp_path / "p.jsonl"
         write_predictions_jsonl(preds, path)
-        first, *rest = path.read_text().splitlines(keepends=True)
-        path.write_text("\n" + first + " \t\n" + "".join(rest) + "\n")
+        first, *rest = path.read_text().splitlines()
+        path.write_text("\n".join(["", f" \t{first}\t ", " \t", *rest, ""]) + "\n")
         assert load_predictions(path, regression_bundle, Split.VALID) == preds
+
+    @pytest.mark.parametrize("where", ["before", "after", "alone"])
+    @pytest.mark.parametrize("char", NON_JSON_WHITESPACE.values(), ids=NON_JSON_WHITESPACE)
+    def test_other_whitespace_is_malformed(self, tmp_path, regression_bundle, char, where):
+        # a line holding only such characters is not blank, and padding
+        # with them is not JSON: either way the line is named
+        preds = make_predictions(regression_bundle, Split.VALID)
+        path = tmp_path / "p.jsonl"
+        write_predictions_jsonl(preds, path)
+        lines = path.read_text().splitlines()
+        if where == "alone":
+            lines.insert(1, char)
+        else:
+            lines[1] = char + lines[1] if where == "before" else lines[1] + char
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(IngestError) as info:
+            load_predictions(path, regression_bundle, Split.VALID)
+        assert str(info.value) == f"{path}:2: malformed prediction line"
 
     def test_missing_one_id(self, tmp_path, regression_bundle):
         preds = make_predictions(regression_bundle, Split.VALID)

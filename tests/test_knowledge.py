@@ -33,12 +33,13 @@ from molcorr.knowledge import (
     SIDECAR_FILE,
     TopK,
     build_database,
-    check_entry,
     load_database,
     retrieve,
     save_database,
 )
-from conftest import SMILES_ALPHABET, make_bundle, make_predictions, traced
+from conftest import (
+    NON_JSON_WHITESPACE, SMILES_ALPHABET, make_bundle, make_predictions, traced,
+)
 
 EMB = LocalHashConfig(dim=32, ngram=3)
 
@@ -61,6 +62,14 @@ def _unlabeled_train():
     """A bundle of one train record without a label, which ``load_molecules`` refuses."""
     rec = make_bundle(REGRESSION, n_train=1, n_valid=0, n_test=0).records[0]
     return DatasetBundle(REGRESSION, (rec._replace(label=None),))
+
+
+def _build_one_valid(task, label, prediction):
+    """The database of one valid record 'm00000' holding ``label`` and
+    ``prediction``, built from a bundle and a dict that no loader checked."""
+    rec = make_bundle(task, n_train=0, n_valid=1, n_test=0).records[0]
+    bundle = DatasetBundle(task, (rec._replace(label=label),))
+    return build_database(bundle, {rec.id: prediction}, EMB)
 
 
 # ---------------------------------------------------------------------------
@@ -144,12 +153,10 @@ class TestBuild:
             build_database(bundle, {}, EMB)
 
     def test_entry_invariants(self):
-        with pytest.raises(KnowledgeError, match=r"^entry 'a' has a non-finite label nan$"):
-            check_entry("a", "CCO", float("nan"), 0.5)
-        with pytest.raises(KnowledgeError, match=r"^entry 'a' has a non-finite prediction inf$"):
-            check_entry("a", "CCO", 1.0, float("inf"))
-        row = check_entry("a", "CCO", np.float64(1.0), np.float32(0.5))
-        assert row == ("a", "CCO", 1.0, 0.5)
+        # a row holds its label and prediction as Python floats, as
+        # check_label and check_prediction return them, whatever type they came in
+        row = _build_one_valid(REGRESSION, np.float64(1.0), np.float32(0.5)).rows[0]
+        assert row[2:] == (1.0, 0.5)
         assert type(row[2]) is float and type(row[3]) is float
 
     def test_embeddings_match_embed_molecule(self):
@@ -279,6 +286,20 @@ class TestRetrieve:
              "query vector holds a non-integer value"),
             (lambda: build_database(_unlabeled_train(), {}, EMB),
              "knowledge entry 'm00000' has no label"),
+            # built entries meet the rules that the loaders apply
+            (lambda: _build_one_valid(REGRESSION, float("nan"), 0.5),
+             "knowledge entry 'm00000': label nan is not finite"),
+            (lambda: _build_one_valid(REGRESSION, 1.0, float("inf")),
+             "knowledge entry 'm00000': prediction inf is not finite"),
+            (lambda: _build_one_valid(CLASSIFICATION, 1.0, 7.0),
+             "knowledge entry 'm00000': probability 7.0 outside [0, 1]"),
+            (lambda: _build_one_valid(CLASSIFICATION, 1.0, -0.1),
+             "knowledge entry 'm00000': probability -0.1 outside [0, 1]"),
+            (lambda: _build_one_valid(CLASSIFICATION, 0.5, 0.5),
+             "knowledge entry 'm00000': classification label must be 0 or 1, got 0.5"),
+            # the label is checked before the prediction
+            (lambda: _build_one_valid(CLASSIFICATION, 0.5, 7.0),
+             "knowledge entry 'm00000': classification label must be 0 or 1, got 0.5"),
             # checked by the first retrieval, so even a zero query refuses them
             (lambda: retrieve(_db_over([[1, 0], [0.5, 0]]), np.zeros(2), k=1),
              "embedding matrix holds a non-integer value"),
@@ -287,6 +308,8 @@ class TestRetrieve:
         ],
         ids=["matrix-not-2d", "matrix-rows-mismatch", "duplicate-ids", "k-zero",
              "non-integer-query", "infinite-query", "unlabeled-train-record",
+             "nan-label", "infinite-prediction", "probability-above-one",
+             "probability-below-zero", "label-half", "label-before-prediction",
              "non-integer-matrix", "non-finite-matrix"],
     )
     def test_inconsistent_input_raises(self, call, message):
@@ -322,9 +345,55 @@ class TestPersistence:
         bundle, _, db = build_db(n_train=3, n_valid=2)
         save_database(db, tmp_path / "db")
         meta = tmp_path / "db" / METADATA_FILE
-        header, first, *rest = meta.read_text().splitlines(keepends=True)
-        meta.write_text(header + "\n" + first + " \t\n" + "".join(rest) + "\n")
+        # and so is JSON whitespace around a line, the header's too
+        header, first, *rest = meta.read_text().splitlines()
+        header, first = (f" \t{line}\t " for line in (header, first))
+        meta.write_text("\n".join([header, "", first, " \t", *rest, ""]) + "\n")
         assert load_database(tmp_path / "db") == db
+
+    @pytest.mark.parametrize("where", ["before", "after", "alone"])
+    @pytest.mark.parametrize("char", NON_JSON_WHITESPACE.values(), ids=NON_JSON_WHITESPACE)
+    def test_other_whitespace_is_corrupt(self, tmp_path, char, where):
+        # a line holding only such characters is not blank, and padding
+        # with them is not JSON: either way the line is named
+        bundle, _, db = build_db(n_train=3, n_valid=2)
+        save_database(db, tmp_path / "db")
+        meta = tmp_path / "db" / METADATA_FILE
+        lines = meta.read_text().splitlines()
+        if where == "alone":
+            lines.insert(2, char)
+        else:
+            lines[2] = char + lines[2] if where == "before" else lines[2] + char
+        meta.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(KnowledgeError) as info:
+            load_database(tmp_path / "db")
+        assert str(info.value).startswith(f"{meta}:3: corrupt metadata (JSONDecodeError: ")
+
+    @pytest.mark.parametrize(
+        "lineno, values, message",
+        [
+            # lines 2-4 hold the 3 train entries, lines 5-6 the 2 valid ones
+            (3, {"label": 0.5}, "classification label must be 0 or 1, got 0.5"),
+            (5, {"primary_prediction": 7.0}, "probability 7.0 outside [0, 1]"),
+            (6, {"primary_prediction": -0.1}, "probability -0.1 outside [0, 1]"),
+            (5, {"label": 0.5, "primary_prediction": 7.0},
+             "classification label must be 0 or 1, got 0.5"),
+        ],
+        ids=["label-half", "prediction-above-one", "prediction-below-zero", "label-first"],
+    )
+    def test_classification_values_outside_the_task_are_corrupt(
+        self, tmp_path, lineno, values, message
+    ):
+        # a stored database meets the rules the CSV and prediction files meet
+        bundle, _, db = build_db(n_train=3, n_valid=2, task=CLASSIFICATION)
+        save_database(db, tmp_path / "db")
+        meta = tmp_path / "db" / METADATA_FILE
+        lines = meta.read_text().splitlines()
+        lines[lineno - 1] = json.dumps({**json.loads(lines[lineno - 1]), **values})
+        meta.write_text("\n".join(lines) + "\n")
+        with pytest.raises(KnowledgeError) as info:
+            load_database(tmp_path / "db")
+        assert str(info.value) == f"{meta}:{lineno}: corrupt metadata (ValueError: {message})"
 
     def test_truncated_sidecar(self, tmp_path):
         bundle, _, db = build_db(n_train=3, n_valid=2)
@@ -805,7 +874,7 @@ def _matrix_db(count, dim, seed, zero_rows):
     scales = 10.0 ** rng.uniform(0, 2, size=(count, 1))
     matrix = np.round(rng.standard_normal((count, dim)) * scales).astype(np.float32)
     matrix[rng.random(count) < zero_rows] = 0.0
-    rows = tuple(check_entry(f"m{i:05d}", "C", 0.0, None) for i in range(count))
+    rows = tuple((f"m{i:05d}", "C", 0.0, None) for i in range(count))
     return KnowledgeDatabase(REGRESSION, "fp", rows, matrix)
 
 
@@ -911,9 +980,7 @@ def test_build_composes_one_block_of_texts_at_a_time():
 def test_saved_metadata_is_json_dumps_lines(tmp_path, count):
     # the lines go out a block at a time; the file is still the header and
     # one json.dumps line per entry, each ending in a newline
-    rows = tuple(
-        check_entry(f"m{i:05d}", f"C{i}", i / 7, None if i % 2 else -i / 3) for i in range(count)
-    )
+    rows = tuple((f"m{i:05d}", f"C{i}", i / 7, None if i % 2 else -i / 3) for i in range(count))
     db = KnowledgeDatabase(REGRESSION, "fp", rows, np.ones((count, 3), np.float32))
     save_database(db, tmp_path)
     records = [{"task": "regression", "fingerprint": "fp", "dim": 3, "entries": count}]
@@ -987,7 +1054,7 @@ def _tied_db(count, dim, distinct, zero_rows, seed, spread=20):
     matrix = vectors[rng.integers(0, distinct, size=count)]
     matrix[rng.random(count) < zero_rows] = 0.0
     ids = rng.permutation(count)
-    rows = tuple(check_entry(f"t{i:05d}", "C", 0.0, None) for i in ids)
+    rows = tuple((f"t{i:05d}", "C", 0.0, None) for i in ids)
     return KnowledgeDatabase(REGRESSION, "fp", rows, matrix), vectors
 
 

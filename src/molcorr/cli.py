@@ -50,12 +50,12 @@ from .knowledge import (
     save_database,
 )
 from .llmclient import (
+    BACKEND_NAMES,
     AuditLog,
     LlmBackendConfig,
     LlmError,
     MockEcho,
     MockNoisyOracle,
-    MockPerfectOracle,
     MockScripted,
     RemoteChatConfig,
     backend_name,
@@ -197,10 +197,8 @@ def _rejects(cls, param: str, value) -> bool:
 
 def _llm(config: Config) -> LlmBackendConfig:
     name = config.get("llm_backend", "echo")
-    if name == "echo":
-        return MockEcho()
-    if name == "perfect":
-        return MockPerfectOracle()
+    if name not in BACKEND_NAMES:
+        raise ConfigError(f"unknown llm backend {name!r}")
     if name == "noisy":
         return _build(MockNoisyOracle, config, p="noisy_p", seed="noisy_seed")
     if name == "scripted":
@@ -219,7 +217,7 @@ def _llm(config: Config) -> LlmBackendConfig:
             RemoteChatConfig, config, endpoint="llm_endpoint", model="llm_model",
             key_env="llm_key_env", temperature="llm_temperature",
         )
-    raise ConfigError(f"unknown llm backend {name!r}")
+    return BACKEND_NAMES[name]()  # echo and perfect read no config key
 
 
 def build_runtime(config: Config) -> Runtime:
@@ -241,26 +239,15 @@ def build_runtime(config: Config) -> Runtime:
 
 
 def _split_records(bundle: DatasetBundle, split: Split) -> Tuple[MoleculeRecord, ...]:
-    """The split's records. A fully labeled classification split is scored
-    by ROC-AUC, so one with a single class fails here, before any query."""
+    """The split's records. A fully labeled split its metric cannot score
+    (one class, for ROC-AUC) fails here, before any query."""
     records = bundle.split_records(split)
     if not records:
         raise ConfigError(f"split {split.value} is empty")
-    labels = {rec.label for rec in records}
-    if bundle.task.is_classification and len(labels) == 1 and None not in labels:
-        raise ConfigError("need at least one positive and one negative label")
+    labels = [rec.label for rec in records]
+    if None not in labels:
+        evaluate_mod.score(bundle.task, labels, labels)
     return records
-
-
-def _check_baseline(
-    task: TaskSpec, records: Tuple[MoleculeRecord, ...], primaries: Dict[str, float]
-) -> None:
-    """A fully labeled split whose base predictions score 0 fails here, before
-    any query, with the error its report would raise."""
-    if all(rec.label is not None for rec in records):
-        truths = [rec.label for rec in records]
-        baseline = evaluate_mod.score(task, [primaries[rec.id] for rec in records], truths)
-        evaluate_mod.improvement_pct(baseline.value, 0.0)
 
 
 def _write_json(path: Path, record: Dict) -> None:
@@ -296,7 +283,9 @@ def cmd_correct(rt: Runtime, split: Split) -> int:
     bundle = load_molecules(rt.config["dataset"], rt.task, (split,))
     records = _split_records(bundle, split)
     preds = load_predictions(rt.config[f"{split.value}_predictions"], bundle, split)
-    _check_baseline(rt.task, records, preds)
+    labeled = all(rec.label is not None for rec in records)
+    if labeled:  # a split its report cannot score fails before any query
+        evaluate_mod.baseline(rt.task, records, preds)
     db = load_database(rt.config["database_dir"])
     out_dir = _output_dir(rt)
     audit = _audit_log(rt, out_dir, split.value)
@@ -306,7 +295,7 @@ def cmd_correct(rt: Runtime, split: Split) -> int:
     correct_mod.write_outcomes(outcomes, out_dir / f"outcomes_{split.value}.jsonl")
     summary = correct_mod.run_summary(outcomes, rt.run, rt.embedder, rt.llm)
     _write_json(out_dir / f"summary_{split.value}.json", summary)
-    if all(rec.label is not None for rec in records):
+    if labeled:
         report = evaluate_mod.evaluate_run(bundle, split, outcomes, summary)
         _write_json(out_dir / f"report_{split.value}.json", report)
         print(evaluate_mod.report_table(report))
@@ -363,15 +352,15 @@ def cmd_predict(rt: Runtime, kind: PromptKind, split: Split, shots: int) -> int:
         "failures": failures,
         "consistency": consistency_rate(answers).to_dict(),
     }
-    scored = [(v, rec.label) for v, rec in zip(values, records) if v is not None]
-    # ROC-AUC needs both classes among the answered rows, RMSE one answered row
-    scorable = len({label for _, label in scored}) >= (2 if rt.task.is_classification else 1)
-    if scorable and all(rec.label is not None for rec in records):
+    labeled = all(rec.label is not None for rec in records)
+    scored = [(v, rec.label) for v, rec in zip(values, records) if v is not None and labeled]
+    try:  # the answered rows of a labeled split, when its metric is defined on them
         metric = evaluate_mod.score(rt.task, [v for v, _ in scored], [t for _, t in scored])
+    except evaluate_mod.EvalError:
+        print(f"{kind.value} on {split.value}: {len(records)} queries, no metric")
+    else:
         result["metric"] = {"name": metric.metric.value, "value": metric.value, "n": metric.n}
         print(f"{kind.value} on {split.value}: {metric.metric.value} = {metric.value:.4f}")
-    else:
-        print(f"{kind.value} on {split.value}: {len(records)} queries, no metric")
     _write_json(out_dir / f"{stem}.json", result)
     return EXIT_PARTIAL if failures else EXIT_OK
 
@@ -380,17 +369,12 @@ def cmd_ablate(
     rt: Runtime, axis_name: str, split: Split, k_values: Tuple[int, ...], dims: Tuple[int, ...]
 ) -> int:
     bundle = load_molecules(rt.config["dataset"], rt.task, (Split.TRAIN, Split.VALID, split))
-    # every point is scored, so a split without labels fails before the first query
-    records = _split_records(bundle, split)
-    for rec in records:
-        if rec.label is None:
-            raise ConfigError(f"record {rec.id!r} has no label; cannot evaluate")
+    _split_records(bundle, split)  # an empty or one-class split fails first
     val_preds = load_predictions(rt.config["valid_predictions"], bundle, Split.VALID)
     split_preds = (
         val_preds if split is Split.VALID
         else load_predictions(rt.config[f"{split.value}_predictions"], bundle, split)
     )
-    _check_baseline(rt.task, records, split_preds)
     values: Tuple = ()
     if axis_name == "k":
         if not k_values:
@@ -433,7 +417,7 @@ def make_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int)
     common.add_argument(
         "--backend", dest="llm_backend", metavar="BACKEND",
-        help="llm backend name (echo|perfect|noisy|scripted|remote)",
+        help=f"llm backend name ({'|'.join(BACKEND_NAMES)})",
     )
     common.add_argument("--jobs", type=int)
     common.add_argument(

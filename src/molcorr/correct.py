@@ -1,18 +1,18 @@
 """End-to-end correction of one query or one split.
 
-A split first checks every query, with no retrieval: its pool must not
-be empty once its own entry is excluded (the leakage guard, for a
-validation query) and the token budget must hold its corrector prompt
-with no context line. So a prompt fault sends nothing and opens no audit
-log, which is opened only after the check, just before the first chunk
-is rendered. Then the split streams: ``QUERY_CHUNK`` queries at a time
-are embedded, retrieved and rendered in one tight loop, which keeps the
-pool matrix in cache, and are handed one by one to ``run_queries``,
-which keeps at most ``2 * jobs`` of them submitted ahead of the one
-whose result it takes. A split so holds one chunk of prompts plus that
-window, never all of them. Per query: send the prompt, parse the
-response, optionally run one self-correction round, and record the
-refined prediction.
+A split first checks every query, with no retrieval: its prediction must
+pass ``check_prediction``, its pool must not be empty once its own entry
+is excluded (the leakage guard, for a validation query) and the token
+budget must hold its corrector prompt with no context line. So a prompt
+fault sends nothing and opens no audit log, which is opened only after
+the check, just before the first chunk is rendered. Then the split
+streams: ``QUERY_CHUNK`` queries at a time are embedded, retrieved and
+rendered in one tight loop, which keeps the pool matrix in cache, and
+are handed one by one to ``run_queries``, which keeps at most
+``2 * jobs`` of them submitted ahead of the one whose result it takes. A
+split so holds one chunk of prompts plus that window, never all of them.
+Per query: send the prompt, parse the response, optionally run one
+self-correction round, and record the refined prediction.
 
 Self-correction fires when the proposed correction deviates strongly from
 the base model: a flipped label for classification, or a relative change
@@ -50,7 +50,7 @@ from functools import partial
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .embed import LocalHashConfig, embed_molecule, embedder_fingerprint
-from .ingest import DatasetBundle, MoleculeRecord, Split, TaskSpec
+from .ingest import DatasetBundle, MoleculeRecord, Split, TaskSpec, check_prediction
 from .knowledge import (KnowledgeDatabase, RetrievalStrategy, TopK, excluded_row, retrieve,
                         strategy_name)
 from .llmclient import (AuditLog, LlmBackendConfig, LlmError, LlmExchange, QueryMeta,
@@ -266,8 +266,9 @@ def correct_split(
     """Correct every molecule of a split, outcomes in dataset order.
 
     Every query is checked before ``run_queries`` opens ``audit``: a
-    database built for another task or embedder raises CorrectionError,
-    an empty pool KnowledgeError and a budget that cannot hold a query's
+    database built for another task or embedder and a prediction that
+    ``check_prediction`` refuses raise CorrectionError, an empty pool
+    KnowledgeError and a budget that cannot hold a query's
     zero-context prompt PromptError, naming the first such query in
     dataset order. Then ``QUERY_CHUNK`` queries at a time are embedded,
     retrieved and rendered, each chunk only once ``run_queries`` has drawn
@@ -293,6 +294,10 @@ def correct_split(
         return rec.id if rec.split is Split.VALID else None
 
     for rec in records:
+        try:
+            check_prediction(predictions[rec.id], db.task)
+        except ValueError as exc:
+            raise CorrectionError(f"query {rec.id!r}: {exc}") from None
         excluded_row(db, own_id(rec))
         check_corrector_budget(rec, predictions[rec.id], db.task, cfg.token_budget)
 

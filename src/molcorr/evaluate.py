@@ -7,7 +7,9 @@ against a brute-force pairwise oracle. Improvement percentages are the
 raw signed relative change ``100 * (new - old) / old`` rounded
 half-away-from-zero to one decimal, matching how published comparison
 tables print them: a positive value means the corrected metric is higher,
-whatever the metric's preferred direction.
+whatever the metric's preferred direction. ``baseline`` alone decides
+whether a split can be scored: every record labeled, a metric the split
+defines and a base metric other than 0.
 
 A report is the plain dict that is written as ``report_<split>.json``
 or ``ablation_<axis>_<i>.json``: the two metrics come from the split's
@@ -25,7 +27,7 @@ import numpy as np
 
 from .correct import Answers, CorrectionOutcome, RunConfig, correct_split, run_summary
 from .embed import LocalHashConfig, embedder_fingerprint
-from .ingest import DatasetBundle, Metric, Split, TaskSpec
+from .ingest import DatasetBundle, Metric, MoleculeRecord, Split, TaskSpec
 from .knowledge import Jump, Random, TopK, build_database, strategy_name
 from .llmclient import LlmBackendConfig
 
@@ -87,27 +89,36 @@ def improvement_pct(old: float, new: float) -> float:
     return math.copysign(math.floor(abs(raw) * 10.0 + 0.5), raw) / 10.0 + 0.0
 
 
+def baseline(
+    task: TaskSpec, records: Sequence[MoleculeRecord], primaries: Dict[str, float]
+) -> MetricValue:
+    """The base predictions' metric on ``records``; EvalError names the first
+    unlabeled record, or why that metric or an improvement from it is undefined."""
+    for rec in records:
+        if rec.label is None:
+            raise EvalError(f"record {rec.id!r} has no label; cannot evaluate")
+    value = score(task, [primaries[rec.id] for rec in records], [rec.label for rec in records])
+    improvement_pct(value.value, 0.0)
+    return value
+
+
 def evaluate_run(
     bundle: DatasetBundle, split: Split, outcomes: Sequence[CorrectionOutcome], summary: Dict
 ) -> Dict:
     """The report of one corrected split (labels required), as it is written:
     both metrics and their improvement, and the run summary's ``config``,
     ``consistency`` and, for classification, ``final_from_*`` counts."""
-    truths = []
-    for rec in bundle.split_records(split):
-        if rec.label is None:
-            raise EvalError(f"record {rec.id!r} has no label; cannot evaluate")
-        truths.append(rec.label)
-    baseline = score(bundle.task, [o.primary for o in outcomes], truths)
-    corrected = score(bundle.task, [o.final for o in outcomes], truths)
+    records = bundle.split_records(split)
+    base = baseline(bundle.task, records, {o.id: o.primary for o in outcomes})
+    corrected = score(bundle.task, [o.final for o in outcomes], [rec.label for rec in records])
     report = {
         "task": bundle.task.kind.value,
         "metric": bundle.task.metric.value,
         "splits": {split.value: {
-            "baseline": baseline.value,
+            "baseline": base.value,
             "corrected": corrected.value,
-            "improvement_pct": improvement_pct(baseline.value, corrected.value),
-            "n": baseline.n,
+            "improvement_pct": improvement_pct(base.value, corrected.value),
+            "n": base.n,
         }},
         "config": summary["config"],
         "consistency": summary["consistency"],
@@ -178,7 +189,8 @@ def run_ablation(
 
     A point runs on the database of the point before it when their embedder
     fingerprints match, and otherwise on one built for it from ``bundle`` and
-    ``val_predictions``, so one database is held at a time.
+    ``val_predictions``, so one database is held at a time, once the split
+    has passed ``baseline``.
 
     The points share one dict of parsed answers: a prompt about a query
     whose answer parsed at an earlier point is not sent again, while a
@@ -187,6 +199,7 @@ def run_ablation(
     remote ``temperature`` above 0 the points share each sample wherever
     their prompts are the same, so the comparison is paired.
     """
+    baseline(bundle.task, bundle.split_records(split), split_predictions)
     reports = []
     answers: Answers = {}
     db = None

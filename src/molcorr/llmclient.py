@@ -93,14 +93,12 @@ LlmBackendConfig = Union[
 ]
 
 
+BACKEND_NAMES = {"echo": MockEcho, "perfect": MockPerfectOracle, "noisy": MockNoisyOracle,
+                 "scripted": MockScripted, "remote": RemoteChatConfig}
+
+
 def backend_name(cfg: LlmBackendConfig) -> str:
-    return {
-        RemoteChatConfig: "remote",
-        MockEcho: "echo",
-        MockPerfectOracle: "perfect",
-        MockNoisyOracle: "noisy",
-        MockScripted: "scripted",
-    }[type(cfg)]
+    return next(name for name, cls in BACKEND_NAMES.items() if type(cfg) is cls)
 
 
 @dataclass(frozen=True)

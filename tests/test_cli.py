@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 
 from molcorr import transport
-from molcorr.cli import EXIT_CONFIG, EXIT_OK, Config, ConfigError, _build, main, make_parser
+from molcorr.cli import (
+    EXIT_CONFIG, EXIT_OK, Config, ConfigError, _build, build_runtime, main, make_parser,
+)
 from molcorr.ingest import CLASSIFICATION, REGRESSION, DatasetBundle, Split
 from molcorr.knowledge import METADATA_FILE, SIDECAR_FILE, RetrievedContext
-from molcorr.llmclient import LlmError
+from molcorr.llmclient import BACKEND_NAMES, LlmError, backend_name
 from molcorr.prompt import build_corrector_prompt
 from conftest import make_bundle, make_predictions, write_dataset_csv, write_predictions_jsonl
 
@@ -861,6 +863,23 @@ class TestConfigHandling:
         main(["correct", "--config", cfg, "--split", "test", "--backend", "perfect"])
         summary = json.loads((tmp_path / "out" / "summary_test.json").read_text())
         assert summary["config"]["backend"] == "perfect"
+
+    @pytest.mark.parametrize("name", list(BACKEND_NAMES))
+    def test_each_backend_name_builds_its_backend(self, tmp_path, name):
+        scripted = tmp_path / "scripted.json"
+        scripted.write_text("{}")
+        keys = {
+            "scripted": {"scripted_responses": str(scripted)},
+            "remote": {"llm_endpoint": "http://127.0.0.1:9/v1/chat", "llm_model": "m"},
+        }
+        rt = build_runtime(Config(llm_backend=name, **keys.get(name, {})))
+        assert backend_name(rt.llm) == name
+
+    def test_backend_help_names_every_backend(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["correct", "--help"])
+        out = " ".join(capsys.readouterr().out.split())  # undo argparse's wrapping
+        assert "llm backend name (echo|perfect|noisy|scripted|remote)" in out
 
     @pytest.mark.parametrize(
         "extra, named",

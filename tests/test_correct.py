@@ -425,6 +425,33 @@ class TestCorrectSplit:
         assert calls == []
         assert not path.exists()
 
+    @pytest.mark.parametrize(
+        "task, value, message",
+        [(CLASSIFICATION, 7.0, "probability 7.0 outside [0, 1]"),
+         (REGRESSION, float("nan"), "prediction nan is not finite")],
+        ids=["probability-above-1", "regression-nan"],
+    )
+    def test_prediction_no_loader_accepts_sends_nothing(
+        self, tmp_path, monkeypatch, task, value, message
+    ):
+        # a library caller's dict meets the loaders' rule, first bad query
+        # in dataset order, before the audit log opens
+        calls = []
+        monkeypatch.setattr(
+            correct_mod, "complete", lambda *args: calls.append(args) or complete(*args)
+        )
+        bundle, _, test_preds, db = setup_pipeline(task)
+        ids = [rec.id for rec in bundle.split_records(Split.TEST)]
+        preds = {**test_preds, **dict.fromkeys(ids[2:], value)}
+        path = tmp_path / "audit.jsonl"
+        with pytest.raises(CorrectionError) as info:
+            correct_split(
+                Split.TEST, bundle, preds, db, CFG, EMB, MockEcho(), audit=AuditLog(path)
+            )
+        assert str(info.value) == f"query {ids[2]!r}: {message}"
+        assert calls == []
+        assert not path.exists()
+
     def test_audit_log_bytes_unchanged_at_one_job(self, tmp_path):
         # nothing rewrites the log after its last append
         bundle, _, test_preds, db = setup_pipeline(n_test=6)

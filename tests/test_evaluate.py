@@ -355,6 +355,37 @@ class TestAblation:
         assert built == built_dims
         assert len(reports) == len(values)
 
+    @pytest.mark.parametrize(
+        "fault, message",
+        [("unlabeled", "record 'm00028' has no label; cannot evaluate"),
+         ("one-class", "need at least one positive and one negative label"),
+         ("zero-baseline", "improvement is undefined for a zero baseline")],
+        ids=["unlabeled", "one-class", "zero-baseline"],
+    )
+    def test_unscorable_split_raises_before_any_build_or_query(
+        self, monkeypatch, fault, message
+    ):
+        task = CLASSIFICATION if fault == "one-class" else REGRESSION
+        bundle = make_bundle(task, n_train=20, n_valid=8, n_test=6, seed=3,
+                             test_labels=fault != "unlabeled")
+        if fault == "one-class":
+            bundle = replace(bundle, records=tuple(
+                r._replace(label=1.0) if r.split is Split.TEST else r for r in bundle.records
+            ))
+        val_preds = make_predictions(bundle, Split.VALID, seed=4)
+        test_preds = make_predictions(bundle, Split.TEST, seed=5)
+        if fault == "zero-baseline":  # predictions equal to the labels score an RMSE of 0
+            test_preds = {rec.id: rec.label for rec in bundle.split_records(Split.TEST)}
+        calls, built = [], []
+        monkeypatch.setattr(correct, "complete", lambda *args: calls.append(args))
+        monkeypatch.setattr(evaluate, "build_database", lambda *args: built.append(args))
+        points = ablation_points("k", RunConfig(), EMB, (1, 3))
+        with pytest.raises(EvalError) as info:
+            run_ablation(points, bundle, val_preds, Split.TEST, test_preds, MockEcho())
+        assert str(info.value) == message
+        assert calls == []
+        assert built == []
+
     def sweep(self, monkeypatch, points, backend, run):
         bundle, val_preds, test_preds, db = run
         monkeypatch.setattr(correct, "complete", backend)
